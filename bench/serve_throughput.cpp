@@ -4,9 +4,9 @@
 // Drives an InterleavedStream (trafficgen-backed, deterministic per seed)
 // through the StreamingClassifier at full speed, prints the service report,
 // checks the robustness invariants the torture harness greps for, and emits
-// BENCH_serve.json (flows/sec, events/sec, p50/p99 classify latency, the
-// typed shed breakdown, breaker transitions, SLO compliance, crash-recovery
-// accounting, host parallelism).
+// BENCH_serve.json (flows/sec, events/sec, p50/p99 classify latency, every
+// counter of fptc/serve/counters.hpp, SLO compliance, crash-recovery,
+// drift and reload state, per-stage latency, host parallelism).
 //
 // With FPTC_SERVE_SUPERVISE=1 this binary becomes its own supervisor: the
 // parent process runs the restart loop (supervisor.hpp) and re-execs itself
@@ -115,39 +115,22 @@ std::string bench_json(const fptc::serve::ServeReport& report,
     std::ostringstream out;
     out << "{\n"
         << "  \"flows\": " << stream_flows << ",\n"
-        << "  \"events\": " << report.events_total << ",\n"
         << "  \"wall_seconds\": " << report.wall_seconds << ",\n"
         << "  \"flows_per_sec\": " << static_cast<double>(report.flows_ingested) / wall << ",\n"
         << "  \"events_per_sec\": " << static_cast<double>(report.events_total) / wall << ",\n"
-        << "  \"classified\": " << report.flows_classified << ",\n"
-        << "  \"correct\": " << report.flows_correct << ",\n"
         << "  \"p50_latency_ms\": " << report.p50_latency_ms << ",\n"
         << "  \"p99_latency_ms\": " << report.p99_latency_ms << ",\n"
-        << "  \"batches\": " << report.batches << ",\n"
-        << "  \"shed\": {\n"
-        << "    \"mem_budget\": " << report.shed_mem_budget << ",\n"
-        << "    \"queue_full\": " << report.shed_queue_full << ",\n"
-        << "    \"deadline\": " << report.shed_deadline << ",\n"
-        << "    \"breaker\": " << report.shed_breaker << ",\n"
-        << "    \"slo\": " << report.shed_slo << ",\n"
-        << "    \"restart_loss\": " << report.shed_restart_loss << "\n"
-        << "  },\n"
-        << "  \"events_quarantined\": " << report.events_quarantined << ",\n"
-        << "  \"events_quarantined_backwards\": " << report.events_quarantined_backwards
-        << ",\n"
+        << "  \"counters\": {\n";
+    for (std::size_t i = 0; i < fptc::serve::kServeCounterCount; ++i) {
+        const fptc::serve::ServeCounterSpec& spec = fptc::serve::kServeCounters[i];
+        out << "    \"" << spec.name << "\": " << report.*spec.field
+            << (i + 1 < fptc::serve::kServeCounterCount ? "," : "") << "\n";
+    }
+    out << "  },\n"
         << "  \"events_mangled\": " << quarantine_oracle << ",\n"
-        << "  \"events_dropped_queue\": " << report.events_dropped_queue << ",\n"
-        << "  \"events_dropped_mem\": " << report.events_dropped_mem << ",\n"
-        << "  \"events_dropped_slo\": " << report.events_dropped_slo << ",\n"
-        << "  \"breaker\": {\n"
-        << "    \"trips\": " << report.breaker_trips << ",\n"
-        << "    \"recoveries\": " << report.breaker_recoveries << ",\n"
-        << "    \"final_tier\": " << report.final_tier << "\n"
-        << "  },\n"
+        << "  \"final_tier\": " << report.final_tier << ",\n"
         << "  \"slo\": {\n"
         << "    \"target_ms\": " << config.slo_ms << ",\n"
-        << "    \"considered\": " << report.slo_considered << ",\n"
-        << "    \"violations\": " << report.slo_violations << ",\n"
         << "    \"compliance\": " << report.slo_compliance() << "\n"
         << "  },\n"
         << "  \"recovery\": {\n"
@@ -155,40 +138,31 @@ std::string bench_json(const fptc::serve::ServeReport& report,
         << "    \"restored\": " << (report.restored ? "true" : "false") << ",\n"
         << "    \"watermark\": " << report.watermark << ",\n"
         << "    \"restored_flows\": " << report.restored_flows << ",\n"
-        << "    \"restore_refused\": " << report.restore_refused << ",\n"
-        << "    \"restart_loss\": " << report.shed_restart_loss << ",\n"
-        << "    \"snapshots_written\": " << report.snapshots_written << "\n"
+        << "    \"restore_refused\": " << report.restore_refused << "\n"
         << "  },\n"
         << "  \"openset\": {\n"
         << "    \"threshold\": " << config.unknown_thresh << ",\n"
-        << "    \"flows_unknown\": " << report.flows_unknown << ",\n"
-        << "    \"unknown_truth_total\": " << report.unknown_truth_total << ",\n"
-        << "    \"unknown_truth_rejected\": " << report.unknown_truth_rejected << ",\n"
         << "    \"stream_unknown_flows\": " << unknown_oracle << ",\n"
-        << "    \"confidence_mean\": " << report.confidence_mean << "\n"
+        << "    \"confidence_mean\": " << report.drift.confidence_mean << "\n"
         << "  },\n"
         << "  \"drift\": {\n"
         << "    \"lambda\": " << config.drift_lambda << ",\n"
         << "    \"rate_threshold\": " << config.drift_rate_thresh << ",\n"
-        << "    \"samples\": " << report.drift_samples << ",\n"
-        << "    \"alarms\": " << report.drift_alarms << ",\n"
-        << "    \"alarms_confidence\": " << report.drift_alarms_confidence << ",\n"
-        << "    \"alarms_input\": " << report.drift_alarms_input << ",\n"
-        << "    \"alarms_rate\": " << report.drift_alarms_rate << ",\n"
-        << "    \"first_alarm_sample\": " << report.drift_first_alarm_sample << "\n"
+        << "    \"samples\": " << report.drift.samples << ",\n"
+        << "    \"alarms_confidence\": " << report.drift.alarms_confidence << ",\n"
+        << "    \"alarms_input\": " << report.drift.alarms_input << ",\n"
+        << "    \"alarms_rate\": " << report.drift.alarms_rate << ",\n"
+        << "    \"first_alarm_sample\": " << report.drift.first_alarm_sample << "\n"
         << "  },\n"
         << "  \"reload\": {\n"
         << "    \"enabled\": " << (config.reload_path.empty() ? "false" : "true") << ",\n"
         << "    \"attempts\": " << report.reload_attempts << ",\n"
-        << "    \"reloads\": " << report.reloads << ",\n"
-        << "    \"rollbacks\": " << report.reload_rollbacks << ",\n"
         << "    \"model_generation\": " << report.model_generation << "\n"
         << "  },\n"
         << "  \"flightrec\": {\n"
         << "    \"enabled\": " << (config.flightrec ? "true" : "false") << ",\n"
         << "    \"events\": " << report.frec_events << ",\n"
         << "    \"dropped\": " << report.frec_dropped << ",\n"
-        << "    \"postmortems\": " << report.postmortems_written << ",\n"
         << "    \"status_writes\": " << report.status_writes << "\n"
         << "  },\n"
         << "  \"latency_breakdown\": {\n";

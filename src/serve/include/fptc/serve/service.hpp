@@ -46,6 +46,8 @@
 
 #include "fptc/serve/backend.hpp"
 #include "fptc/serve/breaker.hpp"
+#include "fptc/serve/counters.hpp"
+#include "fptc/serve/drift.hpp"
 #include "fptc/serve/stream.hpp"
 
 #include <cstddef>
@@ -129,69 +131,21 @@ struct ServeConfig {
     [[nodiscard]] static ServeConfig from_env();
 };
 
-/// Everything the run did, for the harness and the bench emitter.  With a
-/// restored snapshot, counters continue from the snapshot cut — the report
+/// Everything the run did, for the harness and the bench emitter: the
+/// counters from counters.hpp plus what is not a counter.  With a restored
+/// snapshot, persisted counters continue from the snapshot cut — the report
 /// describes the whole logical run, not just this process generation.
-struct ServeReport {
-    // Event-level accounting.
-    std::uint64_t events_total = 0;          ///< events pulled from the stream
-    std::uint64_t events_quarantined = 0;    ///< failed ingest validation
-    std::uint64_t events_dropped_queue = 0;  ///< ingest queue full
-    std::uint64_t events_dropped_mem = 0;    ///< new flow refused admission
-    std::uint64_t events_dropped_slo = 0;    ///< CoDel drop at the ingest queue
-
-    // Flow-level accounting (the invariant).
-    std::uint64_t flows_ingested = 0;   ///< flows that entered the table
-    std::uint64_t flows_classified = 0; ///< confident labels emitted
-    std::uint64_t flows_correct = 0;    ///< labels matching ground truth
-    std::uint64_t flows_unknown = 0;    ///< open-set rejected (below unknown_thresh)
-    std::uint64_t shed_mem_budget = 0;  ///< LRU evicted / budget refused
-    std::uint64_t shed_queue_full = 0;  ///< ready-queue backpressure
-    std::uint64_t shed_deadline = 0;    ///< batch deadline expired
-    std::uint64_t shed_breaker = 0;     ///< shed tier or backend failure
-    std::uint64_t shed_slo = 0;         ///< CoDel drop at the ready queue
-    std::uint64_t shed_restart_loss = 0; ///< in flight across a crash (typed loss window)
-
-    // Pipeline health.
-    std::uint64_t batches = 0;
-    std::uint64_t breaker_trips = 0;
-    std::uint64_t breaker_recoveries = 0;
+struct ServeReport : ServeCounters {
     int final_tier = 0;
     double p50_latency_ms = 0.0;  ///< per-batch classify latency
     double p99_latency_ms = 0.0;
     double wall_seconds = 0.0;
 
-    // SLO compliance (flows whose ready-queue sojourn was measured).
-    std::uint64_t slo_considered = 0;
-    std::uint64_t slo_violations = 0;   ///< sojourns over the target
-
-    // Open-set oracle (flows whose *ground truth* is outside the trained
-    // classes, i.e. label >= num_classes — trafficgen drift schedules
-    // inject them).  Counted at classification time, so the unknown-flood
-    // gate can assert rejected/total without re-deriving the oracle.
-    std::uint64_t unknown_truth_total = 0;    ///< unknown-truth flows that reached a verdict
-    std::uint64_t unknown_truth_rejected = 0; ///< ... of which were routed to `unknown`
-
-    // Ingest trust boundary.
-    std::uint64_t events_quarantined_backwards = 0; ///< in-flow time-warped packets dropped
-
-    // Drift detection (drift.hpp).
-    std::uint64_t drift_alarms = 0;             ///< alarms across all signal families
-    std::uint64_t drift_alarms_confidence = 0;
-    std::uint64_t drift_alarms_input = 0;
-    std::uint64_t drift_alarms_rate = 0;
-    std::uint64_t drift_samples = 0;            ///< flows the monitor observed
-    std::uint64_t drift_first_alarm_sample = 0; ///< 1-based; 0 = never
-    double confidence_mean = 0.0;               ///< mean calibrated max-class score
-
-    // Hot reload (reload.hpp).
-    std::uint64_t reload_attempts = 0;
-    std::uint64_t reloads = 0;           ///< candidates accepted + swapped in
-    std::uint64_t reload_rollbacks = 0;  ///< candidates rejected by the canary gate
+    DriftStats drift;                   ///< this generation's drift monitor (drift.hpp)
+    std::uint64_t reload_attempts = 0;  ///< candidates canaried (reload.hpp)
     std::uint32_t model_generation = 0;  ///< accepted reloads (persists across restarts)
 
     // Crash recovery.
-    std::uint64_t snapshots_written = 0;
     bool restored = false;              ///< this run resumed from a snapshot
     std::uint64_t watermark = 0;        ///< stream events skipped on restore
     std::uint64_t restored_flows = 0;   ///< flows rebuilt into the table
@@ -201,34 +155,9 @@ struct ServeReport {
     // Flight recorder + live status (flightrec.hpp, status.hpp).
     std::uint64_t frec_events = 0;      ///< lifecycle events recorded across rings
     std::uint64_t frec_dropped = 0;     ///< events overwritten by ring wrap-around
-    std::uint64_t postmortems_written = 0; ///< in-process crash dumps this generation
     std::uint64_t status_writes = 0;    ///< status-file exports this generation
 
-    [[nodiscard]] std::uint64_t shed_total() const noexcept
-    {
-        return shed_mem_budget + shed_queue_full + shed_deadline + shed_breaker + shed_slo +
-               shed_restart_loss;
-    }
-
-    /// The flow-accounting invariant (holds across process generations):
-    /// every ingested flow ends as exactly one of a confident label, a
-    /// typed `unknown` rejection, or a typed shed.
-    [[nodiscard]] bool accounted() const noexcept
-    {
-        return flows_ingested == flows_classified + flows_unknown + shed_total();
-    }
-
-    /// Fraction of measured ready-queue sojourns that met the SLO target
-    /// (1.0 when the SLO is off or nothing was measured).
-    [[nodiscard]] double slo_compliance() const noexcept
-    {
-        if (slo_considered == 0) {
-            return 1.0;
-        }
-        return 1.0 - static_cast<double>(slo_violations) / static_cast<double>(slo_considered);
-    }
-
-    /// One greppable line ("serve: ingested=... classified=... shed=...").
+    /// One greppable line ("serve: events=... ingested=... accounted=1").
     [[nodiscard]] std::string summary() const;
 };
 

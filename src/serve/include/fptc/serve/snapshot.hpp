@@ -31,6 +31,7 @@
 #pragma once
 
 #include "fptc/flow/packet.hpp"
+#include "fptc/serve/counters.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -42,8 +43,9 @@ namespace fptc::serve {
 /// Current snapshot format version.  A loader seeing any other value
 /// treats the file as a cold start (forward/backward format changes must
 /// bump this).  v2 added the open-set / drift / reload counters and the
-/// model generation.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// model generation; v3 encodes the persisted rows of counters.hpp in list
+/// order and adds slo_considered.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// One tracked flow's replayable state.
 struct SnapshotFlow {
@@ -53,44 +55,6 @@ struct SnapshotFlow {
     std::vector<flow::Packet> packets;
 };
 
-/// The accounting cut persisted with the table.  Driver- and
-/// assembler-side fields are exact at the watermark; classifier-side
-/// fields are relaxed samples that may lag (only ever *under*-counting,
-/// which the restart_loss deficit absorbs).
-struct SnapshotCounters {
-    std::uint64_t events_total = 0;
-    std::uint64_t events_quarantined = 0;
-    std::uint64_t events_dropped_queue = 0;
-    std::uint64_t events_dropped_mem = 0;
-    std::uint64_t events_dropped_slo = 0;
-    std::uint64_t flows_ingested = 0;
-    std::uint64_t flows_classified = 0;
-    std::uint64_t flows_correct = 0;
-    std::uint64_t shed_mem_budget = 0;
-    std::uint64_t shed_queue_full = 0;
-    std::uint64_t shed_deadline = 0;
-    std::uint64_t shed_breaker = 0;
-    std::uint64_t shed_slo = 0;
-    std::uint64_t shed_restart_loss = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t slo_violations = 0;
-    // v2: open-set rejection, backwards-timestamp quarantine, drift, reload.
-    std::uint64_t flows_unknown = 0;
-    std::uint64_t unknown_truth_total = 0;
-    std::uint64_t unknown_truth_rejected = 0;
-    std::uint64_t events_quarantined_backwards = 0;
-    std::uint64_t drift_alarms = 0;
-    std::uint64_t reloads = 0;
-    std::uint64_t reload_rollbacks = 0;
-
-    /// Flow-level sheds recorded at the cut (restart_loss included).
-    [[nodiscard]] std::uint64_t flow_sheds() const noexcept
-    {
-        return shed_mem_budget + shed_queue_full + shed_deadline + shed_breaker + shed_slo +
-               shed_restart_loss;
-    }
-};
-
 /// Everything a restarted worker needs to resume.
 struct ServeSnapshot {
     std::uint64_t watermark = 0;      ///< stream events the driver had emitted at the cut
@@ -98,7 +62,7 @@ struct ServeSnapshot {
     std::uint32_t generation = 0;     ///< worker generation that wrote the snapshot
     std::uint32_t model_generation = 0; ///< accepted hot reloads at the cut
     std::uint64_t config_fingerprint = 0;  ///< serve config hash; mismatch = cold start
-    SnapshotCounters counters;
+    ServeCounters counters;           ///< the accounting cut: rows counters.hpp persists
     std::vector<SnapshotFlow> flows;  ///< in window-close (FIFO) order
 };
 

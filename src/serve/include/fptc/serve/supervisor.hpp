@@ -27,8 +27,10 @@
 //   * one-shot fault injections (FPTC_FAULT_KILL_SERVE,
 //     FPTC_FAULT_SERVE_HANG) are unset for generations > 0, so an injected
 //     crash is recovered from rather than replayed forever;
-//   * a worker that exits 127 (exec failure) is not retried — restarting
-//     cannot fix a bad binary.
+//   * a worker that exits 1 (its self-check failed), 2 (malformed knob) or
+//     127 (exec failure) is not retried — restarting cannot fix a bad
+//     binary or configuration, and a cold-started retry would hide a
+//     failed check behind a clean exit.
 //
 // Liveness is watched two ways: waitpid catches death, and the heartbeat
 // file the worker's watchdog refreshes every poll catches a worker so

@@ -20,6 +20,7 @@
 #include "fptc/util/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -64,12 +65,6 @@ double env_positive(const char* name, double fallback, bool allow_zero)
     return *value;
 }
 
-[[nodiscard]] std::string env_string(const char* name)
-{
-    const char* value = std::getenv(name);
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 } // namespace
 
 std::uint64_t ServeConfig::fingerprint() const
@@ -107,7 +102,7 @@ ServeConfig ServeConfig::from_env()
     config.slo_ms = env_positive("FPTC_SERVE_SLO_MS", config.slo_ms, true);
     config.slo_interval_ms =
         env_positive("FPTC_SERVE_SLO_INTERVAL_MS", config.slo_interval_ms, false);
-    config.snapshot_path = env_string("FPTC_SERVE_SNAPSHOT");
+    config.snapshot_path = util::env_string("FPTC_SERVE_SNAPSHOT");
     config.snapshot_period_s =
         env_positive("FPTC_SERVE_SNAPSHOT_S", config.snapshot_period_s, true);
     config.snapshot_every = static_cast<std::uint64_t>(
@@ -123,19 +118,19 @@ ServeConfig ServeConfig::from_env()
     config.drift_rate_window = env_size("FPTC_SERVE_DRIFT_RATE_WINDOW", config.drift_rate_window, 8);
     config.drift_rate_thresh =
         env_positive("FPTC_SERVE_DRIFT_RATE_THRESH", config.drift_rate_thresh, true);
-    config.reload_path = env_string("FPTC_SERVE_RELOAD");
+    config.reload_path = util::env_string("FPTC_SERVE_RELOAD");
     config.reload_tolerance = env_positive("FPTC_SERVE_RELOAD_TOL", config.reload_tolerance, true);
     config.reload_canary_flows = env_size("FPTC_SERVE_RELOAD_CANARY", config.reload_canary_flows, 1);
     config.reload_every = env_size("FPTC_SERVE_RELOAD_EVERY", config.reload_every, 1);
     config.hang_stall_s = env_positive("FPTC_SERVE_HANG_S", config.hang_stall_s, true);
-    config.heartbeat_path = env_string("FPTC_SERVE_HEARTBEAT");
+    config.heartbeat_path = util::env_string("FPTC_SERVE_HEARTBEAT");
     config.gbt_only = util::env_int("FPTC_SERVE_GBT_ONLY").value_or(0) != 0;
     config.generation = serve_generation();
     config.flightrec = util::env_int("FPTC_SERVE_FLIGHTREC").value_or(0) != 0;
     config.flightrec_events =
         env_size("FPTC_SERVE_FLIGHTREC_EVENTS", config.flightrec_events, 64);
-    config.flightrec_ring = env_string("FPTC_SERVE_FLIGHTREC_RING");
-    config.postmortem_path = env_string("FPTC_SERVE_POSTMORTEM");
+    config.flightrec_ring = util::env_string("FPTC_SERVE_FLIGHTREC_RING");
+    config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");
     if (!config.postmortem_path.empty()) {
         // A crash dump needs rings to dump: the postmortem knob implies the
         // recorder, and the ring backing defaults next to the postmortem so
@@ -145,7 +140,7 @@ ServeConfig ServeConfig::from_env()
             config.flightrec_ring = config.postmortem_path + ".ring";
         }
     }
-    config.status_path = env_string("FPTC_SERVE_STATUS");
+    config.status_path = util::env_string("FPTC_SERVE_STATUS");
     config.status_period_s = env_positive("FPTC_SERVE_STATUS_S", config.status_period_s, false);
     return config;
 }
@@ -153,92 +148,87 @@ ServeConfig ServeConfig::from_env()
 std::string ServeReport::summary() const
 {
     std::ostringstream out;
-    out << "serve: ingested=" << flows_ingested << " classified=" << flows_classified
-        << " correct=" << flows_correct << " shed_mem_budget=" << shed_mem_budget
-        << " shed_queue_full=" << shed_queue_full << " shed_deadline=" << shed_deadline
-        << " shed_breaker=" << shed_breaker << " shed_slo=" << shed_slo
-        << " shed_restart_loss=" << shed_restart_loss << " quarantined=" << events_quarantined
-        << " dropped_queue=" << events_dropped_queue << " dropped_mem=" << events_dropped_mem
-        << " dropped_slo=" << events_dropped_slo << " batches=" << batches
-        << " trips=" << breaker_trips << " recoveries=" << breaker_recoveries
-        << " tier=" << final_tier << " slo_violations=" << slo_violations
-        << " snapshots=" << snapshots_written << " restored=" << (restored ? 1 : 0)
-        << " generation=" << generation << " unknown=" << flows_unknown
-        << " unknown_truth=" << unknown_truth_total
-        << " unknown_rejected=" << unknown_truth_rejected
-        << " quarantined_backwards=" << events_quarantined_backwards
-        << " drift_alarms=" << drift_alarms << " reloads=" << reloads
-        << " rollbacks=" << reload_rollbacks << " model_generation=" << model_generation
+    out << "serve:";
+    for (const ServeCounterSpec& spec : kServeCounters) {
+        out << ' ' << spec.summary_key << '=' << this->*spec.field;
+    }
+    out << " tier=" << final_tier << " restored=" << (restored ? 1 : 0)
+        << " generation=" << generation << " model_generation=" << model_generation
         << " frec_events=" << frec_events << " frec_dropped=" << frec_dropped
-        << " postmortems=" << postmortems_written << " status_writes=" << status_writes
-        << " accounted=" << (accounted() ? 1 : 0);
+        << " status_writes=" << status_writes << " accounted=" << (accounted() ? 1 : 0);
     return out.str();
 }
 
 namespace {
 
-/// Counters shared across the three pipeline threads.  Each field has one
-/// writer stage, but the final report reads them after joins, so relaxed
-/// atomics keep tsan quiet at negligible cost.  With a restored snapshot
-/// the fields are *seeded* from the persisted cut, so the report spans
-/// process generations.
-struct ServeState {
-    std::atomic<std::uint64_t> events_quarantined{0};
-    std::atomic<std::uint64_t> events_dropped_mem{0};
-    std::atomic<std::uint64_t> events_dropped_slo{0};
-    std::atomic<std::uint64_t> flows_ingested{0};
-    std::atomic<std::uint64_t> flows_classified{0};
-    std::atomic<std::uint64_t> flows_correct{0};
-    std::atomic<std::uint64_t> shed_mem_budget{0};
-    std::atomic<std::uint64_t> shed_queue_full{0};
-    std::atomic<std::uint64_t> shed_deadline{0};
-    std::atomic<std::uint64_t> shed_breaker{0};
-    std::atomic<std::uint64_t> shed_slo{0};
-    std::atomic<std::uint64_t> shed_restart_loss{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> slo_considered{0};
-    std::atomic<std::uint64_t> slo_violations{0};
-    std::atomic<std::uint64_t> snapshots_written{0};
-    std::atomic<std::uint64_t> restored_flows{0};
-    std::atomic<std::uint64_t> restore_refused{0};
-    std::atomic<std::uint64_t> flows_unknown{0};
-    std::atomic<std::uint64_t> unknown_truth_total{0};
-    std::atomic<std::uint64_t> unknown_truth_rejected{0};
-    std::atomic<std::uint64_t> events_quarantined_backwards{0};
-    std::atomic<std::uint64_t> drift_alarms{0};
-    std::atomic<std::uint64_t> reloads{0};
-    std::atomic<std::uint64_t> reload_rollbacks{0};
-    std::atomic<std::uint32_t> model_generation{0};
-    std::atomic<std::uint64_t> postmortems_written{0};
+/// The per-run counters: a slot per counters.hpp row plus its registry
+/// counter.  Each counter has one writing thread, so counting is a relaxed
+/// load + store; the snapshot cut and the status writer take relaxed samples.
+/// Each slot has its own cache line, so the driver's per-event counts share
+/// none with the other stages.  A restored run seeds the slots from the
+/// snapshot cut, so the report spans process generations.
+class LiveCounters {
+public:
+    explicit LiveCounters(const ServeCounters& seed)
+    {
+        for (std::size_t i = 0; i < kServeCounterCount; ++i) {
+            slots_[i].value.store(seed.*kServeCounters[i].field, std::memory_order_relaxed);
+            if (kServeCounters[i].metric != nullptr) {
+                metrics_[i] = &util::metrics().counter(kServeCounters[i].metric);
+            }
+        }
+    }
+
+    /// Count `n` more and return the new total (writing thread only).
+    template <ServeCounter id>
+    std::uint64_t add(std::uint64_t n = 1) noexcept
+    {
+        constexpr auto i = static_cast<std::size_t>(id);
+        const std::uint64_t total = slots_[i].value.load(std::memory_order_relaxed) + n;
+        slots_[i].value.store(total, std::memory_order_relaxed);
+        if constexpr (kServeCounters[i].metric != nullptr) {
+            metrics_[i]->add(n);
+        }
+        return total;
+    }
+
+    /// Catch up with a running total kept by the counter's owner (the
+    /// breaker's trips and recoveries).
+    template <ServeCounter id>
+    void raise_to(std::uint64_t total) noexcept
+    {
+        const std::uint64_t now = get<id>();
+        if (total > now) {
+            add<id>(total - now);
+        }
+    }
+
+    template <ServeCounter id>
+    [[nodiscard]] std::uint64_t get() const noexcept
+    {
+        return slots_[static_cast<std::size_t>(id)].value.load(std::memory_order_relaxed);
+    }
+
+    [[nodiscard]] ServeCounters load() const noexcept
+    {
+        ServeCounters out;
+        for (std::size_t i = 0; i < kServeCounterCount; ++i) {
+            out.*kServeCounters[i].field = slots_[i].value.load(std::memory_order_relaxed);
+        }
+        return out;
+    }
+
+private:
+    struct alignas(64) Slot {
+        std::atomic<std::uint64_t> value{0};
+    };
+    std::array<Slot, kServeCounterCount> slots_{};
+    std::array<util::Counter*, kServeCounterCount> metrics_{};
 };
 
-/// Cached registry instruments (lookups mutex, instruments lock-free).
+/// Cached registry gauges and histograms (lookups mutex, instruments
+/// lock-free); the counters live in LiveCounters.
 struct ServeMetrics {
-    util::Counter& events = util::metrics().counter("fptc_serve_events_total");
-    util::Counter& quarantined = util::metrics().counter("fptc_serve_events_quarantined_total");
-    util::Counter& dropped_queue = util::metrics().counter("fptc_serve_events_dropped_queue_total");
-    util::Counter& dropped_mem = util::metrics().counter("fptc_serve_events_dropped_mem_total");
-    util::Counter& dropped_slo = util::metrics().counter("fptc_serve_events_dropped_slo_total");
-    util::Counter& ingested = util::metrics().counter("fptc_serve_flows_ingested_total");
-    util::Counter& classified = util::metrics().counter("fptc_serve_flows_classified_total");
-    util::Counter& shed_mem = util::metrics().counter("fptc_serve_shed_mem_budget_total");
-    util::Counter& shed_queue = util::metrics().counter("fptc_serve_shed_queue_full_total");
-    util::Counter& shed_deadline = util::metrics().counter("fptc_serve_shed_deadline_total");
-    util::Counter& shed_breaker = util::metrics().counter("fptc_serve_shed_breaker_total");
-    util::Counter& shed_slo = util::metrics().counter("fptc_serve_shed_slo_total");
-    util::Counter& shed_restart = util::metrics().counter("fptc_serve_shed_restart_loss_total");
-    util::Counter& slo_violations = util::metrics().counter("fptc_serve_slo_violations_total");
-    util::Counter& snapshots = util::metrics().counter("fptc_serve_snapshots_total");
-    util::Counter& trips = util::metrics().counter("fptc_serve_breaker_trips_total");
-    util::Counter& recoveries = util::metrics().counter("fptc_serve_breaker_recoveries_total");
-    util::Counter& unknown = util::metrics().counter("fptc_serve_flows_unknown_total");
-    util::Counter& quarantined_backwards =
-        util::metrics().counter("fptc_serve_quarantined_backwards_ts_total");
-    util::Counter& drift_alarms = util::metrics().counter("fptc_serve_drift_alarms_total");
-    util::Counter& reloads = util::metrics().counter("fptc_serve_reloads_total");
-    util::Counter& reload_rollbacks =
-        util::metrics().counter("fptc_serve_reload_rollbacks_total");
-    util::Counter& postmortems = util::metrics().counter("fptc_serve_postmortems_total");
     util::Gauge& flows_active = util::metrics().gauge("fptc_serve_flows_active");
     util::Gauge& breaker_state = util::metrics().gauge("fptc_serve_breaker_state");
     util::Gauge& generation = util::metrics().gauge("fptc_serve_generation");
@@ -316,8 +306,18 @@ StreamingClassifier::StreamingClassifier(const ServeConfig& config, Backend& ful
 ServeReport StreamingClassifier::run(InterleavedStream& stream)
 {
     const auto wall_start = std::chrono::steady_clock::now();
-    ServeState state;
+    std::optional<ServeSnapshot> snap;
+    if (!config_.snapshot_path.empty()) {
+        // Sweep half-written snapshot temps whose writer died mid-commit
+        // (same dead-pid-guarded scavenger the journal layer uses).
+        (void)util::scavenge_orphan_temps(util::parent_dir_of(config_.snapshot_path));
+        snap = load_snapshot(config_.snapshot_path, config_.fingerprint());
+    }
+    using C = ServeCounter;
+    LiveCounters counters(snap.has_value() ? snap->counters : ServeCounters{});
     ServeMetrics instruments;
+    // Accepted reloads; persisted in the snapshot header, not a counter row.
+    std::atomic<std::uint32_t> model_generation{snap.has_value() ? snap->model_generation : 0};
     instruments.generation.set(static_cast<std::int64_t>(config_.generation));
     BoundedQueue<IngestItem> ingest(config_.queue_depth);
     BoundedQueue<StampedFlow> ready(config_.ready_depth);
@@ -342,23 +342,15 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             postmortem_taken.exchange(true)) {
             return;
         }
-        state.postmortems_written.fetch_add(1, std::memory_order_relaxed);
-        instruments.postmortems.add();
+        counters.add<C::postmortems_written>();
         instruments.frec_events.set(static_cast<std::int64_t>(recorder->recorded_total()));
         instruments.frec_dropped.set(static_cast<std::int64_t>(recorder->dropped_total()));
         recorder->dump(config_.postmortem_path, reason, detail);
     };
 
-    // ---- crash recovery: restore the previous generation's snapshot ------
-    std::optional<ServeSnapshot> snap;
-    if (!config_.snapshot_path.empty()) {
-        // Sweep half-written snapshot temps whose writer died mid-commit
-        // (same dead-pid-guarded scavenger the journal layer uses).
-        (void)util::scavenge_orphan_temps(util::parent_dir_of(config_.snapshot_path));
-        snap = load_snapshot(config_.snapshot_path, config_.fingerprint());
-    }
+    // ---- crash recovery: type the restored generation's loss window -------
     if (snap.has_value()) {
-        const SnapshotCounters& base = snap->counters;
+        const ServeCounters& base = snap->counters;
         // The loss window: flows the cut says were ingested but are neither
         // classified, shed, nor in the persisted table — they sat in the
         // ready queue or a half-classified batch when the process died.
@@ -366,35 +358,11 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         // only *lag* (under-count), so the deficit can only over-estimate —
         // a conservative, typed bound on what the crash cost.
         const std::uint64_t accounted_at_cut =
-            base.flows_classified + base.flows_unknown + base.flow_sheds() + snap->flows.size();
+            base.flows_classified + base.flows_unknown + base.shed_total() + snap->flows.size();
         const std::uint64_t loss = base.flows_ingested > accounted_at_cut
                                        ? base.flows_ingested - accounted_at_cut
                                        : 0;
-        state.events_quarantined.store(base.events_quarantined);
-        state.events_dropped_mem.store(base.events_dropped_mem);
-        state.events_dropped_slo.store(base.events_dropped_slo);
-        state.flows_ingested.store(base.flows_ingested);
-        state.flows_classified.store(base.flows_classified);
-        state.flows_correct.store(base.flows_correct);
-        state.shed_mem_budget.store(base.shed_mem_budget);
-        state.shed_queue_full.store(base.shed_queue_full);
-        state.shed_deadline.store(base.shed_deadline);
-        state.shed_breaker.store(base.shed_breaker);
-        state.shed_slo.store(base.shed_slo);
-        state.shed_restart_loss.store(base.shed_restart_loss + loss);
-        state.batches.store(base.batches);
-        state.slo_violations.store(base.slo_violations);
-        state.flows_unknown.store(base.flows_unknown);
-        state.unknown_truth_total.store(base.unknown_truth_total);
-        state.unknown_truth_rejected.store(base.unknown_truth_rejected);
-        state.events_quarantined_backwards.store(base.events_quarantined_backwards);
-        state.drift_alarms.store(base.drift_alarms);
-        state.reloads.store(base.reloads);
-        state.reload_rollbacks.store(base.reload_rollbacks);
-        state.model_generation.store(snap->model_generation);
-        if (loss > 0) {
-            instruments.shed_restart.add(loss);
-        }
+        counters.add<C::shed_restart_loss>(loss);
         util::log_info("serve: restored snapshot (watermark=" + std::to_string(snap->watermark) +
                        " flows=" + std::to_string(snap->flows.size()) +
                        " restart_loss=" + std::to_string(loss) + " from generation " +
@@ -424,14 +392,11 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
     const std::size_t wd_classifier = watchdog.add_thread("classifier");
     watchdog.start();
 
-    // Written only by the classifier thread; read after join() (the join is
-    // the synchronization point, so plain variables suffice).
+    // Each pipeline thread fills its own fields of the report, read after
+    // join() (the join is the synchronization point, so plain fields suffice).
+    ServeReport report;
+    report.generation = config_.generation;
     std::vector<double> latencies;
-    int breaker_final = 0;
-    std::uint64_t breaker_trips = 0;
-    std::uint64_t breaker_recoveries = 0;
-    DriftStats drift_final;
-    ReloadStats reload_final;
 
     // --- assembler: validate events, fold into the flow table, release
     // window-closed flows into the ready queue -----------------------------
@@ -444,12 +409,9 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             // a shrunken post-restart budget turns refusals into typed
             // mem_budget sheds instead of a crash loop.
             const std::size_t refused = table.restore(snap->flows);
-            state.restored_flows.store(snap->flows.size() - refused);
-            if (refused > 0) {
-                state.restore_refused.store(refused);
-                state.shed_mem_budget.fetch_add(refused, std::memory_order_relaxed);
-                instruments.shed_mem.add(refused);
-            }
+            report.restored_flows = snap->flows.size() - refused;
+            report.restore_refused = refused;
+            counters.add<C::shed_mem_budget>(refused);
             stream_now = snap->stream_now;
         }
         CoDelAdmission admission(
@@ -459,40 +421,14 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             out.watermark = cut.events_total;
             out.stream_now = stream_now;
             out.generation = config_.generation;
-            out.model_generation = state.model_generation.load(std::memory_order_relaxed);
+            out.model_generation = model_generation.load(std::memory_order_relaxed);
             out.config_fingerprint = config_.fingerprint();
-            SnapshotCounters& c = out.counters;
-            c.events_total = cut.events_total;
-            c.events_dropped_queue = cut.events_dropped_queue;
-            // Assembler-owned counters: exact at this point — FIFO order
-            // guarantees every surviving event before the watermark has
-            // been folded into the table already.
-            c.events_quarantined = state.events_quarantined.load(std::memory_order_relaxed);
-            c.events_dropped_mem = state.events_dropped_mem.load(std::memory_order_relaxed);
-            c.events_dropped_slo = state.events_dropped_slo.load(std::memory_order_relaxed);
-            c.events_quarantined_backwards =
-                state.events_quarantined_backwards.load(std::memory_order_relaxed);
-            c.flows_ingested = state.flows_ingested.load(std::memory_order_relaxed);
-            c.shed_mem_budget = state.shed_mem_budget.load(std::memory_order_relaxed);
-            c.shed_queue_full = state.shed_queue_full.load(std::memory_order_relaxed);
-            c.shed_restart_loss = state.shed_restart_loss.load(std::memory_order_relaxed);
-            // Classifier-owned counters: relaxed samples that may lag.  Lag
-            // only under-counts, which the restore-time deficit absorbs as
-            // restart_loss — never a broken invariant.
-            c.flows_classified = state.flows_classified.load(std::memory_order_relaxed);
-            c.flows_correct = state.flows_correct.load(std::memory_order_relaxed);
-            c.shed_deadline = state.shed_deadline.load(std::memory_order_relaxed);
-            c.shed_breaker = state.shed_breaker.load(std::memory_order_relaxed);
-            c.shed_slo = state.shed_slo.load(std::memory_order_relaxed);
-            c.batches = state.batches.load(std::memory_order_relaxed);
-            c.slo_violations = state.slo_violations.load(std::memory_order_relaxed);
-            c.flows_unknown = state.flows_unknown.load(std::memory_order_relaxed);
-            c.unknown_truth_total = state.unknown_truth_total.load(std::memory_order_relaxed);
-            c.unknown_truth_rejected =
-                state.unknown_truth_rejected.load(std::memory_order_relaxed);
-            c.drift_alarms = state.drift_alarms.load(std::memory_order_relaxed);
-            c.reloads = state.reloads.load(std::memory_order_relaxed);
-            c.reload_rollbacks = state.reload_rollbacks.load(std::memory_order_relaxed);
+            // The assembler's counters are exact here (FIFO: every event
+            // before the watermark is folded in), the driver's come with the
+            // marker, the classifier's may lag (absorbed as restart_loss).
+            out.counters = counters.load();
+            out.counters.events_total = cut.events_total;
+            out.counters.events_dropped_queue = cut.events_dropped_queue;
             out.flows = table.snapshot_entries();
             try {
                 save_snapshot(config_.snapshot_path, out);
@@ -503,8 +439,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                                "); continuing without");
                 return;
             }
-            state.snapshots_written.fetch_add(1, std::memory_order_relaxed);
-            instruments.snapshots.add();
+            counters.add<C::snapshots_written>();
             // Recorded after the durable commit and before the injected
             // SIGKILL below: a postmortem sealed from the ring file always
             // ends at (or after) the watermark the restarted worker resumes
@@ -534,8 +469,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             if (!queued) {
                 // The refused ReadyFlow dies inside the push call; its
                 // Charge destructor credits the bytes back right here.
-                state.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-                instruments.shed_queue.add();
+                counters.add<C::shed_queue_full>();
                 frec_note(FrecRing::assembler, FrecKind::shed, flow_id, 1,
                           static_cast<std::uint32_t>(FrecShed::queue_full));
             } else {
@@ -563,8 +497,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                     // Sojourn over the SLO for a sustained interval: the
                     // event is doomed work — drop it before it costs table
                     // space and classify time (event-level, typed).
-                    state.events_dropped_slo.fetch_add(1, std::memory_order_relaxed);
-                    instruments.dropped_slo.add();
+                    counters.add<C::events_dropped_slo>();
                     frec_note(FrecRing::assembler, FrecKind::codel_drop, item.event.flow_id,
                               wait_ns);
                     continue;
@@ -572,8 +505,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 const PacketEvent& event = item.event;
                 if (const char* reason = validate(event); reason != nullptr) {
                     (void)reason;
-                    state.events_quarantined.fetch_add(1, std::memory_order_relaxed);
-                    instruments.quarantined.add();
+                    counters.add<C::events_quarantined>();
                     frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id);
                     continue;
                 }
@@ -583,28 +515,24 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                     // Trust boundary: a packet time-warping backwards inside
                     // its flow is dropped before it can poison the window.
                     // Event-level, typed; the flow itself keeps serving.
-                    state.events_quarantined_backwards.fetch_add(1, std::memory_order_relaxed);
-                    instruments.quarantined_backwards.add();
+                    counters.add<C::events_quarantined_backwards>();
                     frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id, 0, 1);
                     continue;
                 }
                 if (outcome.new_flow) {
-                    state.flows_ingested.fetch_add(1, std::memory_order_relaxed);
-                    instruments.ingested.add();
+                    counters.add<C::flows_ingested>();
                     frec_note(FrecRing::assembler, FrecKind::admit, event.flow_id,
                               table.size());
                 }
                 if (outcome.evicted > 0 || outcome.shed_self) {
                     const std::uint64_t shed =
                         outcome.evicted + (outcome.shed_self ? 1 : 0);
-                    state.shed_mem_budget.fetch_add(shed, std::memory_order_relaxed);
-                    instruments.shed_mem.add(shed);
+                    counters.add<C::shed_mem_budget>(shed);
                     frec_note(FrecRing::assembler, FrecKind::shed, event.flow_id, shed,
                               static_cast<std::uint32_t>(FrecShed::mem_budget));
                 }
                 if (!outcome.admitted && !outcome.new_flow && !outcome.shed_self) {
-                    state.events_dropped_mem.fetch_add(1, std::memory_order_relaxed);
-                    instruments.dropped_mem.add();
+                    counters.add<C::events_dropped_mem>();
                 }
             }
             for (ReadyFlow& flow : table.pop_ready(stream_now)) {
@@ -658,16 +586,14 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         // Generations survive SIGKILL: the counter continues from the
         // restored snapshot cut, so an accepted reload before the crash is
         // still visible in the restarted worker's report.
-        reloader.set_model_generation(state.model_generation.load(std::memory_order_relaxed));
+        reloader.set_model_generation(model_generation.load(std::memory_order_relaxed));
         instruments.model_generation.set(
             static_cast<std::int64_t>(reloader.model_generation()));
         std::uint64_t last_drift_alarms = 0;
         const auto apply_reload = [&](ModelReloader::Outcome outcome) {
             if (outcome == ModelReloader::Outcome::reloaded) {
-                state.reloads.fetch_add(1, std::memory_order_relaxed);
-                state.model_generation.store(reloader.model_generation(),
-                                             std::memory_order_relaxed);
-                instruments.reloads.add();
+                counters.add<C::reloads>();
+                model_generation.store(reloader.model_generation(), std::memory_order_relaxed);
                 instruments.model_generation.set(
                     static_cast<std::int64_t>(reloader.model_generation()));
                 util::log_info("serve: hot-reloaded model (generation " +
@@ -675,14 +601,11 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                                ", candidate golden accuracy " +
                                std::to_string(reloader.stats().candidate_accuracy) + ")");
             } else if (outcome == ModelReloader::Outcome::rolled_back) {
-                state.reload_rollbacks.fetch_add(1, std::memory_order_relaxed);
-                instruments.reload_rollbacks.add();
+                counters.add<C::reload_rollbacks>();
                 util::log_info("serve: reload candidate rejected, incumbent kept (" +
                                reloader.stats().last_error + ")");
             }
         };
-        std::uint64_t last_trips = 0;
-        std::uint64_t last_recoveries = 0;
         std::vector<StampedFlow> staged;
         std::vector<ReadyFlow> batch;
         for (;;) {
@@ -705,18 +628,16 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 instruments.stage_ready_wait.observe(sojourn_ns);
                 frec_exemplar(FrecStage::ready_wait, sojourn_ns, stamped.flow.flow_id);
                 if (config_.slo_ms > 0.0) {
-                    state.slo_considered.fetch_add(1, std::memory_order_relaxed);
+                    counters.add<C::slo_considered>();
                     if (sojourn > config_.slo_ms) {
-                        state.slo_violations.fetch_add(1, std::memory_order_relaxed);
-                        instruments.slo_violations.add();
+                        counters.add<C::slo_violations>();
                     }
                     if (admission.should_drop(sojourn, steady_now_ms())) {
                         // Hard SLO: a flow that queued past the target for
                         // a sustained interval is dropped *ahead of* the
                         // breaker — the ladder never sees doomed work.  The
                         // StampedFlow dies here; its Charge credits back.
-                        state.shed_slo.fetch_add(1, std::memory_order_relaxed);
-                        instruments.shed_slo.add();
+                        counters.add<C::shed_slo>();
                         frec_note(FrecRing::classifier, FrecKind::shed,
                                   stamped.flow.flow_id, 1,
                                   static_cast<std::uint32_t>(FrecShed::slo));
@@ -741,7 +662,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 }
                 util::log_info("serve: wedge failsafe cap elapsed; resuming");
             }
-            state.batches.fetch_add(1, std::memory_order_relaxed);
+            counters.add<C::batches>();
             Tier tier = breaker.plan_batch();
             if (config_.gbt_only && tier != Tier::shed) {
                 // Degraded mode (supervisor's last restart): the CNN tiers
@@ -751,8 +672,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             }
             instruments.breaker_state.set(static_cast<std::int64_t>(breaker.tier()));
             if (tier == Tier::shed) {
-                state.shed_breaker.fetch_add(batch.size(), std::memory_order_relaxed);
-                instruments.shed_breaker.add(batch.size());
+                counters.add<C::shed_breaker>(batch.size());
                 for (const ReadyFlow& flow : batch) {
                     frec_note(FrecRing::classifier, FrecKind::shed, flow.flow_id, 1,
                               static_cast<std::uint32_t>(FrecShed::breaker));
@@ -809,11 +729,9 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 // rides the breaker reason (it is the breaker's trigger).
                 const auto reason_count = static_cast<std::uint64_t>(batch.size());
                 if (deadline_hit) {
-                    state.shed_deadline.fetch_add(reason_count, std::memory_order_relaxed);
-                    instruments.shed_deadline.add(reason_count);
+                    counters.add<C::shed_deadline>(reason_count);
                 } else {
-                    state.shed_breaker.fetch_add(reason_count, std::memory_order_relaxed);
-                    instruments.shed_breaker.add(reason_count);
+                    counters.add<C::shed_breaker>(reason_count);
                 }
                 for (const ReadyFlow& flow : batch) {
                     frec_note(FrecRing::classifier, FrecKind::shed, flow.flow_id, 1,
@@ -864,19 +782,14 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                         .packet_count = flow.flow.packets.size(),
                     });
                 }
-                state.flows_classified.fetch_add(batch.size() - unknown,
-                                                 std::memory_order_relaxed);
-                state.flows_correct.fetch_add(correct, std::memory_order_relaxed);
-                instruments.classified.add(batch.size() - unknown);
+                counters.add<C::flows_classified>(batch.size() - unknown);
+                counters.add<C::flows_correct>(correct);
                 if (unknown > 0) {
-                    state.flows_unknown.fetch_add(unknown, std::memory_order_relaxed);
-                    instruments.unknown.add(unknown);
+                    counters.add<C::flows_unknown>(unknown);
                 }
                 if (unknown_truth > 0) {
-                    state.unknown_truth_total.fetch_add(unknown_truth,
-                                                        std::memory_order_relaxed);
-                    state.unknown_truth_rejected.fetch_add(unknown_rejected,
-                                                           std::memory_order_relaxed);
+                    counters.add<C::unknown_truth_total>(unknown_truth);
+                    counters.add<C::unknown_truth_rejected>(unknown_rejected);
                 }
             }
             instruments.breaker_state.set(static_cast<std::int64_t>(breaker.tier()));
@@ -888,8 +801,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             if (drift_total > last_drift_alarms) {
                 const std::uint64_t fired = drift_total - last_drift_alarms;
                 last_drift_alarms = drift_total;
-                state.drift_alarms.fetch_add(fired, std::memory_order_relaxed);
-                instruments.drift_alarms.add(fired);
+                counters.add<C::drift_alarms>(fired);
                 util::log_info("serve: drift alarm at sample " +
                                std::to_string(drift.stats().samples) + " (confidence mean " +
                                std::to_string(drift.stats().confidence_mean) + ")");
@@ -898,20 +810,12 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             } else {
                 apply_reload(reloader.poll());
             }
-            if (breaker.trips() > last_trips) {
-                instruments.trips.add(breaker.trips() - last_trips);
-                last_trips = breaker.trips();
-            }
-            if (breaker.recoveries() > last_recoveries) {
-                instruments.recoveries.add(breaker.recoveries() - last_recoveries);
-                last_recoveries = breaker.recoveries();
-            }
+            counters.raise_to<C::breaker_trips>(breaker.trips());
+            counters.raise_to<C::breaker_recoveries>(breaker.recoveries());
         }
-        breaker_final = static_cast<int>(breaker.tier());
-        breaker_trips = breaker.trips();
-        breaker_recoveries = breaker.recoveries();
-        drift_final = drift.stats();
-        reload_final = reloader.stats();
+        report.final_tier = static_cast<int>(breaker.tier());
+        report.drift = drift.stats();
+        report.reload_attempts = reloader.stats().attempts;
         watchdog.mark_done(wd_classifier);
     });
 
@@ -922,22 +826,14 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         util::Histogram* stages[kFrecStageCount] = {
             &instruments.stage_ingest_wait, &instruments.stage_assembly,
             &instruments.stage_ready_wait, &instruments.stage_backend};
-        const std::uint64_t shed_total =
-            state.shed_mem_budget.load(std::memory_order_relaxed) +
-            state.shed_queue_full.load(std::memory_order_relaxed) +
-            state.shed_deadline.load(std::memory_order_relaxed) +
-            state.shed_breaker.load(std::memory_order_relaxed) +
-            state.shed_slo.load(std::memory_order_relaxed) +
-            state.shed_restart_loss.load(std::memory_order_relaxed);
-        const std::uint64_t considered = state.slo_considered.load(std::memory_order_relaxed);
-        const std::uint64_t violations = state.slo_violations.load(std::memory_order_relaxed);
+        const ServeCounters now = counters.load();
         const auto tier = static_cast<Tier>(instruments.breaker_state.value());
         std::ostringstream out;
         out << "{\n";
         out << "  \"pid\": " << ::getpid() << ",\n";
         out << "  \"generation\": " << config_.generation << ",\n";
-        out << "  \"model_generation\": "
-            << state.model_generation.load(std::memory_order_relaxed) << ",\n";
+        out << "  \"model_generation\": " << model_generation.load(std::memory_order_relaxed)
+            << ",\n";
         out << "  \"uptime_s\": "
             << std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
                    .count()
@@ -945,26 +841,11 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         out << "  \"breaker_tier\": " << static_cast<int>(tier) << ",\n";
         out << "  \"breaker_tier_name\": \"" << tier_name(tier) << "\",\n";
         out << "  \"flows_active\": " << instruments.flows_active.value() << ",\n";
-        out << "  \"flows_ingested\": " << state.flows_ingested.load(std::memory_order_relaxed)
-            << ",\n";
-        out << "  \"flows_classified\": "
-            << state.flows_classified.load(std::memory_order_relaxed) << ",\n";
-        out << "  \"flows_unknown\": " << state.flows_unknown.load(std::memory_order_relaxed)
-            << ",\n";
-        out << "  \"shed_total\": " << shed_total << ",\n";
-        out << "  \"drift_alarms\": " << state.drift_alarms.load(std::memory_order_relaxed)
-            << ",\n";
-        out << "  \"slo_considered\": " << considered << ",\n";
-        out << "  \"slo_violations\": " << violations << ",\n";
-        out << "  \"slo_compliance\": "
-            << (considered > 0
-                    ? 1.0 - static_cast<double>(violations) / static_cast<double>(considered)
-                    : 1.0)
-            << ",\n";
-        out << "  \"snapshots\": " << state.snapshots_written.load(std::memory_order_relaxed)
-            << ",\n";
-        out << "  \"postmortems\": "
-            << state.postmortems_written.load(std::memory_order_relaxed) << ",\n";
+        for (const ServeCounterSpec& spec : kServeCounters) {
+            out << "  \"" << spec.name << "\": " << now.*spec.field << ",\n";
+        }
+        out << "  \"shed_total\": " << now.shed_total() << ",\n";
+        out << "  \"slo_compliance\": " << now.slo_compliance() << ",\n";
         out << "  \"flightrec\": {\"enabled\": " << (recorder.has_value() ? "true" : "false")
             << ", \"events\": " << (recorder.has_value() ? recorder->recorded_total() : 0)
             << ", \"dropped\": " << (recorder.has_value() ? recorder->dropped_total() : 0)
@@ -996,15 +877,9 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
     }
 
     // --- driver (this thread): pump the stream into the ingest queue -------
-    ServeReport report;
-    report.generation = config_.generation;
-    std::uint64_t events_total = 0;
-    std::uint64_t events_dropped_queue = 0;
     if (snap.has_value()) {
         report.restored = true;
         report.watermark = snap->watermark;
-        events_total = snap->counters.events_total;
-        events_dropped_queue = snap->counters.events_dropped_queue;
         // The stream is seed-deterministic (bursts and mangles included), so
         // skipping exactly `watermark` draws resumes the identical sequence
         // the crashed generation had not yet delivered.
@@ -1026,16 +901,14 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         std::uint64_t events_since_marker = 0;
         while (auto event = stream.next()) {
             watchdog.beat(wd_driver);
-            ++events_total;
-            instruments.events.add();
+            const std::uint64_t events_total = counters.add<C::events_total>();
             // Bounded backpressure: tolerate a short stall (a capture
             // buffer's worth), then shed the event with a typed reason —
             // the driver never blocks indefinitely on a wedged assembler.
             if (!ingest.push_wait(
                     IngestItem{*event, false, {}, std::chrono::steady_clock::now()},
                     std::chrono::milliseconds(20))) {
-                ++events_dropped_queue;
-                instruments.dropped_queue.add();
+                counters.add<C::events_dropped_queue>();
                 frec_note(FrecRing::driver, FrecKind::shed, event->flow_id, 1,
                           static_cast<std::uint32_t>(FrecShed::queue_full));
             } else {
@@ -1052,7 +925,8 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 // watermark precisely.
                 IngestItem marker;
                 marker.is_marker = true;
-                marker.cut = SnapshotMarker{events_total, events_dropped_queue};
+                marker.cut =
+                    SnapshotMarker{events_total, counters.get<C::events_dropped_queue>()};
                 marker.enqueued = std::chrono::steady_clock::now();
                 // A refused marker just skips one snapshot period; the
                 // cadence clock resets either way so a saturated queue is
@@ -1094,46 +968,8 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         // finished fine; only a crash leaves one behind (that is the point).
         recorder->remove_backing();
     }
-    report.postmortems_written = state.postmortems_written.load();
-
-    report.events_total = events_total;
-    report.events_dropped_queue = events_dropped_queue;
-    report.events_quarantined = state.events_quarantined.load();
-    report.events_dropped_mem = state.events_dropped_mem.load();
-    report.events_dropped_slo = state.events_dropped_slo.load();
-    report.flows_ingested = state.flows_ingested.load();
-    report.flows_classified = state.flows_classified.load();
-    report.flows_correct = state.flows_correct.load();
-    report.shed_mem_budget = state.shed_mem_budget.load();
-    report.shed_queue_full = state.shed_queue_full.load();
-    report.shed_deadline = state.shed_deadline.load();
-    report.shed_breaker = state.shed_breaker.load();
-    report.shed_slo = state.shed_slo.load();
-    report.shed_restart_loss = state.shed_restart_loss.load();
-    report.batches = state.batches.load();
-    report.slo_considered = state.slo_considered.load();
-    report.slo_violations = state.slo_violations.load();
-    report.snapshots_written = state.snapshots_written.load();
-    report.restored_flows = state.restored_flows.load();
-    report.restore_refused = state.restore_refused.load();
-    report.flows_unknown = state.flows_unknown.load();
-    report.unknown_truth_total = state.unknown_truth_total.load();
-    report.unknown_truth_rejected = state.unknown_truth_rejected.load();
-    report.events_quarantined_backwards = state.events_quarantined_backwards.load();
-    report.drift_alarms = state.drift_alarms.load();
-    report.drift_alarms_confidence = drift_final.alarms_confidence;
-    report.drift_alarms_input = drift_final.alarms_input;
-    report.drift_alarms_rate = drift_final.alarms_rate;
-    report.drift_samples = drift_final.samples;
-    report.drift_first_alarm_sample = drift_final.first_alarm_sample;
-    report.confidence_mean = drift_final.confidence_mean;
-    report.reload_attempts = reload_final.attempts;
-    report.reloads = state.reloads.load();
-    report.reload_rollbacks = state.reload_rollbacks.load();
-    report.model_generation = state.model_generation.load();
-    report.breaker_trips = breaker_trips;
-    report.breaker_recoveries = breaker_recoveries;
-    report.final_tier = breaker_final;
+    static_cast<ServeCounters&>(report) = counters.load();
+    report.model_generation = model_generation.load();
     report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 

@@ -47,46 +47,6 @@ struct Reader {
     bool f64(double& value) { return bytes(&value, sizeof value); }
 };
 
-void put_counters(std::string& out, const SnapshotCounters& c)
-{
-    put_u64(out, c.events_total);
-    put_u64(out, c.events_quarantined);
-    put_u64(out, c.events_dropped_queue);
-    put_u64(out, c.events_dropped_mem);
-    put_u64(out, c.events_dropped_slo);
-    put_u64(out, c.flows_ingested);
-    put_u64(out, c.flows_classified);
-    put_u64(out, c.flows_correct);
-    put_u64(out, c.shed_mem_budget);
-    put_u64(out, c.shed_queue_full);
-    put_u64(out, c.shed_deadline);
-    put_u64(out, c.shed_breaker);
-    put_u64(out, c.shed_slo);
-    put_u64(out, c.shed_restart_loss);
-    put_u64(out, c.batches);
-    put_u64(out, c.slo_violations);
-    put_u64(out, c.flows_unknown);
-    put_u64(out, c.unknown_truth_total);
-    put_u64(out, c.unknown_truth_rejected);
-    put_u64(out, c.events_quarantined_backwards);
-    put_u64(out, c.drift_alarms);
-    put_u64(out, c.reloads);
-    put_u64(out, c.reload_rollbacks);
-}
-
-bool get_counters(Reader& in, SnapshotCounters& c)
-{
-    return in.u64(c.events_total) && in.u64(c.events_quarantined) &&
-           in.u64(c.events_dropped_queue) && in.u64(c.events_dropped_mem) &&
-           in.u64(c.events_dropped_slo) && in.u64(c.flows_ingested) &&
-           in.u64(c.flows_classified) && in.u64(c.flows_correct) && in.u64(c.shed_mem_budget) &&
-           in.u64(c.shed_queue_full) && in.u64(c.shed_deadline) && in.u64(c.shed_breaker) &&
-           in.u64(c.shed_slo) && in.u64(c.shed_restart_loss) && in.u64(c.batches) &&
-           in.u64(c.slo_violations) && in.u64(c.flows_unknown) && in.u64(c.unknown_truth_total) &&
-           in.u64(c.unknown_truth_rejected) && in.u64(c.events_quarantined_backwards) &&
-           in.u64(c.drift_alarms) && in.u64(c.reloads) && in.u64(c.reload_rollbacks);
-}
-
 } // namespace
 
 std::string encode_snapshot(const ServeSnapshot& snapshot)
@@ -98,7 +58,11 @@ std::string encode_snapshot(const ServeSnapshot& snapshot)
     put_u32(payload, snapshot.generation);
     put_u32(payload, snapshot.model_generation);
     put_u64(payload, snapshot.config_fingerprint);
-    put_counters(payload, snapshot.counters);
+    for (const ServeCounterSpec& spec : kServeCounters) {
+        if (spec.persisted) {
+            put_u64(payload, snapshot.counters.*spec.field);
+        }
+    }
     put_u64(payload, snapshot.flows.size());
     for (const SnapshotFlow& flow : snapshot.flows) {
         put_u64(payload, flow.flow_id);
@@ -147,8 +111,13 @@ std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
     ServeSnapshot snapshot;
     if (!in.u64(snapshot.watermark) || !in.f64(snapshot.stream_now) ||
         !in.u32(snapshot.generation) || !in.u32(snapshot.model_generation) ||
-        !in.u64(snapshot.config_fingerprint) || !get_counters(in, snapshot.counters)) {
+        !in.u64(snapshot.config_fingerprint)) {
         return std::nullopt;
+    }
+    for (const ServeCounterSpec& spec : kServeCounters) {
+        if (spec.persisted && !in.u64(snapshot.counters.*spec.field)) {
+            return std::nullopt;
+        }
     }
     std::uint64_t flow_count = 0;
     if (!in.u64(flow_count)) {

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -25,12 +24,6 @@
 namespace fptc::serve {
 
 namespace {
-
-[[nodiscard]] std::string env_string(const char* name)
-{
-    const char* value = std::getenv(name);
-    return value != nullptr ? std::string(value) : std::string();
-}
 
 /// Wall-clock seconds (heartbeat staleness compares against file mtime,
 /// which is realtime).
@@ -76,15 +69,15 @@ SupervisorConfig SupervisorConfig::from_env()
     if (const auto v = util::env_double("FPTC_SERVE_HEARTBEAT_STALE_S")) {
         config.heartbeat_stale_s = *v;
     }
-    config.heartbeat_path = env_string("FPTC_SERVE_HEARTBEAT");
-    config.snapshot_path = env_string("FPTC_SERVE_SNAPSHOT");
+    config.heartbeat_path = util::env_string("FPTC_SERVE_HEARTBEAT");
+    config.snapshot_path = util::env_string("FPTC_SERVE_SNAPSHOT");
     if (config.heartbeat_path.empty() && !config.snapshot_path.empty()) {
         // Default the liveness file next to the snapshot so one knob
         // (FPTC_SERVE_SNAPSHOT) yields a fully wired supervised setup.
         config.heartbeat_path = config.snapshot_path + ".heartbeat";
     }
-    config.postmortem_path = env_string("FPTC_SERVE_POSTMORTEM");
-    config.flightrec_ring = env_string("FPTC_SERVE_FLIGHTREC_RING");
+    config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");
+    config.flightrec_ring = util::env_string("FPTC_SERVE_FLIGHTREC_RING");
     if (config.flightrec_ring.empty() && !config.postmortem_path.empty()) {
         // Must mirror ServeConfig::from_env so the supervisor seals the
         // same ring file the worker maps.
@@ -107,7 +100,7 @@ double backoff_delay_ms(const SupervisorConfig& config, int restart)
 
 bool is_serve_worker()
 {
-    return env_string(kServeRoleEnv) == kServeRoleWorker;
+    return util::env_string(kServeRoleEnv) == kServeRoleWorker;
 }
 
 std::uint32_t serve_generation()
@@ -215,9 +208,13 @@ int run_supervisor(const SupervisorConfig& config)
                               " degraded=" + std::to_string(degraded ? 1 : 0));
                 return 0;
             }
-            if (code == 127) {
-                util::log_info("serve supervisor: worker exec failed (127); not retrying");
-                return 127;
+            if (code == 1 || code == 2 || code == 127) {
+                // The worker's own verdict (1: a self-check failed, 2: a
+                // malformed knob) or an exec failure: a restart would replay
+                // the same fault, or hide a failed check behind a cold start.
+                util::log_info("serve supervisor: worker exited with code " +
+                               std::to_string(code) + "; not retrying");
+                return code;
             }
             last_status = code;
             util::log_info(std::string("serve supervisor: worker ") +

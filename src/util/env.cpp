@@ -61,6 +61,12 @@ std::optional<double> env_double(const std::string& name)
     return value;
 }
 
+std::string env_string(const std::string& name)
+{
+    const char* value = std::getenv(name.c_str());
+    return value != nullptr ? std::string(value) : std::string();
+}
+
 bool full_scale()
 {
     return env_int("FPTC_FULL").value_or(0) != 0;

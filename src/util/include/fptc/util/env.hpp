@@ -39,6 +39,9 @@ public:
 /// throw EnvError.
 [[nodiscard]] std::optional<double> env_double(const std::string& name);
 
+/// Read a string environment variable (paths, roles); unset returns "".
+[[nodiscard]] std::string env_string(const std::string& name);
+
 /// True when FPTC_FULL is set to a non-zero value.
 [[nodiscard]] bool full_scale();
 

@@ -25,6 +25,10 @@
 #     CRC-valid postmortem — fptc_flightrec must decode it and its
 #     last_watermark (the snapshot-marker event) must equal the watermark
 #     the restarted generation resumed from (BENCH_serve.json recovery),
+#   * SLO kill: a supervised SIGKILL late in an overloaded stream with the
+#     SLO on must restart exactly once, resume from the snapshot and keep
+#     SLO compliance in [0, 1] (the SLO counters survive the restore, and
+#     a worker whose self-check fails is not silently retried),
 #   * live status: a nominal run with FPTC_SERVE_STATUS must export an
 #     atomically-published JSON status file that fptc_servestat renders
 #     (pid, tier, flows, per-stage latency lines).
@@ -356,6 +360,36 @@ if [ -e "$kill_dir/snapshot.bin" ]; then
 fi
 echo "run_serve_torture: kill ok (restarted once, resumed from snapshot," \
      "restart_loss=$(summary_field "$WORK/kill" shed_restart_loss))"
+
+# ---- supervised SIGKILL late in an overloaded stream, SLO on ----------------
+# The restored generation sees few flows but inherits every SLO violation
+# of the crashed one: slo_considered must be restored alongside
+# slo_violations or compliance goes negative, the worker's self-check fails
+# (exit 1), and the supervisor must report that failure rather than retry it
+# into a cold-started "clean" run.  The stream is pinned to 120 flows
+# (~66k events) so commit 150 of a 400-event cadence is ~90% through it.
+echo "run_serve_torture: SIGKILL late in the stream with a 20 ms SLO under backend stalls..."
+slo_kill_dir="$WORK/slo_kill"
+mkdir -p "$slo_kill_dir"
+run_serve slo_kill FPTC_SERVE_FLOWS=120 FPTC_SERVE_SUPERVISE=1 \
+    FPTC_SERVE_SNAPSHOT="$slo_kill_dir/snapshot.bin" FPTC_SERVE_SNAPSHOT_EVERY=400 \
+    FPTC_FAULT_KILL_SERVE=150 FPTC_SERVE_MAX_RESTARTS=3 FPTC_SERVE_BACKOFF_MS=50 \
+    FPTC_FAULT_SERVE_STALL_BACKEND=6 FPTC_SERVE_DEADLINE_MS=100 FPTC_SERVE_SLO_MS=20 \
+    FPTC_SERVE_BREAKER_COOLDOWN=2
+if ! grep -q 'SUPERVISOR_OK restarts=1 degraded=0' "$slo_kill_dir/stderr.txt"; then
+    echo "run_serve_torture: FAIL: slo_kill missing SUPERVISOR_OK restarts=1:" >&2
+    tail -10 "$slo_kill_dir/stderr.txt" >&2 || true
+    exit 1
+fi
+require_pos slo_kill restored "$(summary_field "$WORK/slo_kill" restored)"
+require_pos slo_kill slo_violations "$(summary_field "$WORK/slo_kill" slo_violations)"
+compliance=$(sed -n 's/.*"compliance": \(-\{0,1\}[0-9.e-]*\).*/\1/p' "$slo_kill_dir/BENCH_serve.json")
+if ! awk -v c="${compliance:--1}" 'BEGIN { exit (c >= 0 && c <= 1) ? 0 : 1 }'; then
+    echo "run_serve_torture: FAIL: slo_kill compliance outside [0, 1] ('$compliance')" >&2
+    exit 1
+fi
+echo "run_serve_torture: slo_kill ok (restarted once, resumed from snapshot," \
+     "compliance=$compliance)"
 
 # ---- wedged classifier: watchdog hang-exit + supervised restart -------------
 # The stall budget must sit well above one legitimate classify batch on the

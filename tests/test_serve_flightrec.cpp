@@ -348,8 +348,9 @@ TEST(ServeFlightRec, PrometheusExportsExactlyTheDocumentedServeSet)
 {
     util::metrics().reset_values_for_tests();
     (void)run_quick_service(true);
-    // The README metrics table, verbatim.  A new fptc_serve_* instrument
-    // must be added in all three places: ServeMetrics, this set, README.md.
+    // The README metrics table, verbatim.  A serve counter is one row of
+    // serve/counters.hpp; an exported one also needs its entry here and its
+    // row in README.md (gauges and histograms: service.cpp, here, README).
     const std::set<std::string> documented = {
         "fptc_serve_events_total counter",
         "fptc_serve_events_quarantined_total counter",

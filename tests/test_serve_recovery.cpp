@@ -15,6 +15,7 @@
 #include "fptc/serve/stream.hpp"
 #include "fptc/serve/supervisor.hpp"
 #include "fptc/serve/watchdog.hpp"
+#include "fptc/util/crc32.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/membudget.hpp"
 
@@ -71,20 +72,28 @@ serve::SnapshotFlow make_flow(std::uint64_t id, std::size_t packets, double firs
     return flow;
 }
 
+/// A distinct value per counter, keyed by the row's name (not its position),
+/// so a swapped or dropped persisted row changes what decodes.
+std::uint64_t counter_value(const char* name)
+{
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (; *name != '\0'; ++name) {
+        hash = (hash ^ static_cast<unsigned char>(*name)) * 1099511628211ULL;
+    }
+    return hash;
+}
+
 serve::ServeSnapshot make_snapshot()
 {
     serve::ServeSnapshot snap;
     snap.watermark = 1234;
     snap.stream_now = 17.25;
     snap.generation = 2;
+    snap.model_generation = 4;
     snap.config_fingerprint = 0xfeedULL | 1;
-    snap.counters.events_total = 1234;
-    snap.counters.events_quarantined = 7;
-    snap.counters.flows_ingested = 42;
-    snap.counters.flows_classified = 30;
-    snap.counters.shed_breaker = 3;
-    snap.counters.shed_restart_loss = 1;
-    snap.counters.slo_violations = 5;
+    for (const serve::ServeCounterSpec& spec : serve::kServeCounters) {
+        snap.counters.*spec.field = counter_value(spec.name);
+    }
     snap.flows.push_back(make_flow(11, 3, 1.0));
     snap.flows.push_back(make_flow(99, 5, 2.5));
     return snap;
@@ -169,14 +178,14 @@ TEST(ServeSnapshotCodec, RoundTripPreservesEverything)
     EXPECT_EQ(decoded->watermark, snap.watermark);
     EXPECT_DOUBLE_EQ(decoded->stream_now, snap.stream_now);
     EXPECT_EQ(decoded->generation, snap.generation);
+    EXPECT_EQ(decoded->model_generation, snap.model_generation);
     EXPECT_EQ(decoded->config_fingerprint, snap.config_fingerprint);
-    EXPECT_EQ(decoded->counters.events_total, snap.counters.events_total);
-    EXPECT_EQ(decoded->counters.events_quarantined, snap.counters.events_quarantined);
-    EXPECT_EQ(decoded->counters.flows_ingested, snap.counters.flows_ingested);
-    EXPECT_EQ(decoded->counters.flows_classified, snap.counters.flows_classified);
-    EXPECT_EQ(decoded->counters.shed_breaker, snap.counters.shed_breaker);
-    EXPECT_EQ(decoded->counters.shed_restart_loss, snap.counters.shed_restart_loss);
-    EXPECT_EQ(decoded->counters.slo_violations, snap.counters.slo_violations);
+    // Persisted rows come back; the others belong to one process generation
+    // and restart at zero.
+    for (const serve::ServeCounterSpec& spec : serve::kServeCounters) {
+        EXPECT_EQ(decoded->counters.*spec.field, spec.persisted ? snap.counters.*spec.field : 0u)
+            << spec.name;
+    }
     ASSERT_EQ(decoded->flows.size(), 2u);
     EXPECT_EQ(decoded->flows[0].flow_id, 11u);
     EXPECT_EQ(decoded->flows[1].flow_id, 99u);
@@ -184,6 +193,21 @@ TEST(ServeSnapshotCodec, RoundTripPreservesEverything)
     EXPECT_EQ(decoded->flows[1].packets[3].size, 103);
     EXPECT_EQ(decoded->flows[1].packets[1].direction, flow::Direction::downstream);
     EXPECT_DOUBLE_EQ(decoded->flows[1].packets[2].timestamp, 2.5 + 0.02);
+}
+
+TEST(ServeSnapshotCodec, EncodingIsPinned)
+{
+    // The layout is the header, the persisted counter rows in list order,
+    // then the flows.  Adding, removing or reordering a persisted row in
+    // counters.hpp changes these bytes: bump kSnapshotVersion and update all
+    // three pins together, so a file in the old layout cold-starts instead
+    // of restoring into the wrong counters.
+    const std::string bytes = serve::encode_snapshot(make_snapshot());
+    EXPECT_EQ(serve::kSnapshotVersion, 3u);
+    EXPECT_EQ(bytes.size(), 432u);
+    // Checksum everything but the trailer: a CRC over data plus its own
+    // CRC is the same constant for any payload.
+    EXPECT_EQ(util::crc32(std::string_view(bytes).substr(0, bytes.size() - 4)), 3408973138u);
 }
 
 TEST(ServeSnapshotCodec, EveryTruncationIsRejected)
@@ -504,6 +528,43 @@ TEST(ServeRecoveryE2E, RestoredRunTypesTheLossWindowAndBalances)
     // A clean finish retires the snapshot: only a crash leaves one behind.
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_EQ(util::mem_budget().in_use(), before);
+}
+
+TEST(ServeRecoveryE2E, RestoredSloCountersKeepComplianceInRange)
+{
+    TempDir dir("fptc_serve_slo_restore");
+    const std::string path = dir.file("snapshot.bin");
+    serve::ServeConfig config = recovery_config(path);
+    config.slo_ms = 60000.0;  // on, but generous: this generation adds no violations
+
+    // A crash late in an overloaded run: the cut carries more SLO violations
+    // than this generation will see flows, so slo_considered must continue
+    // from the cut as well or compliance goes negative.
+    serve::ServeSnapshot snap;
+    snap.watermark = 50;
+    snap.config_fingerprint = config.fingerprint();
+    snap.counters.events_total = 50;
+    snap.counters.flows_ingested = 500;
+    snap.counters.flows_classified = 500;
+    snap.counters.slo_considered = 500;
+    snap.counters.slo_violations = 400;
+    serve::save_snapshot(path, snap);
+
+    auto backends = serve::make_backends(config.flowpic_dim, config.reduced_dim,
+                                         config.num_classes, 42);
+    serve::InterleavedStream stream({.flows = 40, .seed = 11});
+    serve::StreamingClassifier service(config, *backends.full, *backends.reduced,
+                                       *backends.fallback);
+    const auto report = service.run(stream);
+
+    ASSERT_TRUE(report.restored);
+    // The case under test: more carried violations than this generation's flows.
+    EXPECT_LT(report.flows_ingested - 500, report.slo_violations);
+    EXPECT_GT(report.slo_considered, 500u);
+    EXPECT_GE(report.slo_considered, report.slo_violations);
+    EXPECT_GE(report.slo_compliance(), 0.0);
+    EXPECT_LE(report.slo_compliance(), 1.0);
+    EXPECT_TRUE(report.accounted()) << report.summary();
 }
 
 TEST(ServeRecoveryE2E, SnapshotEveryWritesAndRetiresSnapshots)

@@ -7,7 +7,7 @@
 // refreshes every FPTC_SERVE_STATUS_S seconds; this CLI turns it into a
 // greppable key=value summary so scripts and humans need no JSON parser:
 //
-//   servestat: pid=<n> generation=<n> tier=<name> flows_active=<n> ...
+//   servestat: pid=<n> generation=<n> ... tier=<name> flows_active=<n> ...
 //   stage name=<stage> count=<n> p50_ns=<n> p95_ns=<n> p99_ns=<n> ...
 //
 // --raw prints the file verbatim instead.
@@ -99,17 +99,21 @@ int main(int argc, char** argv)
         return 0;
     }
 
-    const char* scalars[] = {"pid",           "generation",     "model_generation",
-                             "uptime_s",      "breaker_tier_name", "flows_active",
-                             "flows_ingested", "flows_classified", "flows_unknown",
-                             "shed_total",    "drift_alarms",   "slo_compliance",
-                             "snapshots",     "postmortems"};
+    // Every top-level scalar, in file order (the counters are the rows of
+    // fptc/serve/counters.hpp); the tier rides under a short name.
     std::printf("servestat:");
-    for (const char* key : scalars) {
-        const std::string value = field(text, key);
-        // tier rides under a short name in the summary line
-        const char* label = std::strcmp(key, "breaker_tier_name") == 0 ? "tier" : key;
-        std::printf(" %s=%s", label, value.empty() ? "?" : value.c_str());
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t close = line.find("\": ");
+        if (line.rfind("  \"", 0) != 0 || close == std::string::npos) {
+            continue;
+        }
+        const std::string key = line.substr(3, close - 3);
+        const std::string value = field(line, key);
+        if (!value.empty() && value.front() != '{' && value.front() != '[') {
+            std::printf(" %s=%s", key == "breaker_tier_name" ? "tier" : key.c_str(),
+                        value.c_str());
+        }
     }
     std::printf(" frec_events=%s frec_dropped=%s\n",
                 field(text, "events", text.find("\"flightrec\"")).c_str(),
