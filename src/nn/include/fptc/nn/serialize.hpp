@@ -17,7 +17,7 @@
 // fault injector's truncated-write faults.
 //
 // Loading is validated on two axes: *structural* (magic, version, shapes,
-// length, CRC — catches truncation and bit rot) and *semantic* (every
+// exact length, CRC — catches truncation, trailing bytes and bit rot) and *semantic* (every
 // weight finite and within kMaxAbsWeight, temperature sane — catches
 // garbage a buggy writer checksummed and fsync'd correctly).  Semantic
 // defects throw the typed CheckpointError, which callers must treat as
@@ -69,9 +69,10 @@ void load_parameters(const std::vector<Parameter*>& parameters, std::istream& in
 
 /// Validate a checkpoint stream structurally (magic, version, shape table,
 /// payload length, checksum) AND semantically (finite, in-range weights and
-/// calibration) without loading it into a network.  Returns false and fills
-/// `error` (when non-null) on any defect.  The canary gate runs this as its
-/// first check on a reload candidate.
+/// calibration) without loading it into a network: the same decode as
+/// load_parameters, minus the final shape match and commit.  Returns false
+/// and fills `error` (when non-null) on any defect, including bytes after
+/// the checkpoint.  save_network runs this on the bytes it wrote.
 [[nodiscard]] bool verify_checkpoint(std::istream& in, std::string* error = nullptr);
 
 /// Convenience wrappers over whole networks and files.  save_network is

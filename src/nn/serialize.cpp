@@ -1,12 +1,12 @@
 #include "fptc/nn/serialize.hpp"
 
+#include "fptc/util/codec.hpp"
 #include "fptc/util/crc32.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/journal.hpp"
 #include "fptc/util/log.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -14,64 +14,13 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace fptc::nn {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x46505443; // "FPTC"
-
-// CRC32 comes from the shared util/crc32.hpp (one table for every
-// checksummed on-disk format: checkpoints here, serve snapshots).
-using util::crc32_update;
-
-// ---- checksummed stream helpers --------------------------------------------
-
-/// Writes raw bytes while accumulating the payload CRC (v2).
-struct CrcWriter {
-    std::ostream& out;
-    std::uint32_t crc = 0;
-    bool checksummed = false;
-
-    void write(const char* data, std::size_t size)
-    {
-        out.write(data, static_cast<std::streamsize>(size));
-        if (checksummed) {
-            crc = crc32_update(crc, data, size);
-        }
-    }
-
-    void write_u64(std::uint64_t value)
-    {
-        write(reinterpret_cast<const char*>(&value), sizeof value);
-    }
-};
-
-/// Reads raw bytes while accumulating the payload CRC (v2); error messages
-/// carry `context` so callers learn *which* parameter was truncated.
-struct CrcReader {
-    std::istream& in;
-    std::uint32_t crc = 0;
-    bool checksummed = false;
-
-    void read(char* data, std::size_t size, const std::string& context)
-    {
-        in.read(data, static_cast<std::streamsize>(size));
-        if (!in) {
-            throw std::runtime_error("load_parameters: truncated stream while reading " + context);
-        }
-        if (checksummed) {
-            crc = crc32_update(crc, data, size);
-        }
-    }
-
-    [[nodiscard]] std::uint64_t read_u64(const std::string& context)
-    {
-        std::uint64_t value = 0;
-        read(reinterpret_cast<char*>(&value), sizeof value, context);
-        return value;
-    }
-};
 
 [[nodiscard]] std::string shape_to_string(const Shape& shape)
 {
@@ -85,57 +34,121 @@ struct CrcReader {
     return out + "]";
 }
 
-/// Sanity cap on a single tensor's element count (guards dimension products
-/// read from corrupt files before they turn into huge allocations).
+/// Sanity caps on a tensor's rank and element count (keep dimension
+/// products read from corrupt files from overflowing; the file size bounds
+/// the allocation).
 constexpr std::uint64_t kMaxElements = 1ULL << 33;
 constexpr std::uint64_t kMaxRank = 16;
 
-/// Semantic weight check: nullptr when `w` is a plausible model weight,
-/// otherwise a short defect name for the error message.
-[[nodiscard]] const char* weight_defect(float w) noexcept
-{
-    if (std::isnan(w)) {
-        return "NaN";
-    }
-    if (std::isinf(w)) {
-        return "infinite";
-    }
-    if (std::abs(w) > kMaxAbsWeight) {
-        return "out-of-range";
-    }
-    return nullptr;
-}
+/// A fully validated checkpoint: the tensors in file order, plus the
+/// calibration (T = 1 for v1/v2).
+struct Checkpoint {
+    std::vector<Shape> shapes;
+    std::vector<std::vector<float>> tensors;
+    Calibration calibration;
+};
 
-/// Semantic calibration check (same contract as weight_defect).
-[[nodiscard]] const char* temperature_defect(double temperature) noexcept
+/// The one checkpoint parse, shared by load_parameters and
+/// verify_checkpoint.  Structural checks (magic, version, counts, shapes,
+/// length, no trailing bytes) come first, then the CRC, then the semantic
+/// checks: a corrupt byte stream fails as "checksum mismatch", not as
+/// whatever garbage float it happened to decode to, and only bytes the
+/// writer really wrote can fail as CheckpointError.  Errors start `who: `.
+[[nodiscard]] Checkpoint decode_checkpoint(std::string_view bytes, const std::string& who)
 {
-    if (std::isnan(temperature) || std::isinf(temperature)) {
-        return "non-finite";
-    }
-    if (temperature <= 0.0 || temperature > kMaxTemperature) {
-        return "out-of-range";
-    }
-    return nullptr;
-}
-
-/// Parse version from the 8-byte header; throws on bad magic or version.
-[[nodiscard]] std::uint32_t read_header(std::istream& in, const char* who)
-{
-    std::uint64_t header = 0;
-    in.read(reinterpret_cast<char*>(&header), sizeof header);
-    if (!in) {
-        throw std::runtime_error(std::string(who) + ": truncated stream while reading header");
-    }
+    util::ByteReader in(bytes);
+    const auto need = [&](const std::string& what) {
+        if (!in.ok()) {
+            throw std::runtime_error(who + ": truncated stream while reading " + what);
+        }
+    };
+    const std::uint64_t header = in.u64();
+    need("header");
     if ((header >> 32) != kMagic) {
-        throw std::runtime_error(std::string(who) + ": bad magic (not an FPTC checkpoint)");
+        throw std::runtime_error(who + ": bad magic (not an FPTC checkpoint)");
     }
     const auto version = static_cast<std::uint32_t>(header & 0xffffffffULL);
     if (version < 1 || version > kSerializeVersion) {
-        throw std::runtime_error(std::string(who) + ": unsupported format version " +
+        throw std::runtime_error(who + ": unsupported format version " +
                                  std::to_string(version) + " (supported: 1.." +
                                  std::to_string(kSerializeVersion) + ")");
     }
-    return version;
+
+    Checkpoint out;
+    const std::uint64_t count = in.u64();
+    in.fits(count, sizeof(std::uint64_t));  // every parameter starts with its rank
+    need("parameter count");
+    out.shapes.resize(static_cast<std::size_t>(count));
+    out.tensors.resize(static_cast<std::size_t>(count));
+    for (std::size_t index = 0; index < count; ++index) {
+        const std::string context = "parameter " + std::to_string(index);
+        const std::uint64_t rank = in.u64();
+        need(context + " rank");
+        if (rank > kMaxRank) {
+            throw std::runtime_error(who + ": " + context + ": implausible rank " +
+                                     std::to_string(rank) + " (corrupt stream?)");
+        }
+        std::uint64_t elements = 1;
+        for (std::uint64_t d = 0; d < rank; ++d) {
+            const std::uint64_t dim = in.u64();
+            need(context + " shape");
+            if (dim == 0 || elements > kMaxElements / dim) {
+                throw std::runtime_error(who + ": " + context + ": implausible shape");
+            }
+            elements *= dim;
+            out.shapes[index].push_back(static_cast<std::size_t>(dim));
+        }
+        std::vector<float>& tensor = out.tensors[index];
+        if (in.fits(elements, sizeof(float))) {
+            tensor.resize(static_cast<std::size_t>(elements));
+            in.bytes(tensor.data(), tensor.size() * sizeof(float));
+        }
+        need(context + " data");
+    }
+    if (version >= 3) {
+        out.calibration.temperature = in.f64();
+        need("calibration temperature");
+    }
+    const std::uint32_t computed = util::crc32(bytes.substr(sizeof header, in.offset() - sizeof header));
+    std::uint64_t stored = computed;
+    if (version >= 2) {
+        stored = in.u64();
+        need("checksum");
+    }
+    if (!in.at_end()) {
+        throw std::runtime_error(who + ": " + std::to_string(in.remaining()) +
+                                 " trailing bytes after the checkpoint");
+    }
+    if (stored != computed) {
+        throw std::runtime_error(who + ": checksum mismatch (stored " + std::to_string(stored) +
+                                 ", computed " + std::to_string(computed) +
+                                 ") — checkpoint corrupt or truncated");
+    }
+
+    // Semantic validation: the CRC proves the bytes are the writer's bytes,
+    // this proves the writer's bytes are a model.  Fails *typed*
+    // (CheckpointError) so callers know a retry cannot help.  The negated
+    // range checks also catch NaN.
+    for (std::size_t index = 0; index < out.tensors.size(); ++index) {
+        for (const float w : out.tensors[index]) {
+            if (!(std::abs(w) <= kMaxAbsWeight)) {
+                const char* defect = std::isnan(w)   ? "NaN"
+                                     : std::isinf(w) ? "infinite"
+                                                     : "out-of-range";
+                throw CheckpointError(who + ": parameter " + std::to_string(index) +
+                                      " contains a " + defect + " weight (" +
+                                      std::to_string(w) + ") — checkpoint semantically invalid");
+            }
+        }
+    }
+    const double temperature = out.calibration.temperature;
+    if (!(temperature > 0.0 && temperature <= kMaxTemperature)) {
+        throw CheckpointError(who + ": " +
+                              (std::isfinite(temperature) ? "out-of-range" : "non-finite") +
+                              " calibration temperature (" + std::to_string(temperature) +
+                              ") — checkpoint semantically invalid");
+    }
+    return out;
 }
 
 } // namespace
@@ -147,27 +160,24 @@ void save_parameters(const std::vector<Parameter*>& parameters, std::ostream& ou
         throw std::runtime_error("save_parameters: unsupported format version " +
                                  std::to_string(version));
     }
-    std::uint64_t header = (static_cast<std::uint64_t>(kMagic) << 32) | version;
-    out.write(reinterpret_cast<const char*>(&header), sizeof header);
-
-    CrcWriter writer{out, 0, version >= 2};
-    writer.write_u64(parameters.size());
+    util::ByteWriter blob;
+    blob.u64((static_cast<std::uint64_t>(kMagic) << 32) | version);
+    blob.u64(parameters.size());
     for (const auto* p : parameters) {
-        writer.write_u64(p->value.shape().size());
+        blob.u64(p->value.shape().size());
         for (const auto d : p->value.shape()) {
-            writer.write_u64(d);
+            blob.u64(d);
         }
         const auto data = p->value.data();
-        writer.write(reinterpret_cast<const char*>(data.data()), data.size() * sizeof(float));
+        blob.bytes(data.data(), data.size() * sizeof(float));
     }
     if (version >= 3) {
-        writer.write(reinterpret_cast<const char*>(&calibration.temperature),
-                     sizeof calibration.temperature);
+        blob.f64(calibration.temperature);
     }
     if (version >= 2) {
-        const std::uint64_t crc = writer.crc;
-        out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+        blob.u64(util::crc32(std::string_view(blob.str()).substr(sizeof(std::uint64_t))));
     }
+    out.write(blob.str().data(), static_cast<std::streamsize>(blob.str().size()));
     if (!out) {
         throw std::runtime_error("save_parameters: stream failure");
     }
@@ -176,157 +186,40 @@ void save_parameters(const std::vector<Parameter*>& parameters, std::ostream& ou
 void load_parameters(const std::vector<Parameter*>& parameters, std::istream& in,
                      Calibration* calibration)
 {
-    const std::uint32_t version = read_header(in, "load_parameters");
-    CrcReader reader{in, 0, version >= 2};
-
-    const std::uint64_t count = reader.read_u64("parameter count");
-    if (count != parameters.size()) {
-        throw std::runtime_error("load_parameters: parameter count mismatch (stream has " +
-                                 std::to_string(count) + ", network has " +
+    const std::string who = "load_parameters";
+    Checkpoint checkpoint = decode_checkpoint(util::read_stream(in).value_or(""), who);
+    if (checkpoint.tensors.size() != parameters.size()) {
+        throw std::runtime_error(who + ": parameter count mismatch (stream has " +
+                                 std::to_string(checkpoint.tensors.size()) + ", network has " +
                                  std::to_string(parameters.size()) + ")");
     }
-    // Stage tensor data first and commit only after full validation, so a
-    // corrupt stream (bad shape, truncation, checksum mismatch) never leaves
-    // the target network half-overwritten.
-    std::vector<std::vector<float>> staged(parameters.size());
+    // Every check passes before the first copy, so a rejected checkpoint
+    // never leaves the target network half-overwritten.
     for (std::size_t index = 0; index < parameters.size(); ++index) {
-        auto* p = parameters[index];
-        const std::string context = "parameter " + std::to_string(index) +
-                                    (p->name.empty() ? "" : " ('" + p->name + "')");
-        const std::uint64_t rank = reader.read_u64(context + " rank");
-        if (rank > kMaxRank) {
-            throw std::runtime_error("load_parameters: " + context + ": implausible rank " +
-                                     std::to_string(rank) + " (corrupt stream?)");
-        }
-        Shape shape(rank);
-        for (auto& d : shape) {
-            d = reader.read_u64(context + " shape");
-        }
-        if (shape != p->value.shape()) {
-            throw std::runtime_error("load_parameters: " + context + ": shape mismatch (stream " +
-                                     shape_to_string(shape) + ", network " +
+        const auto* p = parameters[index];
+        if (checkpoint.shapes[index] != p->value.shape()) {
+            throw std::runtime_error(who + ": parameter " + std::to_string(index) +
+                                     (p->name.empty() ? "" : " ('" + p->name + "')") +
+                                     ": shape mismatch (stream " +
+                                     shape_to_string(checkpoint.shapes[index]) + ", network " +
                                      shape_to_string(p->value.shape()) + ")");
         }
-        staged[index].resize(p->value.size());
-        reader.read(reinterpret_cast<char*>(staged[index].data()),
-                    staged[index].size() * sizeof(float), context + " data");
-    }
-    Calibration loaded;
-    if (version >= 3) {
-        reader.read(reinterpret_cast<char*>(&loaded.temperature), sizeof loaded.temperature,
-                    "calibration temperature");
-    }
-    if (version >= 2) {
-        const std::uint32_t computed = reader.crc;
-        std::uint64_t stored = 0;
-        in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-        if (!in) {
-            throw std::runtime_error("load_parameters: truncated stream while reading checksum");
-        }
-        if (stored != computed) {
-            throw std::runtime_error(
-                "load_parameters: checksum mismatch (stored " + std::to_string(stored) +
-                ", computed " + std::to_string(computed) + ") — checkpoint corrupt or truncated");
-        }
-    }
-    // Semantic validation, after the structural checks: the CRC proves the
-    // bytes are the writer's bytes, this proves the writer's bytes are a
-    // model.  Fails *typed* (CheckpointError) so callers know a retry
-    // cannot help — the file's content is garbage.
-    for (std::size_t index = 0; index < parameters.size(); ++index) {
-        for (const float w : staged[index]) {
-            if (const char* defect = weight_defect(w); defect != nullptr) {
-                throw CheckpointError("load_parameters: parameter " + std::to_string(index) +
-                                      " contains a " + defect + " weight (" +
-                                      std::to_string(w) + ") — checkpoint semantically invalid");
-            }
-        }
-    }
-    if (const char* defect = temperature_defect(loaded.temperature); defect != nullptr) {
-        throw CheckpointError("load_parameters: " + std::string(defect) +
-                              " calibration temperature (" +
-                              std::to_string(loaded.temperature) +
-                              ") — checkpoint semantically invalid");
     }
     for (std::size_t index = 0; index < parameters.size(); ++index) {
         auto data = parameters[index]->value.data();
-        std::copy(staged[index].begin(), staged[index].end(), data.begin());
+        std::copy(checkpoint.tensors[index].begin(), checkpoint.tensors[index].end(),
+                  data.begin());
     }
     if (calibration != nullptr) {
-        *calibration = loaded;
+        *calibration = checkpoint.calibration;
     }
 }
 
 bool verify_checkpoint(std::istream& in, std::string* error)
 {
     try {
-        const std::uint32_t version = read_header(in, "verify_checkpoint");
-        CrcReader reader{in, 0, version >= 2};
-        const std::uint64_t count = reader.read_u64("parameter count");
-        constexpr std::uint64_t kMaxParameters = 1ULL << 20;
-        if (count > kMaxParameters) {
-            throw std::runtime_error("verify_checkpoint: implausible parameter count " +
-                                     std::to_string(count));
-        }
-        // Semantic defects are recorded but reported only after the CRC
-        // verifies: a corrupt byte stream should fail as "checksum
-        // mismatch", not as whatever garbage float it happened to decode to.
-        std::string semantic_defect;
-        std::array<float, 1024> buffer;
-        for (std::uint64_t index = 0; index < count; ++index) {
-            const std::string context = "parameter " + std::to_string(index);
-            const std::uint64_t rank = reader.read_u64(context + " rank");
-            if (rank > kMaxRank) {
-                throw std::runtime_error("verify_checkpoint: " + context + ": implausible rank " +
-                                         std::to_string(rank));
-            }
-            std::uint64_t elements = 1;
-            for (std::uint64_t d = 0; d < rank; ++d) {
-                const std::uint64_t dim = reader.read_u64(context + " shape");
-                if (dim == 0 || elements > kMaxElements / std::max<std::uint64_t>(dim, 1)) {
-                    throw std::runtime_error("verify_checkpoint: " + context +
-                                             ": implausible shape");
-                }
-                elements *= dim;
-            }
-            std::uint64_t remaining = elements;
-            while (remaining > 0) {
-                const std::size_t chunk =
-                    static_cast<std::size_t>(std::min<std::uint64_t>(remaining, buffer.size()));
-                reader.read(reinterpret_cast<char*>(buffer.data()), chunk * sizeof(float),
-                            context + " data");
-                for (std::size_t i = 0; i < chunk && semantic_defect.empty(); ++i) {
-                    if (const char* defect = weight_defect(buffer[i]); defect != nullptr) {
-                        semantic_defect = "verify_checkpoint: " + context + " contains a " +
-                                          defect + " weight";
-                    }
-                }
-                remaining -= chunk;
-            }
-        }
-        if (version >= 3) {
-            double temperature = 1.0;
-            reader.read(reinterpret_cast<char*>(&temperature), sizeof temperature,
-                        "calibration temperature");
-            if (const char* defect = temperature_defect(temperature);
-                defect != nullptr && semantic_defect.empty()) {
-                semantic_defect = std::string("verify_checkpoint: ") + defect +
-                                  " calibration temperature";
-            }
-        }
-        if (version >= 2) {
-            std::uint64_t stored = 0;
-            in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-            if (!in) {
-                throw std::runtime_error("verify_checkpoint: truncated checksum");
-            }
-            if (stored != reader.crc) {
-                throw std::runtime_error("verify_checkpoint: checksum mismatch");
-            }
-        }
-        if (!semantic_defect.empty()) {
-            throw CheckpointError(semantic_defect);
-        }
+        const std::string who = "verify_checkpoint";
+        (void)decode_checkpoint(util::read_stream(in).value_or(""), who);
     } catch (const std::exception& e) {
         if (error != nullptr) {
             *error = e.what();

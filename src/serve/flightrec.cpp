@@ -1,6 +1,6 @@
 #include "fptc/serve/flightrec.hpp"
 
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/telemetry.hpp"
@@ -9,8 +9,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -63,69 +61,7 @@ std::atomic<FlightRecorder*> g_recorder{nullptr};
 
 // -------------------------- postmortem codec -------------------------------
 
-constexpr char kPmMagic[8] = {'F', 'P', 'T', 'C', 'P', 'M', 'R', 'T'};
-
-void put_bytes(std::string& out, const void* data, std::size_t size)
-{
-    out.append(static_cast<const char*>(data), size);
-}
-
-void put_u32(std::string& out, std::uint32_t value)
-{
-    put_bytes(out, &value, sizeof(value));
-}
-
-void put_u64(std::string& out, std::uint64_t value)
-{
-    put_bytes(out, &value, sizeof(value));
-}
-
-void put_string(std::string& out, const std::string& value)
-{
-    put_u64(out, value.size());
-    put_bytes(out, value.data(), value.size());
-}
-
-/// Bounds-checked sequential reader over the payload (snapshot.cpp idiom).
-struct Reader {
-    std::string_view data;
-    std::size_t off = 0;
-    bool ok = true;
-
-    bool bytes(void* out, std::size_t size)
-    {
-        if (!ok || off + size > data.size() || off + size < off) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(out, data.data() + off, size);
-        off += size;
-        return true;
-    }
-    std::uint32_t u32()
-    {
-        std::uint32_t value = 0;
-        bytes(&value, sizeof(value));
-        return value;
-    }
-    std::uint64_t u64()
-    {
-        std::uint64_t value = 0;
-        bytes(&value, sizeof(value));
-        return value;
-    }
-    bool string(std::string& out, std::uint64_t max_len)
-    {
-        const std::uint64_t len = u64();
-        if (!ok || len > max_len || off + len > data.size()) {
-            ok = false;
-            return false;
-        }
-        out.assign(data.data() + off, len);
-        off += len;
-        return true;
-    }
-};
+constexpr std::string_view kPmMagic = "FPTCPMRT";
 
 } // namespace
 
@@ -242,79 +178,50 @@ std::uint64_t Postmortem::event_count() const noexcept
 
 std::string encode_postmortem(const Postmortem& postmortem)
 {
-    std::string payload;
-    put_u32(payload, postmortem.reason);
-    put_u32(payload, postmortem.generation);
-    put_string(payload, postmortem.detail);
-    put_u32(payload, static_cast<std::uint32_t>(postmortem.rings.size()));
+    util::ByteWriter payload;
+    payload.u32(postmortem.reason);
+    payload.u32(postmortem.generation);
+    payload.string(postmortem.detail);
+    payload.u32(static_cast<std::uint32_t>(postmortem.rings.size()));
     for (const Postmortem::RingDump& dump : postmortem.rings) {
-        put_u32(payload, dump.ring);
-        put_u64(payload, dump.recorded);
-        put_u64(payload, dump.dropped);
-        put_u64(payload, dump.events.size());
+        payload.u32(dump.ring);
+        payload.u64(dump.recorded);
+        payload.u64(dump.dropped);
+        payload.u64(dump.events.size());
         for (const FlightEvent& event : dump.events) {
-            put_u64(payload, event.ts_ns);
-            put_u64(payload, event.flow_id);
-            put_u64(payload, event.arg);
-            put_u32(payload, event.kind);
-            put_u32(payload, event.detail);
+            payload.u64(event.ts_ns);
+            payload.u64(event.flow_id);
+            payload.u64(event.arg);
+            payload.u32(event.kind);
+            payload.u32(event.detail);
         }
     }
-    put_u32(payload, static_cast<std::uint32_t>(postmortem.exemplars.size()));
+    payload.u32(static_cast<std::uint32_t>(postmortem.exemplars.size()));
     for (const Postmortem::Exemplar& exemplar : postmortem.exemplars) {
-        put_u32(payload, exemplar.stage);
-        put_u32(payload, exemplar.bucket);
-        put_u64(payload, exemplar.flow_id);
+        payload.u32(exemplar.stage);
+        payload.u32(exemplar.bucket);
+        payload.u64(exemplar.flow_id);
     }
-    put_string(payload, postmortem.metrics_text);
-
-    std::string out;
-    out.reserve(sizeof(kPmMagic) + sizeof(std::uint32_t) * 2 + payload.size() +
-                sizeof(std::uint64_t));
-    put_bytes(out, kPmMagic, sizeof(kPmMagic));
-    put_u32(out, kPostmortemVersion);
-    put_u64(out, payload.size());
-    out += payload;
-    put_u32(out, util::crc32(payload));
-    return out;
+    payload.string(postmortem.metrics_text);
+    return util::frame(kPmMagic, kPostmortemVersion, payload.str());
 }
 
 std::optional<Postmortem> decode_postmortem(std::string_view bytes)
 {
-    const std::size_t header = sizeof(kPmMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    if (bytes.size() < header + sizeof(std::uint32_t)) {
+    const std::optional<std::string_view> payload =
+        util::unframe(bytes, kPmMagic, kPostmortemVersion);
+    if (!payload.has_value()) {
         return std::nullopt;
     }
-    if (std::memcmp(bytes.data(), kPmMagic, sizeof(kPmMagic)) != 0) {
-        return std::nullopt;
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, bytes.data() + sizeof(kPmMagic), sizeof(version));
-    if (version != kPostmortemVersion) {
-        return std::nullopt;
-    }
-    std::uint64_t payload_size = 0;
-    std::memcpy(&payload_size, bytes.data() + sizeof(kPmMagic) + sizeof(version),
-                sizeof(payload_size));
-    if (payload_size != bytes.size() - header - sizeof(std::uint32_t)) {
-        return std::nullopt;
-    }
-    const std::string_view payload = bytes.substr(header, payload_size);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, bytes.data() + header + payload_size, sizeof(stored_crc));
-    if (util::crc32(payload) != stored_crc) {
-        return std::nullopt;
-    }
-
-    Reader in{payload};
+    constexpr std::size_t kEventBytes = 8 + 8 + 8 + 4 + 4;
+    constexpr std::size_t kExemplarBytes = 4 + 4 + 8;
+    util::ByteReader in(*payload);
     Postmortem out;
     out.reason = in.u32();
     out.generation = in.u32();
-    if (!in.string(out.detail, 1 << 16)) {
-        return std::nullopt;
-    }
+    in.string(out.detail, 1 << 16);
     const std::uint32_t ring_count = in.u32();
-    if (!in.ok || ring_count > 16) {
+    if (!in.ok() || ring_count > 16) {
         return std::nullopt;
     }
     out.rings.reserve(ring_count);
@@ -324,7 +231,7 @@ std::optional<Postmortem> decode_postmortem(std::string_view bytes)
         dump.recorded = in.u64();
         dump.dropped = in.u64();
         const std::uint64_t count = in.u64();
-        if (!in.ok || count > (std::uint64_t{1} << 22)) {
+        if (!in.fits(count, kEventBytes)) {
             return std::nullopt;
         }
         dump.events.reserve(static_cast<std::size_t>(count));
@@ -335,15 +242,12 @@ std::optional<Postmortem> decode_postmortem(std::string_view bytes)
             event.arg = in.u64();
             event.kind = in.u32();
             event.detail = in.u32();
-            if (!in.ok) {
-                return std::nullopt;
-            }
             dump.events.push_back(event);
         }
         out.rings.push_back(std::move(dump));
     }
     const std::uint32_t exemplar_count = in.u32();
-    if (!in.ok || exemplar_count > 16 * 128) {
+    if (!in.fits(exemplar_count, kExemplarBytes)) {
         return std::nullopt;
     }
     out.exemplars.reserve(exemplar_count);
@@ -352,16 +256,11 @@ std::optional<Postmortem> decode_postmortem(std::string_view bytes)
         exemplar.stage = in.u32();
         exemplar.bucket = in.u32();
         exemplar.flow_id = in.u64();
-        if (!in.ok) {
-            return std::nullopt;
-        }
         out.exemplars.push_back(exemplar);
     }
-    if (!in.string(out.metrics_text, std::uint64_t{1} << 26)) {
-        return std::nullopt;
-    }
-    if (!in.ok || in.off != payload.size()) {
-        return std::nullopt;  // trailing garbage = corruption, refuse
+    in.string(out.metrics_text, std::uint64_t{1} << 26);
+    if (!in.at_end()) {
+        return std::nullopt;  // truncated, or trailing garbage: refuse
     }
     return out;
 }
@@ -379,17 +278,11 @@ bool save_postmortem(const std::string& path, const Postmortem& postmortem)
 
 std::optional<Postmortem> load_postmortem(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return std::nullopt;
-    }
-    const std::string bytes = buffer.str();
-    return decode_postmortem(bytes);
+    return decode_postmortem(*bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -647,20 +540,11 @@ void FlightRecorder::remove_backing() noexcept
 
 std::optional<Postmortem> FlightRecorder::read_ring_file(const std::string& ring_path)
 {
-    std::ifstream in(ring_path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> file = util::read_file(ring_path);
+    if (!file.has_value() || file->size() < kFileHeaderWords * sizeof(std::uint64_t)) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return std::nullopt;
-    }
-    const std::string bytes = buffer.str();
-    if (bytes.size() < kFileHeaderWords * sizeof(std::uint64_t) ||
-        bytes.size() % sizeof(std::uint64_t) != 0) {
-        return std::nullopt;
-    }
+    const std::string& bytes = *file;
     if (std::memcmp(bytes.data(), kRingMagic, sizeof(kRingMagic)) != 0) {
         return std::nullopt;
     }
@@ -684,7 +568,7 @@ std::optional<Postmortem> FlightRecorder::read_ring_file(const std::string& ring
     }
     const std::size_t expected =
         region_words(static_cast<std::size_t>(capacity)) * sizeof(std::uint64_t);
-    if (bytes.size() < expected) {
+    if (bytes.size() != expected) {
         return std::nullopt;
     }
 

@@ -135,7 +135,9 @@ enum class PostmortemReason : std::uint32_t {
 };
 [[nodiscard]] const char* postmortem_reason_name(std::uint32_t reason) noexcept;
 
-inline constexpr std::uint32_t kPostmortemVersion = 1;
+/// Postmortem format version.  v2 frames the payload with util::frame
+/// (v1 carried a redundant u64 length); any other version is refused.
+inline constexpr std::uint32_t kPostmortemVersion = 2;
 
 /// A decoded postmortem: the last-window rings, the stage exemplar tables,
 /// and (for in-process dumps) a Prometheus-text metrics snapshot.
@@ -170,9 +172,9 @@ struct Postmortem {
     [[nodiscard]] std::uint64_t event_count() const noexcept;
 };
 
-/// CRC-checked binary codec (same magic/version/payload/CRC shape as the
-/// serve snapshot): decode returns nullopt on any structural defect —
-/// short file, bad magic, version skew, CRC mismatch, trailing garbage.
+/// Binary codec in the shared util/codec.hpp frame (magic "FPTCPMRT"):
+/// decode returns nullopt on any structural defect — short file, bad magic,
+/// version skew, CRC mismatch, trailing garbage.
 [[nodiscard]] std::string encode_postmortem(const Postmortem& postmortem);
 [[nodiscard]] std::optional<Postmortem> decode_postmortem(std::string_view bytes);
 

@@ -6,12 +6,12 @@
 // than the drift it was meant to fix.  The reloader gates every candidate
 // through a three-stage canary before the swap:
 //
-//   1. *Structural + semantic validation* — nn::verify_checkpoint: magic,
-//      shapes, CRC, and every weight finite and in-range.  A NaN-poisoned
-//      file with a correct checksum dies here, not in production batches.
-//   2. *Scratch load* — the candidate is deserialized into a scratch
-//      network (plus its persisted calibration); the incumbent is untouched
-//      if anything throws.
+//   1. *Structural + semantic validation* and
+//   2. *Scratch load* — one nn::load_parameters into a scratch network
+//      (plus its persisted calibration): magic, shapes, CRC, and every
+//      weight finite and in-range are checked before a weight is written.
+//      A NaN-poisoned file with a correct checksum dies here, not in
+//      production batches; the incumbent is untouched if anything throws.
 //   3. *Golden replay* — a fixed buffer of labeled flows (regenerated
 //      deterministically from the trafficgen seed, so it survives process
 //      restarts bit-identically) is classified by incumbent and candidate;

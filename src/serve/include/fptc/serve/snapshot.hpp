@@ -66,7 +66,8 @@ struct ServeSnapshot {
     std::vector<SnapshotFlow> flows;  ///< in window-close (FIFO) order
 };
 
-/// Serialize to the on-disk byte string (magic + version + payload + CRC32).
+/// Serialize to the on-disk byte string: the util/codec.hpp frame around
+/// the payload (magic "FPTCSNAP").
 [[nodiscard]] std::string encode_snapshot(const ServeSnapshot& snapshot);
 
 /// Parse an on-disk byte string.  Any malformation — bad magic, unknown

@@ -4,11 +4,12 @@
 #include "fptc/nn/serialize.hpp"
 #include "fptc/trafficgen/traffic_model.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
+#include "fptc/util/codec.hpp"
 #include "fptc/util/crc32.hpp"
 #include "fptc/util/rng.hpp"
 #include "fptc/util/telemetry.hpp"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -40,22 +41,6 @@ std::vector<ReadyFlow> make_golden_buffer(const ReloadConfig& config)
         }
     }
     return golden;
-}
-
-/// Whole-file read; empty optional-style "" + false on any failure.
-bool read_file(const std::string& path, std::string& bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return false;
-    }
-    bytes = buffer.str();
-    return !bytes.empty();
 }
 
 } // namespace
@@ -102,11 +87,11 @@ ModelReloader::Outcome ModelReloader::check_now()
     if (!enabled()) {
         return Outcome::disabled;
     }
-    std::string bytes;
-    if (!read_file(config_.path, bytes)) {
+    std::optional<std::string> bytes = util::read_file(config_.path);
+    if (!bytes.has_value() || bytes->empty()) {
         return Outcome::no_candidate;
     }
-    const std::uint32_t crc = util::crc32(bytes);
+    const std::uint32_t crc = util::crc32(*bytes);
     if (has_last_crc_ && crc == last_crc_) {
         return Outcome::unchanged;
     }
@@ -116,19 +101,9 @@ ModelReloader::Outcome ModelReloader::check_now()
     has_last_crc_ = true;
     ++stats_.attempts;
 
-    // Stage 1: structural + semantic validation without touching anything.
-    {
-        std::istringstream in(bytes);
-        std::string error;
-        if (!nn::verify_checkpoint(in, &error)) {
-            ++stats_.rollbacks;
-            ++stats_.rejected_invalid;
-            stats_.last_error = "checkpoint invalid: " + error;
-            return Outcome::rolled_back;
-        }
-    }
-
-    // Stage 2: load into a scratch network; the incumbent stays untouched.
+    // Stages 1 + 2: load into a scratch network.  The load runs every
+    // structural and semantic check before it writes a weight, and the
+    // incumbent stays untouched.
     nn::ModelConfig model;
     model.flowpic_dim = target_->resolution();
     model.num_classes = config_.num_classes;
@@ -136,12 +111,12 @@ ModelReloader::Outcome ModelReloader::check_now()
     nn::Sequential candidate_network = nn::make_supervised_network(model);
     nn::Calibration candidate_calibration;
     try {
-        std::istringstream in(bytes);
+        std::istringstream in(std::move(*bytes));
         nn::load_parameters(candidate_network.parameters(), in, &candidate_calibration);
     } catch (const std::exception& e) {
         ++stats_.rollbacks;
         ++stats_.rejected_invalid;
-        stats_.last_error = std::string("candidate load failed: ") + e.what();
+        stats_.last_error = std::string("checkpoint invalid: ") + e.what();
         return Outcome::rolled_back;
     }
 

@@ -1,154 +1,89 @@
 #include "fptc/serve/snapshot.hpp"
 
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/telemetry.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
 namespace fptc::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'P', 'T', 'C', 'S', 'N', 'A', 'P'};
-
-// Fixed-width little-endian-on-every-supported-target primitives.  The
-// snapshot is a same-host crash-recovery artifact, not an interchange
-// format, so native byte order via memcpy is sufficient and keeps the
-// codec trivially ubsan-clean.
-void put_bytes(std::string& out, const void* data, std::size_t size)
-{
-    out.append(static_cast<const char*>(data), size);
-}
-
-void put_u32(std::string& out, std::uint32_t value) { put_bytes(out, &value, sizeof value); }
-void put_u64(std::string& out, std::uint64_t value) { put_bytes(out, &value, sizeof value); }
-void put_f64(std::string& out, double value) { put_bytes(out, &value, sizeof value); }
-
-/// Bounds-checked reads; false = truncated.
-struct Reader {
-    std::string_view data;
-    std::size_t off = 0;
-
-    bool bytes(void* dest, std::size_t size)
-    {
-        if (off + size > data.size()) {
-            return false;
-        }
-        std::memcpy(dest, data.data() + off, size);
-        off += size;
-        return true;
-    }
-
-    bool u32(std::uint32_t& value) { return bytes(&value, sizeof value); }
-    bool u64(std::uint64_t& value) { return bytes(&value, sizeof value); }
-    bool f64(double& value) { return bytes(&value, sizeof value); }
-};
+constexpr std::string_view kMagic = "FPTCSNAP";
 
 } // namespace
 
 std::string encode_snapshot(const ServeSnapshot& snapshot)
 {
     FPTC_TRACE_SPAN("serve_snapshot_encode");
-    std::string payload;
-    put_u64(payload, snapshot.watermark);
-    put_f64(payload, snapshot.stream_now);
-    put_u32(payload, snapshot.generation);
-    put_u32(payload, snapshot.model_generation);
-    put_u64(payload, snapshot.config_fingerprint);
+    util::ByteWriter payload;
+    payload.u64(snapshot.watermark);
+    payload.f64(snapshot.stream_now);
+    payload.u32(snapshot.generation);
+    payload.u32(snapshot.model_generation);
+    payload.u64(snapshot.config_fingerprint);
     for (const ServeCounterSpec& spec : kServeCounters) {
         if (spec.persisted) {
-            put_u64(payload, snapshot.counters.*spec.field);
+            payload.u64(snapshot.counters.*spec.field);
         }
     }
-    put_u64(payload, snapshot.flows.size());
+    payload.u64(snapshot.flows.size());
     for (const SnapshotFlow& flow : snapshot.flows) {
-        put_u64(payload, flow.flow_id);
-        put_u32(payload, flow.label);
-        put_f64(payload, flow.first_ts);
-        put_u64(payload, flow.packets.size());
+        payload.u64(flow.flow_id);
+        payload.u32(flow.label);
+        payload.f64(flow.first_ts);
+        payload.u64(flow.packets.size());
         for (const flow::Packet& packet : flow.packets) {
-            put_f64(payload, packet.timestamp);
-            put_u32(payload, static_cast<std::uint32_t>(packet.size));
-            put_u32(payload, packet.direction == flow::Direction::upstream ? 1u : 0u);
+            payload.f64(packet.timestamp);
+            payload.u32(static_cast<std::uint32_t>(packet.size));
+            payload.u32(packet.direction == flow::Direction::upstream ? 1u : 0u);
         }
     }
-
-    std::string out;
-    out.reserve(sizeof(kMagic) + sizeof(std::uint32_t) * 2 + payload.size());
-    put_bytes(out, kMagic, sizeof kMagic);
-    put_u32(out, kSnapshotVersion);
-    out += payload;
-    put_u32(out, util::crc32(payload));
-    return out;
+    return util::frame(kMagic, kSnapshotVersion, payload.str());
 }
 
 std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
 {
     FPTC_TRACE_SPAN("serve_snapshot_decode");
-    constexpr std::size_t header = sizeof(kMagic) + sizeof(std::uint32_t);
-    constexpr std::size_t trailer = sizeof(std::uint32_t);
-    if (data.size() < header + trailer) {
+    const std::optional<std::string_view> payload = util::unframe(data, kMagic, kSnapshotVersion);
+    if (!payload.has_value()) {
         return std::nullopt;
     }
-    if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) {
-        return std::nullopt;
-    }
-    Reader in{data, sizeof(kMagic)};
-    std::uint32_t version = 0;
-    if (!in.u32(version) || version != kSnapshotVersion) {
-        return std::nullopt;
-    }
-    const std::string_view payload = data.substr(header, data.size() - header - trailer);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data.data() + data.size() - trailer, trailer);
-    if (util::crc32(payload) != stored_crc) {
-        return std::nullopt;
-    }
-
+    util::ByteReader in(*payload);
     ServeSnapshot snapshot;
-    if (!in.u64(snapshot.watermark) || !in.f64(snapshot.stream_now) ||
-        !in.u32(snapshot.generation) || !in.u32(snapshot.model_generation) ||
-        !in.u64(snapshot.config_fingerprint)) {
-        return std::nullopt;
-    }
+    snapshot.watermark = in.u64();
+    snapshot.stream_now = in.f64();
+    snapshot.generation = in.u32();
+    snapshot.model_generation = in.u32();
+    snapshot.config_fingerprint = in.u64();
     for (const ServeCounterSpec& spec : kServeCounters) {
-        if (spec.persisted && !in.u64(snapshot.counters.*spec.field)) {
-            return std::nullopt;
+        if (spec.persisted) {
+            snapshot.counters.*spec.field = in.u64();
         }
     }
-    std::uint64_t flow_count = 0;
-    if (!in.u64(flow_count)) {
-        return std::nullopt;
-    }
-    // Cheap sanity bound before reserving: each flow needs at least its
-    // fixed-size header in the payload.
-    constexpr std::uint64_t kFlowHeaderBytes = 8 + 4 + 8 + 8;
-    if (flow_count > data.size() / kFlowHeaderBytes + 1) {
+    // Each flow needs at least its fixed-size header, each packet 16 bytes.
+    constexpr std::size_t kFlowHeaderBytes = 8 + 4 + 8 + 8;
+    constexpr std::size_t kPacketBytes = 8 + 4 + 4;
+    const std::uint64_t flow_count = in.u64();
+    if (!in.fits(flow_count, kFlowHeaderBytes)) {
         return std::nullopt;
     }
     snapshot.flows.reserve(static_cast<std::size_t>(flow_count));
     for (std::uint64_t f = 0; f < flow_count; ++f) {
         SnapshotFlow flow;
-        std::uint64_t packet_count = 0;
-        if (!in.u64(flow.flow_id) || !in.u32(flow.label) || !in.f64(flow.first_ts) ||
-            !in.u64(packet_count)) {
-            return std::nullopt;
-        }
-        constexpr std::uint64_t kPacketBytes = 8 + 4 + 4;
-        if (packet_count > data.size() / kPacketBytes + 1) {
+        flow.flow_id = in.u64();
+        flow.label = in.u32();
+        flow.first_ts = in.f64();
+        const std::uint64_t packet_count = in.u64();
+        if (!in.fits(packet_count, kPacketBytes)) {
             return std::nullopt;
         }
         flow.packets.reserve(static_cast<std::size_t>(packet_count));
         for (std::uint64_t p = 0; p < packet_count; ++p) {
-            double ts = 0.0;
-            std::uint32_t size = 0;
-            std::uint32_t direction = 0;
-            if (!in.f64(ts) || !in.u32(size) || !in.u32(direction)) {
-                return std::nullopt;
-            }
+            const double ts = in.f64();
+            const std::uint32_t size = in.u32();
+            const std::uint32_t direction = in.u32();
             flow.packets.push_back(flow::Packet{
                 .timestamp = ts,
                 .size = static_cast<int>(size),
@@ -159,8 +94,8 @@ std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
         }
         snapshot.flows.push_back(std::move(flow));
     }
-    if (in.off != header + (data.size() - header - trailer)) {
-        return std::nullopt;  // trailing garbage inside the checksummed payload
+    if (!in.at_end()) {
+        return std::nullopt;  // truncated, or trailing garbage inside the payload
     }
     return snapshot;
 }
@@ -173,16 +108,11 @@ void save_snapshot(const std::string& path, const ServeSnapshot& snapshot)
 std::optional<ServeSnapshot> load_snapshot(const std::string& path,
                                            std::uint64_t expect_fingerprint)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
-        return std::nullopt;
-    }
-    auto snapshot = decode_snapshot(buffer.str());
+    auto snapshot = decode_snapshot(*bytes);
     if (snapshot.has_value() && expect_fingerprint != 0 &&
         snapshot->config_fingerprint != expect_fingerprint) {
         return std::nullopt;

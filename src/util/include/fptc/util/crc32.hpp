@@ -1,12 +1,8 @@
 // CRC32 (IEEE 802.3, reflected 0xEDB88320) shared by every checksummed
-// on-disk format in the repo.
-//
-// Both the checkpoint serializer (nn/serialize, format v2) and the serve
-// flow-state snapshot (serve/snapshot) append a CRC32 of their payload so a
-// truncated or bit-flipped file is *detected* at load instead of being
-// parsed into garbage state.  One table, one convention: incremental
-// crc32_update() calls compose (each call finalizes, so feeding the running
-// value back in continues the stream) and an empty payload has CRC 0.
+// on-disk format in the repo: the util/codec.hpp frame (serve snapshots,
+// postmortems) and the checkpoint trailer (nn/serialize) both append a
+// CRC32 of their payload, so a truncated or bit-flipped file is *detected*
+// at load instead of being parsed into garbage state.
 #pragma once
 
 #include <array>
@@ -35,24 +31,14 @@ inline constexpr auto kCrc32Table = make_crc32_table();
 
 } // namespace detail
 
-/// Continue a CRC32 over `size` more bytes.  Pass 0 to start a stream; the
-/// returned value is final (pre/post-conditioning happens per call, so
-/// chained calls over chunks equal one call over the concatenation).
-[[nodiscard]] inline std::uint32_t crc32_update(std::uint32_t crc, const char* data,
-                                                std::size_t size)
-{
-    crc ^= 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        crc = detail::kCrc32Table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-              (crc >> 8);
-    }
-    return crc ^ 0xFFFFFFFFu;
-}
-
-/// CRC32 of one contiguous buffer.
+/// CRC32 of one contiguous buffer (an empty buffer has CRC 0).
 [[nodiscard]] inline std::uint32_t crc32(std::string_view data)
 {
-    return crc32_update(0, data.data(), data.size());
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char byte : data) {
+        crc = detail::kCrc32Table[(crc ^ static_cast<unsigned char>(byte)) & 0xFFu] ^ (crc >> 8);
+    }
+    return crc ^ 0xFFFFFFFFu;
 }
 
 } // namespace fptc::util

@@ -1,12 +1,12 @@
 #include "fptc/util/shard.hpp"
 
+#include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/log.hpp"
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
 #include <time.h>
@@ -191,8 +191,7 @@ namespace {
 /// This process's argv, recovered from /proc/self/cmdline (NUL-separated).
 [[nodiscard]] std::vector<std::string> self_cmdline()
 {
-    std::ifstream in("/proc/self/cmdline", std::ios::binary);
-    std::string raw((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const std::string raw = read_file("/proc/self/cmdline").value_or("");
     std::vector<std::string> argv;
     std::size_t start = 0;
     while (start < raw.size()) {

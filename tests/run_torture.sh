@@ -14,7 +14,9 @@
 #     non-temp file is either absent or a fully valid previous generation
 #     (journal lines must all parse except possibly a torn tail),
 #   * it also greps src/ to assert no persistence bypasses the durable
-#     layer via a raw std::ofstream.
+#     layer via a raw std::ofstream, and no binary format bypasses the
+#     shared codec (util/codec.hpp) with its own byte helpers or a
+#     .rdbuf() whole-file read.
 #
 # Usage, from the repo root (binary defaults to build/bench/table4_augmentations):
 #
@@ -48,6 +50,21 @@ if grep -rn "std::ofstream" src/ --include='*.cpp' --include='*.hpp' \
     exit 1
 fi
 echo "run_torture: static gate ok (no raw std::ofstream persistence in src/)"
+
+# ---- static gate: all binary (de)coding must route through util/codec ------
+# No file outside util/codec.* and util/durable.* may define its own byte
+# helpers (put_u32/put_u64, a Reader struct, a CRC stream reader/writer) or
+# read a whole file with .rdbuf(); util::ByteWriter/ByteReader, frame/unframe
+# and util::read_file are the one copy.
+CODEC_PATTERN='void[[:space:]]+put_u(32|64)[[:space:]]*\(|(struct|class)[[:space:]]+(Reader|CrcReader|CrcWriter)\b|\.rdbuf\(\)'
+CODEC_HITS=$(grep -rnE "$CODEC_PATTERN" src/ --include='*.cpp' --include='*.hpp' \
+        | grep -vE '^src/util/(include/fptc/util/)?(codec|durable)\.(cpp|hpp):' || true)
+if [ -n "$CODEC_HITS" ]; then
+    echo "run_torture: FAIL: hand-rolled byte codec or whole-file read in src/ — use util/codec.hpp:" >&2
+    echo "$CODEC_HITS" >&2
+    exit 1
+fi
+echo "run_torture: static gate ok (no hand-rolled byte codec or .rdbuf() read in src/)"
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/fptc_torture.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT INT TERM

@@ -333,4 +333,20 @@ TEST(Serialize, SaveNetworkRecoversFromTruncatedWrite)
     std::remove(path.c_str());
 }
 
+TEST(Serialize, RejectsTrailingBytes)
+{
+    // One byte appended after the CRC is not a checkpoint: both entry points
+    // refuse it, as the snapshot and postmortem decoders refuse theirs.
+    auto params = make_params();
+    const auto blob = serialized(params, 3) + '\0';
+    {
+        std::istringstream in(blob, std::ios::binary);
+        std::string error;
+        EXPECT_FALSE(nn::verify_checkpoint(in, &error));
+        EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+    }
+    auto target = make_params();
+    expect_load_error(target, blob, "trailing");
+}
+
 } // namespace

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -272,6 +273,25 @@ TEST(ServeFlightRec, RingFileRoundTripsAndSeals)
     EXPECT_TRUE(found);
     // Garbage is refused, not crashed on.
     EXPECT_FALSE(serve::FlightRecorder::read_ring_file(dir.file("absent.bin")).has_value());
+}
+
+TEST(ServeFlightRec, OversizedRingFileIsRefused)
+{
+    // The header's geometry fixes the file size exactly; a longer file is
+    // not the ring the header describes.
+    const TempDir dir("fptc_frec_oversized");
+    const std::string ring_path = dir.file("rings.bin");
+    {
+        serve::FlightRecorder recorder({.ring_path = ring_path, .ring_capacity = 64});
+        ASSERT_TRUE(recorder.file_backed());
+        recorder.note(serve::FrecRing::driver, serve::FrecKind::ingest, 1, 1, 0);
+    }
+    ASSERT_TRUE(serve::FlightRecorder::read_ring_file(ring_path).has_value());
+    {
+        std::ofstream out(ring_path, std::ios::binary | std::ios::app);
+        out.write("\0\0\0\0\0\0\0\0", 8);
+    }
+    EXPECT_FALSE(serve::FlightRecorder::read_ring_file(ring_path).has_value());
 }
 
 TEST(ServeFlightRec, RemoveBackingUnlinksRingFile)
