@@ -15,6 +15,8 @@
 #include "fptc/serve/reload.hpp"
 #include "fptc/flowpic/flowpic.hpp"
 #include "fptc/gbt/gbt.hpp"
+#include "fptc/nn/conv.hpp"
+#include "fptc/nn/layers.hpp"
 #include "fptc/nn/loss.hpp"
 #include "fptc/nn/models.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
@@ -98,6 +100,69 @@ BENCHMARK(BM_Augmentation)
     ->Arg(static_cast<int>(augment::AugmentationKind::color_jitter))
     ->Arg(static_cast<int>(augment::AugmentationKind::packet_loss))
     ->Arg(static_cast<int>(augment::AugmentationKind::change_rtt));
+
+/// One Conv2d layer at a LeNet shape: args (C_in, C_out, H = W, batch).
+nn::Conv2d conv_for(const benchmark::State& state)
+{
+    return nn::Conv2d(static_cast<std::size_t>(state.range(0)),
+                      static_cast<std::size_t>(state.range(1)), 5, /*seed=*/1);
+}
+
+nn::Tensor conv_input(const benchmark::State& state, util::Rng& rng)
+{
+    const auto hw = static_cast<std::size_t>(state.range(2));
+    return nn::Tensor::randn({static_cast<std::size_t>(state.range(3)),
+                              static_cast<std::size_t>(state.range(0)), hw, hw},
+                             rng, 0.5f);
+}
+
+void BM_Conv2dForward(benchmark::State& state)
+{
+    auto layer = conv_for(state);
+    util::Rng rng(3);
+    const auto input = conv_input(state, rng);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.forward(input, false));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
+}
+// conv1 (1 -> 6 at 32x32) and conv2 (6 -> 16 at 14x14) at batch 16 and 32.
+BENCHMARK(BM_Conv2dForward)
+    ->Args({1, 6, 32, 16})->Args({1, 6, 32, 32})
+    ->Args({6, 16, 14, 16})->Args({6, 16, 14, 32});
+
+void BM_Conv2dBackward(benchmark::State& state)
+{
+    auto layer = conv_for(state);
+    util::Rng rng(3);
+    const auto input = conv_input(state, rng);
+    const auto output = layer.forward(input, true);
+    const auto grad_output = nn::Tensor::randn(output.shape(), rng);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.backward(grad_output));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
+}
+BENCHMARK(BM_Conv2dBackward)
+    ->Args({1, 6, 32, 16})->Args({1, 6, 32, 32})
+    ->Args({6, 16, 14, 16})->Args({6, 16, 14, 32});
+
+/// fc1 (400 -> 120); arg: batch.
+void BM_LinearForward(benchmark::State& state)
+{
+    nn::Linear layer(400, 120, /*seed=*/1);
+    util::Rng rng(3);
+    const auto input =
+        nn::Tensor::randn({static_cast<std::size_t>(state.range(0)), 400}, rng, 0.5f);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.forward(input, false));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_LinearForward)->Arg(16)->Arg(32);
 
 void BM_LeNetForward(benchmark::State& state)
 {

@@ -1,10 +1,16 @@
 // Convolution and pooling layers.
 //
-// LeNet-5 (App. C listing 1) needs only valid (unpadded) stride-1
-// convolutions with square kernels and 2x2 max pooling; the implementations
-// are direct loops — at 32x32/64x64 flowpic resolutions that is plenty fast
-// on a CPU, and for the 1500x1500 "full" architecture the model factory
-// inserts an aggressive input pooling stage first (see models.hpp).
+// LeNet-5 (App. C listing 1) needs only valid (unpadded) convolutions with
+// square kernels and 2x2 max pooling.  Conv2d forward and its weight
+// gradient run per sample as one register-blocked GEMM over an im2col
+// buffer (the layer's only scratch, reused across calls and charged to the
+// memory budget); the input gradient is a direct loop.
+// Every output and gradient element receives its terms in the order of the
+// plain nested loop over (n, oc, oy, ox, ic, ky, kx), so results match
+// that loop bit for bit; tests/nn_reference.cpp keeps it as the oracle
+// (DESIGN.md "nn kernels").  For the 1500x1500 "full" architecture
+// the model factory inserts an aggressive input pooling stage first (see
+// models.hpp).
 #pragma once
 
 #include "fptc/nn/layer.hpp"
@@ -29,8 +35,12 @@ public:
     [[nodiscard]] std::size_t in_channels() const noexcept { return in_channels_; }
     [[nodiscard]] std::size_t out_channels() const noexcept { return out_channels_; }
     [[nodiscard]] std::size_t kernel_size() const noexcept { return kernel_size_; }
+    [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
 private:
+    /// The scratch buffer, grown to at least `size` floats.
+    [[nodiscard]] float* columns(std::size_t size);
+
     std::size_t in_channels_;
     std::size_t out_channels_;
     std::size_t kernel_size_;
@@ -38,6 +48,7 @@ private:
     Parameter weight_; ///< [C_out, C_in, k, k]
     Parameter bias_;   ///< [C_out]
     Tensor input_cache_;
+    Tensor columns_; ///< one sample's im2col matrix (and backward's spread gY)
 };
 
 /// Max pooling with square window == stride (LeNet uses 2x2/2).

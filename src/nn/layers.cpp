@@ -1,5 +1,8 @@
 #include "fptc/nn/layers.hpp"
 
+#include "gemm.hpp"
+
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -31,23 +34,23 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/)
     }
     input_cache_ = input;
     const std::size_t batch = input.dim(0);
-    Tensor output({batch, out_features_});
-    const auto w = weight_.value.data();
     const auto b = bias_.value.data();
-    const auto x = input.data();
-    auto y = output.data();
-    for (std::size_t n = 0; n < batch; ++n) {
-        const float* x_row = x.data() + n * in_features_;
-        float* y_row = y.data() + n * out_features_;
-        for (std::size_t o = 0; o < out_features_; ++o) {
-            const float* w_row = w.data() + o * in_features_;
-            float accum = b[o];
-            for (std::size_t i = 0; i < in_features_; ++i) {
-                accum += w_row[i] * x_row[i];
-            }
-            y_row[o] = accum;
-        }
+
+    // Y^T [out × N] = bias + W [out × in] · X^T [in × N]: the tile runs
+    // along the batch, and each y[n][o] sums b[o] + w[o][i] * x[n][i] in
+    // ascending i.
+    Tensor input_t({in_features_, batch});
+    detail::transpose(batch, in_features_, input.data().data(), input_t.data().data());
+    Tensor output_t({out_features_, batch});
+    float* yt = output_t.data().data();
+    for (std::size_t o = 0; o < out_features_; ++o) {
+        std::fill_n(yt + o * batch, batch, b[o]);
     }
+    detail::gemm_acc(out_features_, batch, in_features_, weight_.value.data().data(),
+                     in_features_, input_t.data().data(), batch, yt, batch);
+
+    Tensor output({batch, out_features_});
+    detail::transpose(out_features_, batch, yt, output.data().data());
     return output;
 }
 
@@ -58,28 +61,26 @@ Tensor Linear::backward(const Tensor& grad_output)
         grad_output.dim(1) != out_features_) {
         throw std::invalid_argument("Linear::backward: bad grad shape " + grad_output.shape_string());
     }
-    Tensor grad_input({batch, in_features_});
-    const auto w = weight_.value.data();
-    auto gw = weight_.grad.data();
+    const float* gy = grad_output.data().data();
     auto gb = bias_.grad.data();
-    const auto x = input_cache_.data();
-    const auto gy = grad_output.data();
-    auto gx = grad_input.data();
     for (std::size_t n = 0; n < batch; ++n) {
-        const float* x_row = x.data() + n * in_features_;
-        const float* gy_row = gy.data() + n * out_features_;
-        float* gx_row = gx.data() + n * in_features_;
         for (std::size_t o = 0; o < out_features_; ++o) {
-            const float g = gy_row[o];
-            gb[o] += g;
-            const float* w_row = w.data() + o * in_features_;
-            float* gw_row = gw.data() + o * in_features_;
-            for (std::size_t i = 0; i < in_features_; ++i) {
-                gw_row[i] += g * x_row[i];
-                gx_row[i] += g * w_row[i];
-            }
+            gb[o] += gy[n * out_features_ + o];
         }
     }
+
+    // dW [out × in] += gY^T [out × N] · X [N × in], terms in ascending n.
+    Tensor grad_output_t({out_features_, batch});
+    detail::transpose(batch, out_features_, gy, grad_output_t.data().data());
+    detail::gemm_acc(out_features_, in_features_, batch, grad_output_t.data().data(), batch,
+                     input_cache_.data().data(), in_features_, weight_.grad.data().data(),
+                     in_features_);
+
+    // dX [N × in] = gY [N × out] · W [out × in], terms in ascending o.
+    Tensor grad_input({batch, in_features_});
+    detail::gemm_acc(batch, in_features_, out_features_, gy, out_features_,
+                     weight_.value.data().data(), in_features_, grad_input.data().data(),
+                     in_features_);
     return grad_input;
 }
 

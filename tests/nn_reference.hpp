@@ -1,0 +1,68 @@
+// Test-only scalar oracle for the nn kernels.
+//
+// These are the original direct loops of Conv2d and Linear, kept verbatim
+// as free functions so tests can check the optimized layers in src/nn
+// against them bit for bit.  RefConv2d / RefLinear wrap them as Layers with
+// the same parameters as an optimized layer, so a whole network can be
+// twinned (tests/test_nn_kernels.cpp).
+#pragma once
+
+#include "fptc/nn/conv.hpp"
+#include "fptc/nn/layers.hpp"
+
+#include <cstddef>
+
+namespace fptc::nn::reference {
+
+/// input [N, C_in, H, W], weight [C_out, C_in, k, k], bias [C_out].
+[[nodiscard]] Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                                    std::size_t stride);
+
+/// Accumulates into weight_grad / bias_grad; returns the input gradient.
+[[nodiscard]] Tensor conv2d_backward(const Tensor& input, const Tensor& weight,
+                                     Tensor& weight_grad, Tensor& bias_grad,
+                                     const Tensor& grad_output, std::size_t stride);
+
+/// input [N, in], weight [out, in], bias [out].
+[[nodiscard]] Tensor linear_forward(const Tensor& input, const Tensor& weight, const Tensor& bias);
+
+/// Accumulates into weight_grad / bias_grad; returns the input gradient.
+[[nodiscard]] Tensor linear_backward(const Tensor& input, const Tensor& weight,
+                                     Tensor& weight_grad, Tensor& bias_grad,
+                                     const Tensor& grad_output);
+
+/// A Conv2d running the reference loops, starting from a copy of
+/// `source`'s geometry, weights, bias and gradients.
+class RefConv2d final : public Layer {
+public:
+    explicit RefConv2d(Conv2d& source);
+
+    [[nodiscard]] std::string name() const override { return "Conv2d"; }
+    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    [[nodiscard]] std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+
+private:
+    std::size_t stride_;
+    Parameter weight_;
+    Parameter bias_;
+    Tensor input_cache_;
+};
+
+/// A Linear running the reference loops, starting from a copy of `source`.
+class RefLinear final : public Layer {
+public:
+    explicit RefLinear(Linear& source);
+
+    [[nodiscard]] std::string name() const override { return "Linear"; }
+    [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
+    [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+    [[nodiscard]] std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
+
+private:
+    Parameter weight_;
+    Parameter bias_;
+    Tensor input_cache_;
+};
+
+} // namespace fptc::nn::reference
