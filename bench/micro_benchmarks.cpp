@@ -214,17 +214,32 @@ void BM_NtXent(benchmark::State& state)
 }
 BENCHMARK(BM_NtXent)->Arg(16)->Arg(64);
 
+/// Arg 30 / 256: 200 dense Gaussian rows of that width.  Arg 1024: the
+/// campaign's Table-3 shape, 80 synthetic UCDAVIS19 flows per class as
+/// flattened 32x32 flowpics (400 x 1024, ~89% zeros).
 void BM_GbtFit(benchmark::State& state)
 {
     util::Rng rng(9);
-    const std::size_t n = 200;
     const std::size_t d = static_cast<std::size_t>(state.range(0));
-    std::vector<std::vector<float>> features(n, std::vector<float>(d));
-    std::vector<std::size_t> labels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        labels[i] = i % 5;
-        for (auto& v : features[i]) {
-            v = static_cast<float>(rng.normal(static_cast<double>(labels[i]), 1.5));
+    std::vector<std::vector<float>> features;
+    std::vector<std::size_t> labels;
+    if (d == 1024) {
+        flowpic::FlowpicConfig config;
+        config.resolution = 32;
+        for (std::size_t c = 0; c < 5; ++c) {
+            const auto profile = trafficgen::ucdavis19_profile(c, false);
+            for (const auto& f : trafficgen::generate_flows(profile, c, 80, rng)) {
+                features.push_back(flowpic::Flowpic::from_flow(f, config).flattened());
+                labels.push_back(c);
+            }
+        }
+    } else {
+        for (std::size_t i = 0; i < 200; ++i) {
+            labels.push_back(i % 5);
+            auto& row = features.emplace_back(d);
+            for (auto& v : row) {
+                v = static_cast<float>(rng.normal(static_cast<double>(labels[i]), 1.5));
+            }
         }
     }
     gbt::GbtConfig config;
@@ -236,7 +251,7 @@ void BM_GbtFit(benchmark::State& state)
         benchmark::DoNotOptimize(model.tree_count());
     }
 }
-BENCHMARK(BM_GbtFit)->Arg(30)->Arg(256);
+BENCHMARK(BM_GbtFit)->Arg(30)->Arg(256)->Arg(1024);
 
 void BM_TrafficGeneration(benchmark::State& state)
 {

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace fptc::gbt {
 
@@ -47,14 +49,44 @@ int Tree::depth() const
 
 namespace {
 
-/// Per-feature histogram bin edges (quantile-ish via sorted unique values).
+/// One histogram cell: the (gradient, hessian) sums of one (feature, bin),
+/// two independent IEEE double lanes in one 16-byte vector register.
+using v2d = double __attribute__((vector_size(16)));
+
+inline v2d load(const double* p) noexcept
+{
+    v2d v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void store(double* p, v2d v) noexcept
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/// A feature whose training values fall into at least two bins.  It owns
+/// one histogram slot per bin from first_bin (0, or 1 when no training value
+/// lies below the first edge) to the last, edges.size().  Bins no training
+/// value falls into, and features with a single bin, never yield a split
+/// with positive gain (DESIGN.md "GBT histogram"), so they get no slot.
+struct ActiveFeature {
+    std::size_t feature = 0;
+    std::uint32_t first_bin = 0;
+    std::uint32_t offset = 0; ///< slot of first_bin
+};
+
+/// Per-feature histogram bin edges (quantile-ish via sorted unique values),
+/// and the compact histogram layout of the features that can split.
 struct BinMap {
     std::vector<std::vector<float>> edges; ///< edges[f] sorted ascending
+    std::vector<ActiveFeature> active;     ///< ascending feature index
+    std::size_t slot_count = 0;
 
-    [[nodiscard]] std::uint16_t bin_of(std::size_t feature, float value) const
+    [[nodiscard]] std::uint32_t bin_of(std::size_t feature, float value) const
     {
         const auto& e = edges[feature];
-        return static_cast<std::uint16_t>(
+        return static_cast<std::uint32_t>(
             std::upper_bound(e.begin(), e.end(), value) - e.begin());
     }
 };
@@ -81,14 +113,23 @@ struct BinMap {
                 edges.push_back(edge);
             }
         }
+        // bin_of is monotone, so the extremes bound every value's bin.  The
+        // maximum always falls into the last bin, and each bin from 1 on
+        // holds its lower edge, a training value: only bin 0 can be empty.
+        const auto first_bin = bins.bin_of(f, column.front());
+        if (first_bin < edges.size()) {
+            bins.active.push_back(
+                {f, first_bin, static_cast<std::uint32_t>(bins.slot_count)});
+            bins.slot_count += edges.size() + 1 - first_bin;
+        }
     }
     return bins;
 }
 
 struct SplitCandidate {
     double gain = 0.0;
-    std::size_t feature = 0;
-    std::uint16_t bin = 0; ///< go left when binned value <= bin
+    std::size_t active = 0; ///< index into BinMap::active
+    std::uint32_t bin = 0;  ///< go left when binned value <= bin
     float threshold = 0.0f;
 };
 
@@ -111,7 +152,11 @@ GbtClassifier::GbtClassifier(GbtConfig config, std::size_t num_classes)
     if (num_classes < 2) {
         throw std::invalid_argument("GbtClassifier: need at least 2 classes");
     }
-    if (config_.num_rounds < 1 || config_.max_depth < 1 || config_.num_bins < 2) {
+    // num_bins <= 256 is XGBoost's default max_bin; gamma >= 0 (its
+    // min_split_loss range) lets fit() skip split candidates with an empty
+    // side without changing any tree (DESIGN.md "GBT histogram").
+    if (config_.num_rounds < 1 || config_.max_depth < 1 || config_.num_bins < 2 ||
+        config_.num_bins > kMaxBins || !(config_.gamma >= 0.0)) {
         throw std::invalid_argument("GbtClassifier: bad configuration");
     }
 }
@@ -124,9 +169,17 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
     }
     const std::size_t n = features.size();
     num_features_ = features.front().size();
-    for (const auto& row : features) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto& row = features[i];
         if (row.size() != num_features_) {
             throw std::invalid_argument("GbtClassifier::fit: ragged feature rows");
+        }
+        for (std::size_t f = 0; f < num_features_; ++f) {
+            if (!std::isfinite(row[f])) {
+                throw std::invalid_argument("GbtClassifier::fit: non-finite value at row " +
+                                            std::to_string(i) + ", feature " +
+                                            std::to_string(f));
+            }
         }
     }
     for (const auto label : labels) {
@@ -136,24 +189,24 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
     }
 
     const auto bins = build_bins(features, config_.num_bins);
-    // Charge the whole training working set (binned design matrix, margin /
-    // probability / gradient / hessian buffers, split histograms) against the
+    const std::size_t active = bins.active.size();
+    // Charge the whole training working set (slot matrix, margin /
+    // probability / gradient / hessian buffers, split histogram) against the
     // process memory budget up front, before the allocations happen; released
     // when fit() returns or unwinds.
     const util::Charge working_set(
-        num_features_ * n * sizeof(std::uint16_t) + 2 * n * num_classes_ * sizeof(double) +
-            2 * n * sizeof(float) +
-            2 * static_cast<std::size_t>(config_.num_bins) * sizeof(double),
+        n * active * sizeof(std::uint32_t) + 2 * n * num_classes_ * sizeof(double) +
+            2 * n * sizeof(float) + bins.slot_count * sizeof(v2d),
         "gbt::fit");
-    // Binned design matrix, column-major for cache-friendly histogram builds.
-    std::vector<std::vector<std::uint16_t>> binned(num_features_,
-                                                   std::vector<std::uint16_t>(n));
-    std::size_t max_bins = 0;
-    for (std::size_t f = 0; f < num_features_; ++f) {
-        for (std::size_t i = 0; i < n; ++i) {
-            binned[f][i] = bins.bin_of(f, features[i][f]);
+    // Row-major slot matrix: slots[i * active + a] is the histogram slot that
+    // sample i's value of feature active[a] falls into.
+    std::vector<std::uint32_t> slots(n * active);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t* row = slots.data() + i * active;
+        for (std::size_t a = 0; a < active; ++a) {
+            const auto& af = bins.active[a];
+            row[a] = af.offset + bins.bin_of(af.feature, features[i][af.feature]) - af.first_bin;
         }
-        max_bins = std::max(max_bins, bins.edges[f].size() + 1);
     }
 
     trees_.clear();
@@ -165,8 +218,8 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
     std::vector<float> gradients(n);
     std::vector<float> hessians(n);
 
-    std::vector<double> hist_g(max_bins);
-    std::vector<double> hist_h(max_bins);
+    // {g, h} per slot, interleaved.
+    std::vector<double> hist(2 * bins.slot_count);
 
     for (int round = 0; round < config_.num_rounds; ++round) {
         FPTC_TRACE_SPAN("gbt_round");
@@ -229,24 +282,28 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
 
                 SplitCandidate best;
                 if (state.depth < config_.max_depth && state.samples.size() >= 2) {
+                    // One pass over the node's samples fills every slot; each
+                    // slot gets its terms in ascending sample order.
+                    std::fill(hist.begin(), hist.end(), 0.0);
+                    for (const auto i : state.samples) {
+                        const v2d gh = {static_cast<double>(gradients[i]),
+                                        static_cast<double>(hessians[i])};
+                        const std::uint32_t* row = slots.data() + i * active;
+                        for (std::size_t a = 0; a < active; ++a) {
+                            double* cell = hist.data() + 2 * std::size_t{row[a]};
+                            store(cell, load(cell) + gh);
+                        }
+                    }
                     const double parent_obj = leaf_objective(g_total, h_total, config_.lambda);
-                    for (std::size_t f = 0; f < num_features_; ++f) {
-                        const std::size_t bin_count = bins.edges[f].size() + 1;
-                        if (bin_count < 2) {
-                            continue;
-                        }
-                        std::fill(hist_g.begin(), hist_g.begin() + static_cast<std::ptrdiff_t>(bin_count), 0.0);
-                        std::fill(hist_h.begin(), hist_h.begin() + static_cast<std::ptrdiff_t>(bin_count), 0.0);
-                        const auto& column = binned[f];
-                        for (const auto i : state.samples) {
-                            hist_g[column[i]] += gradients[i];
-                            hist_h[column[i]] += hessians[i];
-                        }
+                    for (std::size_t a = 0; a < active; ++a) {
+                        const auto& af = bins.active[a];
+                        const auto& edges = bins.edges[af.feature];
+                        const double* cell = hist.data() + 2 * std::size_t{af.offset};
                         double g_left = 0.0;
                         double h_left = 0.0;
-                        for (std::size_t b = 0; b + 1 < bin_count; ++b) {
-                            g_left += hist_g[b];
-                            h_left += hist_h[b];
+                        for (std::size_t b = af.first_bin; b < edges.size(); ++b, cell += 2) {
+                            g_left += cell[0];
+                            h_left += cell[1];
                             const double h_right = h_total - h_left;
                             if (h_left < config_.min_child_weight ||
                                 h_right < config_.min_child_weight) {
@@ -260,9 +317,9 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
                                 config_.gamma;
                             if (gain > best.gain) {
                                 best.gain = gain;
-                                best.feature = f;
-                                best.bin = static_cast<std::uint16_t>(b);
-                                best.threshold = bins.edges[f][b];
+                                best.active = a;
+                                best.bin = static_cast<std::uint32_t>(b);
+                                best.threshold = edges[b];
                             }
                         }
                     }
@@ -279,9 +336,10 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
                 NodeBuildState left_state;
                 NodeBuildState right_state;
                 left_state.depth = right_state.depth = state.depth + 1;
-                const auto& column = binned[best.feature];
+                const auto& split = bins.active[best.active];
+                const std::uint32_t last_left_slot = split.offset + best.bin - split.first_bin;
                 for (const auto i : state.samples) {
-                    if (column[i] <= best.bin) {
+                    if (slots[i * active + best.active] <= last_left_slot) {
                         left_state.samples.push_back(i);
                     } else {
                         right_state.samples.push_back(i);
@@ -296,7 +354,7 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
                 tree.nodes.push_back(TreeNode{});
 
                 TreeNode& node = tree.nodes[node_index];
-                node.feature = static_cast<int>(best.feature);
+                node.feature = static_cast<int>(split.feature);
                 // upper_bound semantics: bin b covers values <= edges[b]; the
                 // left child takes bins [0, best.bin], i.e. x <= threshold.
                 // Tree::predict tests `x < threshold`, so nudge the stored

@@ -22,6 +22,9 @@
 
 namespace fptc::gbt {
 
+/// Upper bound on GbtConfig::num_bins (XGBoost's default max_bin).
+inline constexpr int kMaxBins = 256;
+
 /// Boosting hyper-parameters (defaults follow the paper's "default
 /// hyper-parameter values": 100 estimators, depth 6).
 struct GbtConfig {
@@ -29,9 +32,9 @@ struct GbtConfig {
     int max_depth = 6;             ///< maximum tree depth
     double learning_rate = 0.3;    ///< shrinkage (XGBoost default eta)
     double lambda = 1.0;           ///< L2 regularization on leaf weights
-    double gamma = 0.0;            ///< minimum gain to split
+    double gamma = 0.0;            ///< minimum gain to split; must be >= 0
     double min_child_weight = 1.0; ///< minimum hessian sum per child
-    int num_bins = 32;             ///< histogram bins per feature
+    int num_bins = 32;             ///< histogram bins per feature, 2..kMaxBins
     /// Watchdog hook: fit() polls this token per boosting round, per class
     /// tree and per node build, so a table3 unit unwinds with CancelledError
     /// when its executor deadline trips instead of blowing past
@@ -60,9 +63,9 @@ class GbtClassifier {
 public:
     GbtClassifier(GbtConfig config, std::size_t num_classes);
 
-    /// Train on row-major feature vectors.  All rows must share one length;
-    /// labels must be < num_classes.  Throws std::invalid_argument on
-    /// malformed input.
+    /// Train on row-major feature vectors.  All rows must share one length
+    /// and hold finite values; labels must be < num_classes.  Throws
+    /// std::invalid_argument on malformed input.
     void fit(const std::vector<std::vector<float>>& features,
              const std::vector<std::size_t>& labels);
 
@@ -81,6 +84,8 @@ public:
 
     [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
     [[nodiscard]] std::size_t tree_count() const noexcept;
+    /// The fitted ensemble, trees()[round * num_classes + class].
+    [[nodiscard]] const std::vector<Tree>& trees() const noexcept { return trees_; }
 
 private:
     GbtConfig config_;
