@@ -144,13 +144,6 @@ int main()
 
     executor.run_all();
 
-    if (executor.is_shard_worker()) {
-        // Shard workers only execute and journal units; every table, CSV
-        // artifact and summary line belongs to the coordinator's aggregation
-        // pass over the merged journal.
-        return 0;
-    }
-
     // Ordered reduction (submission order) keeps stdout bit-identical for
     // every FPTC_JOBS value.
     for (std::size_t i = 0; i < unit_cells.size(); ++i) {

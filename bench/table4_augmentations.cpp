@@ -148,13 +148,6 @@ int main()
 
     executor.run_all();
 
-    if (executor.is_shard_worker()) {
-        // Shard workers only execute and journal units; every table, CSV
-        // artifact and summary line belongs to the coordinator's aggregation
-        // pass over the merged journal.
-        return 0;
-    }
-
     // Ordered reduction: walk outcomes in submission order so the table, the
     // CSV artifact and the log lines are identical for every FPTC_JOBS.
     // cell_scores[resolution][augmentation]

@@ -10,7 +10,6 @@
 #include "fptc/util/rng.hpp"
 #include "fptc/util/shutdown.hpp"
 #include "fptc/util/telemetry.hpp"
-#include "fptc/util/telemetry_merge.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -18,10 +17,6 @@
 #include <new>
 #include <sstream>
 #include <thread>
-
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace fptc::core {
 
@@ -39,21 +34,6 @@ namespace {
     return hash;
 }
 
-/// Inverse of error_class_name, for restoring journaled degradations.
-[[nodiscard]] ErrorClass error_class_from_name(const std::string& name) noexcept
-{
-    if (name == "transient") {
-        return ErrorClass::transient;
-    }
-    if (name == "timeout") {
-        return ErrorClass::timeout;
-    }
-    if (name == "cancelled") {
-        return ErrorClass::cancelled;
-    }
-    return ErrorClass::fatal;
-}
-
 } // namespace
 
 ExecutorConfig executor_config_from_env()
@@ -67,9 +47,6 @@ ExecutorConfig executor_config_from_env()
     config.backoff_base_ms = util::env_double("FPTC_UNIT_BACKOFF_MS").value_or(50.0);
     config.mem_budget_bytes =
         static_cast<std::size_t>(util::env_int("FPTC_MEM_BUDGET_MB").value_or(0)) * 1024 * 1024;
-    config.shards = std::max(0, static_cast<int>(util::env_int("FPTC_SHARDS").value_or(0)));
-    config.shard_id = static_cast<int>(util::env_int("FPTC_SHARD_ID").value_or(-1));
-    config.lease_ttl_s = util::env_double("FPTC_LEASE_TTL_S").value_or(30.0);
     return config;
 }
 
@@ -137,23 +114,18 @@ ErrorClass classify_exception(const std::exception& error) noexcept
 }
 
 CampaignExecutor::CampaignExecutor(std::string campaign, ExecutorConfig config)
-    : campaign_(std::move(campaign)), config_(config), journal_(campaign_, config.shard_id)
+    : campaign_(std::move(campaign)), config_(config), journal_(campaign_)
 {
     // Resolve and validate the telemetry sinks now, on the campaign's main
     // thread: an empty or unwritable FPTC_TRACE / FPTC_METRICS target throws
     // util::EnvError here, before any unit has sunk CPU time.
     util::telemetry_init();
-    if ((config_.shards >= 1 || config_.shard_id >= 0) && !journal_.enabled()) {
-        // The journal family *is* the coordination medium: without it the
-        // fleet has no claim registry and no way to merge results.
-        throw util::EnvError("FPTC_SHARDS/FPTC_SHARD_ID require FPTC_JOURNAL to be set");
-    }
     util::install_shutdown_handlers();
     // Scavenge crash debris (orphan DurableFile temps of dead incarnations)
     // from the directories this campaign will write to, before anything new
     // lands there.
     if (journal_.enabled()) {
-        util::scavenge_orphan_temps(util::parent_dir_of(journal_.base_path()));
+        util::scavenge_orphan_temps(util::parent_dir_of(journal_.path()));
     }
     if (const char* artifacts = std::getenv("FPTC_ARTIFACTS_DIR");
         artifacts != nullptr && *artifacts != '\0') {
@@ -228,15 +200,6 @@ void CampaignExecutor::run_unit(std::size_t index)
             const UnitContext context{token, shrink};
             outcome.fields = unit.run(context);
             outcome.status = UnitStatus::ok;
-            if (util::fault_injector().inject_shard_kill(config_.shard_id)) {
-                // FPTC_FAULT_KILL_SHARD: die *after* the work but *before*
-                // the commit — the worst crash point.  The lease stays held,
-                // the finished result is lost, and a sibling must wait out
-                // the TTL and redo the unit from scratch.
-                util::log_info("executor[" + campaign_ + "]: injected shard kill at " +
-                               unit.key);
-                ::raise(SIGKILL);
-            }
             journal_.commit(unit.key, outcome.fields);
             break;
         } catch (const std::exception& error) {
@@ -271,20 +234,6 @@ void CampaignExecutor::run_unit(std::size_t index)
                            outcome.error_chain.back());
             break;
         }
-    }
-    if (is_shard_worker() && outcome.status == UnitStatus::degraded) {
-        // Journal the terminal failure so the rest of the fleet stops
-        // re-claiming this unit; the reserved __status__ field makes every
-        // later replay (sibling, coordinator, sequential resume) restore a
-        // degraded outcome instead of treating the record as metrics.
-        std::string chain;
-        for (const auto& entry : outcome.error_chain) {
-            chain += chain.empty() ? entry : "\n" + entry;
-        }
-        journal_.commit(unit.key,
-                        {{util::kStatusField, util::kDegradedStatus},
-                         {util::kErrorField, chain},
-                         {util::kFinalErrorField, error_class_name(outcome.final_error)}});
     }
     outcome.busy_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - unit_start).count();
@@ -353,310 +302,6 @@ void CampaignExecutor::worker_loop()
     }
 }
 
-void CampaignExecutor::outcome_from_record(UnitOutcome& outcome, const std::string& key,
-                                           std::map<std::string, std::string> fields)
-{
-    outcome.key = key;
-    const auto status = fields.find(util::kStatusField);
-    if (status != fields.end() && status->second == util::kDegradedStatus) {
-        // A journaled terminal failure: restore the degraded outcome (error
-        // chain and final class included) so a resumed or merged campaign
-        // renders the same †-marked cells as the run that degraded it.
-        outcome.status = UnitStatus::degraded;
-        outcome.final_error = error_class_from_name(fields[util::kFinalErrorField]);
-        const std::string& chain = fields[util::kErrorField];
-        std::size_t start = 0;
-        while (start < chain.size()) {
-            const auto newline = chain.find('\n', start);
-            const auto end = newline == std::string::npos ? chain.size() : newline;
-            outcome.error_chain.push_back(chain.substr(start, end - start));
-            start = end + 1;
-        }
-        return;
-    }
-    outcome.status = UnitStatus::replayed;
-    outcome.fields = std::move(fields);
-}
-
-void CampaignExecutor::replay_pending()
-{
-    std::vector<std::size_t> leftover;
-    for (const std::size_t index : pending_) {
-        if (auto fields = journal_.try_replay(units_[index].key)) {
-            outcome_from_record(outcomes_[index], units_[index].key, *std::move(fields));
-        } else {
-            leftover.push_back(index);
-        }
-    }
-    pending_ = std::move(leftover);
-    claimed_.assign(pending_.size(), 0);
-    deferred_marked_.assign(pending_.size(), 0);
-    foreign_until_ms_.assign(pending_.size(), 0);
-}
-
-void CampaignExecutor::worker_loop_sharded()
-{
-    constexpr auto kPark = std::chrono::milliseconds(250);
-    std::unique_lock<std::mutex> lock(sched_mutex_);
-    while (true) {
-        poll_shutdown();
-        const bool cancelled = campaign_cancel_.cancelled();
-        const std::size_t budget = config_.mem_budget_bytes;
-        const std::int64_t now = util::now_realtime_ms();
-        std::size_t pick = pending_.size();
-        bool any_unclaimed = false;
-        for (std::size_t slot = 0; slot < pending_.size(); ++slot) {
-            if (claimed_[slot] != 0) {
-                continue;
-            }
-            any_unclaimed = true;
-            // Recently seen under an unexpired foreign lease: leave it
-            // parked instead of re-hitting the lease file every pass.
-            // Cancellation overrides the parking — cancelled slots resolve
-            // locally without touching a lease at all.
-            if (!cancelled && foreign_until_ms_[slot] > now) {
-                continue;
-            }
-            const std::size_t estimate = units_[pending_[slot]].estimated_bytes;
-            const bool fits = budget == 0 || estimate == 0 ||
-                              (est_outstanding_ < budget && estimate <= budget - est_outstanding_);
-            if (fits || running_ == 0) {
-                pick = slot;
-                break;
-            }
-            if (deferred_marked_[slot] == 0) {
-                deferred_marked_[slot] = 1;
-                util::metrics().counter("fptc_executor_deferred_total").add(1);
-                util::log_info("executor[" + campaign_ + "]: deferring " +
-                               units_[pending_[slot]].key + " (estimate " +
-                               std::to_string(estimate) + " B over remaining budget)");
-            }
-        }
-        if (!any_unclaimed) {
-            return;
-        }
-        if (pick == pending_.size()) {
-            // Everything left is inadmissible or foreign-leased; park until
-            // a completion (or a lease expiry window) changes the picture.
-            FPTC_TRACE_SPAN("admission_wait");
-            sched_cv_.wait_for(lock, kPark);
-            continue;
-        }
-        claimed_[pick] = 1;
-        ++running_;
-        const std::size_t index = pending_[pick];
-        const std::size_t estimate = units_[index].estimated_bytes;
-        est_outstanding_ += estimate;
-        lock.unlock();
-
-        const std::string& key = units_[index].key;
-        const std::string lease_key = journal_.full_key(key);
-        bool resolved = false;
-        if (cancelled) {
-            run_unit(index);  // marks the unit cancelled without journaling
-            resolved = true;
-        }
-        if (!resolved) {
-            // Adopt a result some other family member already committed —
-            // cheaper than claiming, and the only way to resolve a slot a
-            // live sibling currently owns.
-            const std::lock_guard<std::mutex> lease_lock(lease_mutex_);
-            sibling_journals_->maybe_reload(500);
-            if (auto fields = sibling_journals_->find(lease_key)) {
-                UnitOutcome outcome;
-                outcome_from_record(outcome, key, *std::move(fields));
-                outcomes_[index] = std::move(outcome);
-                util::metrics().counter("fptc_shard_units_adopted_total").add(1);
-                resolved = true;
-            }
-        }
-        if (!resolved) {
-            bool lease_held = false;
-            {
-                const std::lock_guard<std::mutex> lease_lock(lease_mutex_);
-                lease_held = lease_store_->try_claim(lease_key);
-                if (lease_held) {
-                    inflight_keys_.push_back(lease_key);
-                }
-            }
-            if (lease_held) {
-                run_unit(index);
-                const std::lock_guard<std::mutex> lease_lock(lease_mutex_);
-                lease_store_->release(lease_key);
-                inflight_keys_.erase(
-                    std::remove(inflight_keys_.begin(), inflight_keys_.end(), lease_key),
-                    inflight_keys_.end());
-                resolved = true;
-            }
-        }
-
-        lock.lock();
-        --running_;
-        est_outstanding_ -= estimate;
-        if (!resolved) {
-            // An unexpired foreign lease holds the unit: un-claim the slot
-            // and park it for half a TTL (capped at 1s) before looking
-            // again — by then the owner has either committed (adopt) or
-            // died (steal).
-            claimed_[pick] = 0;
-            foreign_until_ms_[pick] =
-                util::now_realtime_ms() +
-                std::min<std::int64_t>(
-                    static_cast<std::int64_t>(config_.lease_ttl_s * 500.0), 1000);
-        }
-        sched_cv_.notify_all();
-    }
-}
-
-void CampaignExecutor::start_heartbeat_thread()
-{
-    heartbeat_stop_ = false;
-    const auto interval = std::chrono::milliseconds(std::max<std::int64_t>(
-        50, static_cast<std::int64_t>(config_.lease_ttl_s * 1000.0 / 3.0)));
-    heartbeat_thread_ = std::thread([this, interval] {
-        std::unique_lock<std::mutex> lock(lease_mutex_);
-        while (!heartbeat_stop_) {
-            heartbeat_cv_.wait_for(lock, interval);
-            if (heartbeat_stop_) {
-                return;
-            }
-            if (!inflight_keys_.empty()) {
-                lease_store_->heartbeat(inflight_keys_);
-            }
-        }
-    });
-}
-
-void CampaignExecutor::stop_heartbeat_thread()
-{
-    {
-        const std::lock_guard<std::mutex> lock(lease_mutex_);
-        heartbeat_stop_ = true;
-    }
-    heartbeat_cv_.notify_all();
-    if (heartbeat_thread_.joinable()) {
-        heartbeat_thread_.join();
-    }
-}
-
-void CampaignExecutor::run_shard_coordinator()
-{
-    const int shards = config_.shards;
-    const std::string base = journal_.base_path();
-    const int worker_jobs = std::max(1, config_.jobs / shards);
-    util::log_info("executor[" + campaign_ + "]: coordinating " + std::to_string(shards) +
-                   " shard worker(s) over " + std::to_string(pending_.size()) +
-                   " pending unit(s), " + std::to_string(worker_jobs) + " job(s) each");
-    util::metrics().counter("fptc_shard_workers_spawned_total").add(shards);
-    (void)util::metrics().counter("fptc_shard_worker_failures_total");
-    const char* trace = std::getenv("FPTC_TRACE");
-    const char* metrics_path = std::getenv("FPTC_METRICS");
-
-    // Fork/exec the fleet.  This runs before the coordinator starts any
-    // worker thread, so the fork happens in a single-threaded process.
-    std::vector<int> pids;
-    pids.reserve(static_cast<std::size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-        std::vector<util::EnvVar> env;
-        env.push_back({"FPTC_SHARD_ID", std::to_string(i), false});
-        env.push_back({"FPTC_JOBS", std::to_string(worker_jobs), false});
-        // Workers own no campaign artifacts: tables and CSVs come from the
-        // coordinator's aggregation pass over the merged journal.
-        env.push_back({"FPTC_ARTIFACTS_DIR", "", true});
-        if (trace != nullptr && *trace != '\0') {
-            env.push_back({"FPTC_TRACE", std::string(trace) + ".shard" + std::to_string(i),
-                           false});
-        }
-        if (metrics_path != nullptr && *metrics_path != '\0') {
-            env.push_back({"FPTC_METRICS",
-                           std::string(metrics_path) + ".shard" + std::to_string(i), false});
-        }
-        pids.push_back(util::spawn_shard_worker(
-            env, util::shard_journal_path(base, i) + ".out"));
-    }
-
-    // Reap the fleet.  A latched shutdown signal is forwarded as SIGTERM so
-    // workers flush and exit through their own cooperative path.
-    std::vector<char> reaped(pids.size(), 0);
-    std::size_t live = pids.size();
-    std::size_t failures = 0;
-    bool term_forwarded = false;
-    while (live > 0) {
-        if (util::shutdown_requested() && !term_forwarded) {
-            term_forwarded = true;
-            util::log_info("executor[" + campaign_ +
-                           "]: shutdown requested; forwarding SIGTERM to the shard fleet");
-            for (std::size_t i = 0; i < pids.size(); ++i) {
-                if (reaped[i] == 0) {
-                    ::kill(static_cast<pid_t>(pids[i]), SIGTERM);
-                }
-            }
-        }
-        bool progressed = false;
-        for (std::size_t i = 0; i < pids.size(); ++i) {
-            if (reaped[i] != 0) {
-                continue;
-            }
-            int status = 0;
-            const pid_t result = ::waitpid(static_cast<pid_t>(pids[i]), &status, WNOHANG);
-            if (result == 0) {
-                continue;
-            }
-            reaped[i] = 1;
-            --live;
-            progressed = true;
-            if (result < 0) {
-                continue;  // ECHILD: already reaped elsewhere; nothing to log
-            }
-            if (WIFSIGNALED(status)) {
-                ++failures;
-                util::metrics().counter("fptc_shard_worker_failures_total").add(1);
-                util::log_info("executor[" + campaign_ + "]: shard " + std::to_string(i) +
-                               " (pid " + std::to_string(pids[i]) + ") killed by signal " +
-                               std::to_string(WTERMSIG(status)));
-            } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-                ++failures;
-                util::metrics().counter("fptc_shard_worker_failures_total").add(1);
-                util::log_info("executor[" + campaign_ + "]: shard " + std::to_string(i) +
-                               " exited with status " + std::to_string(WEXITSTATUS(status)));
-            } else {
-                util::log_debug("executor[" + campaign_ + "]: shard " + std::to_string(i) +
-                                " finished cleanly");
-            }
-        }
-        if (!progressed && live > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-    }
-
-    // Fold the family back together: shard journals into the base journal
-    // (removing the absorbed shard/lease files — every worker has exited),
-    // per-shard telemetry into `.merged` artifacts.  The merged telemetry
-    // goes to new paths because this process's own atexit flush will still
-    // rewrite the plain FPTC_TRACE / FPTC_METRICS files.
-    journal_.absorb_shard_journals(/*remove_shards=*/true);
-    if (trace != nullptr && *trace != '\0') {
-        std::vector<std::string> inputs;
-        for (int i = 0; i < shards; ++i) {
-            inputs.push_back(std::string(trace) + ".shard" + std::to_string(i));
-        }
-        util::merge_trace_files(inputs, std::string(trace) + ".merged");
-    }
-    if (metrics_path != nullptr && *metrics_path != '\0') {
-        std::vector<std::string> inputs;
-        for (int i = 0; i < shards; ++i) {
-            inputs.push_back(std::string(metrics_path) + ".shard" + std::to_string(i) +
-                             ".prom");
-        }
-        util::merge_prometheus_files(inputs, std::string(metrics_path) + ".merged.prom");
-    }
-    if (failures > 0) {
-        util::log_info("executor[" + campaign_ + "]: " + std::to_string(failures) +
-                       " shard worker(s) died; surviving shards stole their leases and any "
-                       "remainder runs locally");
-    }
-}
-
 void CampaignExecutor::run_all()
 {
     if (ran_) {
@@ -675,61 +320,28 @@ void CampaignExecutor::run_all()
         (void)util::metrics().counter(name);
     }
 
-    // Replay journal-completed units up front; only the rest hit the pool
-    // (in worker mode the journal already holds the union of the family's
-    // records, so fleet-wide progress replays here too).
+    // Replay journal-completed units up front; only the rest hit the pool.
     {
         FPTC_TRACE_SPAN("journal_replay");
         pending_.clear();
         for (std::size_t i = 0; i < units_.size(); ++i) {
-            pending_.push_back(i);
+            if (auto fields = journal_.try_replay(units_[i].key)) {
+                outcomes_[i].key = units_[i].key;
+                outcomes_[i].status = UnitStatus::replayed;
+                outcomes_[i].fields = *std::move(fields);
+            } else {
+                pending_.push_back(i);
+            }
         }
-        replay_pending();
-    }
-
-    if (is_shard_coordinator() && !pending_.empty()) {
-        // Coordinator: the fleet executes the pending units; afterwards the
-        // merged base journal replays their results here.  Anything still
-        // unresolved (every shard holding it died) falls through to the
-        // local pool below — completion never depends on fleet luck.
-        run_shard_coordinator();
-        {
-            FPTC_TRACE_SPAN("journal_replay");
-            replay_pending();
-        }
-        if (!pending_.empty()) {
-            util::log_info("executor[" + campaign_ + "]: " + std::to_string(pending_.size()) +
-                           " unit(s) left unfinished by the shard fleet; executing locally");
-        }
+        claimed_.assign(pending_.size(), 0);
+        deferred_marked_.assign(pending_.size(), 0);
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
     const int workers =
         static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(config_.jobs),
                                                pending_.size()));
-    if (is_shard_worker()) {
-        lease_store_.emplace(journal_.base_path(), config_.shard_id, config_.lease_ttl_s);
-        sibling_journals_.emplace(journal_.base_path(), config_.shard_id);
-        (void)util::metrics().counter("fptc_shard_units_stolen_total");
-        (void)util::metrics().counter("fptc_shard_units_adopted_total");
-        start_heartbeat_thread();
-        if (workers <= 1) {
-            worker_loop_sharded();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(static_cast<std::size_t>(workers));
-            for (int i = 0; i < workers; ++i) {
-                pool.emplace_back([this] { worker_loop_sharded(); });
-            }
-            for (auto& thread : pool) {
-                thread.join();
-            }
-        }
-        stop_heartbeat_thread();
-        util::metrics()
-            .counter("fptc_shard_units_stolen_total")
-            .add(static_cast<std::int64_t>(lease_store_->stolen()));
-    } else if (workers <= 1) {
+    if (workers <= 1) {
         worker_loop();
     } else {
         std::vector<std::thread> pool;

@@ -30,8 +30,9 @@
 // happens in submission order, so campaign tables are bit-identical for any
 // FPTC_JOBS value (per-unit RNG streams already exist; the pool only changes
 // *when* a unit runs, never *what* it computes).  Completed units are
-// committed to the PR-1 RunJournal (thread-safe appends), so a killed
-// campaign resumes bit-identically too.
+// committed to the one RunJournal file (thread-safe appends), so a killed
+// campaign resumes bit-identically too.  A campaign runs in one process:
+// FPTC_JOBS threads are the only unit of parallelism.
 //
 // Retry accounting: epoch-level divergence rollbacks (DivergenceGuard) are
 // reported by the *successful* attempt only — each re-execution constructs
@@ -50,23 +51,9 @@
 // in the process.  The constructor calls util::telemetry_init(), so a
 // misconfigured FPTC_TRACE / FPTC_METRICS sink fails before any unit runs.
 //
-// Sharded execution (FPTC_SHARDS=N, requires FPTC_JOURNAL): run_all() turns
-// into a *coordinator* — it fork/execs N copies of the running binary as
-// shard workers (FPTC_SHARD_ID=i) that claim units cross-process via lease
-// records (util/shard.hpp), each appending finished units to its own
-// `<journal>.shard<i>` file.  Workers steal leases whose owner stopped
-// heartbeating (a SIGKILLed shard costs one FPTC_LEASE_TTL_S, not the
-// campaign), journal terminal degradations so siblings stop re-claiming
-// them, and exit before any stdout aggregation (their stdout is captured to
-// `<journal>.shard<i>.out`).  The coordinator reaps the fleet, folds the
-// shard journals back into the base journal, merges per-shard telemetry
-// into `.merged` artifacts, runs any leftover units locally, and then
-// aggregates exactly like a sequential run — so campaign stdout and table
-// artifacts are byte-identical to FPTC_SHARDS unset.
-//
 // Shutdown (util/shutdown.hpp): the constructor installs cooperative
-// SIGTERM/SIGINT handlers; the scheduling loops poll the latched signal and
-// trip the campaign token, and run_all() then journals a `__shutdown__`
+// SIGTERM/SIGINT handlers; the scheduling loop polls the latched signal and
+// trips the campaign token, and run_all() then journals a `__shutdown__`
 // record, flushes telemetry, and exits 128+signum.  The constructor also
 // scavenges orphan durable-I/O temp files (crash debris of a previous
 // incarnation) from the journal and artifact directories.
@@ -75,18 +62,14 @@
 #include "fptc/util/cancel.hpp"
 #include "fptc/util/journal.hpp"
 #include "fptc/util/membudget.hpp"
-#include "fptc/util/shard.hpp"
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace fptc::core {
@@ -138,21 +121,10 @@ struct ExecutorConfig {
     /// whose footprint estimate does not fit what running units leave of the
     /// budget is deferred instead of spawned.
     std::size_t mem_budget_bytes = 0;
-    /// Sharded execution (FPTC_SHARDS; 0 = off): run_all() coordinates this
-    /// many forked worker processes instead of executing locally.
-    int shards = 0;
-    /// Worker identity (FPTC_SHARD_ID; -1 = not a worker).  Set by the
-    /// coordinator in each spawned worker's environment; when >= 0 it takes
-    /// precedence over `shards` (workers inherit FPTC_SHARDS).
-    int shard_id = -1;
-    /// Cross-process lease lifetime (FPTC_LEASE_TTL_S): how long a claimed
-    /// unit survives without a heartbeat before siblings may steal it.
-    double lease_ttl_s = 30.0;
 };
 
 /// Resolve the executor configuration from FPTC_JOBS, FPTC_UNIT_TIMEOUT_S,
-/// FPTC_UNIT_RETRIES, FPTC_UNIT_BACKOFF_MS, FPTC_MEM_BUDGET_MB, FPTC_SHARDS,
-/// FPTC_SHARD_ID and FPTC_LEASE_TTL_S.
+/// FPTC_UNIT_RETRIES, FPTC_UNIT_BACKOFF_MS and FPTC_MEM_BUDGET_MB.
 [[nodiscard]] ExecutorConfig executor_config_from_env();
 
 /// Inputs of a unit's memory-footprint estimate.
@@ -252,18 +224,6 @@ public:
     /// poll, pending units are marked cancelled.  Callable from any thread.
     void cancel_all() const noexcept { campaign_cancel_.cancel(util::CancelKind::cancelled); }
 
-    /// True when this process is a shard worker (FPTC_SHARD_ID >= 0).  Bench
-    /// drivers must skip stdout aggregation and artifact writes in workers —
-    /// only the coordinator (or a sequential run) owns those.
-    [[nodiscard]] bool is_shard_worker() const noexcept { return config_.shard_id >= 0; }
-
-    /// True when run_all() will coordinate a worker fleet (FPTC_SHARDS >= 1
-    /// and not itself a worker).
-    [[nodiscard]] bool is_shard_coordinator() const noexcept
-    {
-        return config_.shards >= 1 && !is_shard_worker();
-    }
-
     [[nodiscard]] const std::vector<UnitOutcome>& outcomes() const noexcept
     {
         return outcomes_;
@@ -306,24 +266,8 @@ private:
 
     void run_unit(std::size_t index);
     void worker_loop();
-    /// Worker-mode scheduling loop: like worker_loop, but every slot is
-    /// claimed cross-process (lease) or adopted from a sibling's journal
-    /// before it runs.
-    void worker_loop_sharded();
-    /// Fill `outcome` for `key` from journaled `fields`, interpreting
-    /// reserved failure records (__status__=degraded) as degraded outcomes.
-    static void outcome_from_record(UnitOutcome& outcome, const std::string& key,
-                                    std::map<std::string, std::string> fields);
-    /// Replay pending slots against the (re-loaded) journal; keeps only the
-    /// still-unresolved ones in pending_.
-    void replay_pending();
-    /// Coordinator path: spawn the worker fleet, reap it, fold the shard
-    /// journals and telemetry back together.
-    void run_shard_coordinator();
     /// Trip the campaign token when a shutdown signal is latched.
     void poll_shutdown() const noexcept;
-    void start_heartbeat_thread();
-    void stop_heartbeat_thread();
 
     std::string campaign_;
     ExecutorConfig config_;
@@ -345,20 +289,6 @@ private:
     std::vector<char> deferred_marked_;  ///< pending slot counted as deferred
     std::size_t running_ = 0;            ///< units currently executing
     std::size_t est_outstanding_ = 0;    ///< estimate sum of running units
-
-    // Shard-worker state: the lease store and sibling-journal view are not
-    // internally synchronized, so every touch happens under lease_mutex_
-    // (shared with the heartbeat thread).  foreign_until_ms_ marks pending
-    // slots recently seen under an unexpired foreign lease, so the claim
-    // loop stops hammering the lease file for them.
-    std::mutex lease_mutex_;
-    std::optional<util::LeaseStore> lease_store_;
-    std::optional<util::ShardJournalSet> sibling_journals_;
-    std::vector<std::int64_t> foreign_until_ms_;  ///< per pending slot
-    std::vector<std::string> inflight_keys_;      ///< leases to heartbeat
-    std::thread heartbeat_thread_;
-    std::condition_variable heartbeat_cv_;
-    bool heartbeat_stop_ = false;
 
     double wall_seconds_ = 0.0;
 };

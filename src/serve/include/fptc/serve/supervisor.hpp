@@ -1,7 +1,7 @@
 // Serve worker supervision: crash containment for the streaming classifier.
 //
-// PR 6 made *campaign* shards crash-recoverable (journal + lease steal);
-// this module does the same for the online serve pipeline.  With
+// The campaign executor makes offline runs crash-recoverable (journal
+// resume); this module does the same for the online serve pipeline.  With
 // FPTC_SERVE_SUPERVISE=1 the serve binary forks into a two-process shape:
 //
 //   supervisor (parent) ── fork/exec /proc/self/exe ──> worker (child)
@@ -12,9 +12,9 @@
 //        │  heartbeat stale ── SIGKILL, then restart        │ + watchdog
 //        │  SIGTERM/SIGINT ─── forward, wait, 128+sig       │ + snapshots
 //
-// The worker is this same binary re-executed (util::spawn_shard_worker,
-// the PR 6 machinery) with FPTC_SERVE_ROLE=worker and its generation
-// number in the environment.  Restart policy:
+// The worker is this same binary re-executed (fork + exec of
+// /proc/self/exe with the same argv) with FPTC_SERVE_ROLE=worker and its
+// generation number in the environment.  Restart policy:
 //
 //   * exponential backoff: FPTC_SERVE_BACKOFF_MS × 2^(restart-1), capped —
 //     a crash loop burns the budget slowly instead of fork-bombing;

@@ -2,10 +2,10 @@
 
 #include "fptc/serve/flightrec.hpp"
 #include "fptc/serve/watchdog.hpp"
+#include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/log.hpp"
-#include "fptc/util/shard.hpp"
 #include "fptc/util/shutdown.hpp"
 
 #include <cerrno>
@@ -53,6 +53,68 @@ namespace {
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
     return status;
+}
+
+/// One environment assignment for the spawned worker.
+struct EnvVar {
+    std::string name;
+    std::string value;  ///< empty + unset=true removes the variable
+    bool unset = false;
+};
+
+/// This process's argv, recovered from /proc/self/cmdline (NUL-separated).
+[[nodiscard]] std::vector<std::string> self_cmdline()
+{
+    const std::string raw = util::read_file("/proc/self/cmdline").value_or("");
+    std::vector<std::string> argv;
+    std::size_t start = 0;
+    while (start < raw.size()) {
+        const auto nul = raw.find('\0', start);
+        const auto end = nul == std::string::npos ? raw.size() : nul;
+        argv.push_back(raw.substr(start, end - start));
+        start = end + 1;
+    }
+    return argv;
+}
+
+/// Fork/exec the worker: re-runs this process's own binary and argv
+/// (/proc/self/exe, /proc/self/cmdline) with `env` applied; the child
+/// shares the supervisor's stdout.  Returns the child pid; throws IoError
+/// when the fork or the argv recovery fails.  Called from the supervisor's
+/// single thread, so the child may use the heap until exec.
+[[nodiscard]] int spawn_self(const std::vector<EnvVar>& env)
+{
+    const auto argv_strings = self_cmdline();
+    if (argv_strings.empty()) {
+        throw util::IoError("spawn_self: cannot read /proc/self/cmdline", /*transient=*/false);
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+        const int err = errno;
+        throw util::IoError("spawn_self: fork failed: " + std::string(std::strerror(err)),
+                            err == EAGAIN);
+    }
+    if (pid > 0) {
+        return static_cast<int>(pid);
+    }
+    for (const auto& var : env) {
+        if (var.unset) {
+            ::unsetenv(var.name.c_str());
+        } else {
+            ::setenv(var.name.c_str(), var.value.c_str(), 1);
+        }
+    }
+    std::vector<char*> argv;
+    argv.reserve(argv_strings.size() + 1);
+    for (const auto& arg : argv_strings) {
+        argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv("/proc/self/exe", argv.data());
+    // exec failed: nothing sane to do in the child but die loudly.
+    const char* note = "[fptc] spawn_self: execv(/proc/self/exe) failed\n";
+    [[maybe_unused]] const auto n = ::write(STDERR_FILENO, note, std::strlen(note));
+    ::_exit(127);
 }
 
 } // namespace
@@ -134,7 +196,7 @@ int run_supervisor(const SupervisorConfig& config)
     int last_status = 0;
     while (true) {
         const bool final_attempt = restarts == config.max_restarts && config.max_restarts > 0;
-        std::vector<util::EnvVar> env{
+        std::vector<EnvVar> env{
             {kServeRoleEnv, kServeRoleWorker, false},
             {kServeGenerationEnv, std::to_string(restarts), false},
         };
@@ -161,7 +223,7 @@ int run_supervisor(const SupervisorConfig& config)
         }
 
         const double spawned_at = wall_seconds();
-        const int pid = util::spawn_shard_worker(env, /*stdout_path=*/"");
+        const int pid = spawn_self(env);
         util::log_info("serve supervisor: worker generation " + std::to_string(restarts) +
                        " started (pid " + std::to_string(pid) + ")");
 

@@ -1,6 +1,5 @@
 #include "fptc/util/durable.hpp"
 
-#include "fptc/util/env.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/telemetry.hpp"
 
@@ -15,13 +14,8 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/vfs.h>
-#endif
 
 namespace fptc::util {
 
@@ -210,95 +204,6 @@ std::string parent_dir_of(const std::string& path)
         return "/";
     }
     return path.substr(0, slash);
-}
-
-std::string filesystem_name_of(const std::string& path)
-{
-#if defined(__linux__)
-    struct statfs info{};
-    if (::statfs(path.c_str(), &info) != 0 &&
-        ::statfs(parent_dir_of(path).c_str(), &info) != 0) {
-        return "unknown";
-    }
-    switch (static_cast<unsigned long>(info.f_type)) {
-    case 0x6969: return "nfs";            // NFS_SUPER_MAGIC
-    case 0xEF53: return "ext4";           // EXT2/3/4_SUPER_MAGIC
-    case 0x58465342: return "xfs";
-    case 0x9123683E: return "btrfs";
-    case 0x01021994: return "tmpfs";
-    case 0x794C7630: return "overlayfs";
-    case 0x65735546: return "fuse";
-    case 0xFF534D42: return "cifs";
-    case 0x6165676C: return "pstorefs";
-    default: {
-        char magic[32];
-        std::snprintf(magic, sizeof(magic), "unknown(0x%lx)",
-                      static_cast<unsigned long>(info.f_type));
-        return magic;
-    }
-    }
-#else
-    (void)path;
-    return "unknown";
-#endif
-}
-
-void probe_flock(const std::string& path)
-{
-    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        const int err = errno;
-        throw IoError("probe_flock: cannot open " + path + ": " + errno_text(err),
-                      errno_is_transient(err));
-    }
-    int rc = 0;
-    while ((rc = ::flock(fd, LOCK_EX | LOCK_NB)) != 0 && errno == EINTR) {
-    }
-    const int err = errno;
-    if (rc == 0) {
-        ::flock(fd, LOCK_UN);
-    }
-    ::close(fd);
-    if (rc == 0 || err == EWOULDBLOCK || err == EAGAIN) {
-        return;  // lock taken, or legitimately held by a sibling: flock works
-    }
-    if (err == ENOLCK || err == ENOSYS || err == EOPNOTSUPP) {
-        throw EnvError("flock is not functional on " + path + " (filesystem: " +
-                       filesystem_name_of(path) + "): " + errno_text(err) +
-                       " — the shard lease protocol needs real advisory locks; NFS "
-                       "mounts without lock support cannot host FPTC_JOURNAL, point it "
-                       "at a local filesystem");
-    }
-    throw IoError("probe_flock: flock of " + path + " failed: " + errno_text(err),
-                  /*transient=*/false);
-}
-
-FileLock::FileLock(const std::string& path) : path_(path)
-{
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd_ < 0) {
-        const int err = errno;
-        throw IoError("FileLock: cannot open " + path + ": " + errno_text(err),
-                      errno_is_transient(err));
-    }
-    while (::flock(fd_, LOCK_EX) != 0) {
-        if (errno == EINTR) {
-            continue;
-        }
-        const int err = errno;
-        ::close(fd_);
-        fd_ = -1;
-        throw IoError("FileLock: flock of " + path + " failed: " + errno_text(err),
-                      /*transient=*/false);
-    }
-}
-
-FileLock::~FileLock()
-{
-    if (fd_ >= 0) {
-        ::flock(fd_, LOCK_UN);
-        ::close(fd_);
-    }
 }
 
 std::size_t scavenge_orphan_temps(const std::string& dir)

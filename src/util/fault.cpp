@@ -2,7 +2,6 @@
 
 #include "fptc/util/env.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace fptc::util {
@@ -23,7 +22,6 @@ void FaultInjector::configure(const FaultPlan& plan)
     unit_executions_transient_ = 0;
     durable_bytes_ = 0;
     durable_writes_ = 0;
-    shard_unit_completions_ = 0;
     serve_backend_calls_ = 0;
     serve_stream_events_ = 0;
     serve_batches_ = 0;
@@ -36,6 +34,8 @@ void FaultInjector::configure(const FaultPlan& plan)
     // Bumping the epoch lazily invalidates every thread's byte scope.
     alloc_scope_epoch_.fetch_add(1, std::memory_order_relaxed);
     alloc_rejections_.store(0, std::memory_order_relaxed);
+    serve_stream_armed_.store(plan.serve_mangle_percent > 0.0 || plan.serve_burst > 0,
+                              std::memory_order_relaxed);
 }
 
 bool FaultInjector::enabled() const noexcept
@@ -46,7 +46,6 @@ bool FaultInjector::enabled() const noexcept
            plan_.enospc_after_bytes > 0 || plan_.short_writes > 0 ||
            plan_.fsync_failures > 0 || plan_.crash_at_write > 0 ||
            plan_.alloc_fail_after_mb > 0 || plan_.alloc_fail_units > 0 ||
-           (plan_.kill_shard >= 0 && plan_.kill_shard_at_unit > 0) ||
            plan_.serve_stall_backend > 0 || plan_.serve_mangle_percent > 0.0 ||
            plan_.serve_burst > 0 || plan_.serve_hang_at_batch > 0 ||
            plan_.kill_serve_at_snapshot > 0;
@@ -210,20 +209,6 @@ bool FaultInjector::inject_unit_alloc_fail(std::size_t unit_index)
     return true;
 }
 
-bool FaultInjector::inject_shard_kill(int shard_id)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.kill_shard < 0 || plan_.kill_shard_at_unit <= 0 || shard_id != plan_.kill_shard) {
-        return false;
-    }
-    ++shard_unit_completions_;
-    if (shard_unit_completions_ != static_cast<std::uint64_t>(plan_.kill_shard_at_unit)) {
-        return false;
-    }
-    ++counters_.shard_kills;
-    return true;
-}
-
 bool FaultInjector::inject_serve_backend_stall()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -238,6 +223,9 @@ bool FaultInjector::inject_serve_backend_stall()
 
 bool FaultInjector::inject_serve_mangle()
 {
+    if (!serve_stream_armed_.load(std::memory_order_relaxed)) {
+        return false;
+    }
     const std::lock_guard<std::mutex> lock(mutex_);
     if (plan_.serve_mangle_percent <= 0.0) {
         return false;
@@ -251,6 +239,9 @@ bool FaultInjector::inject_serve_mangle()
 
 int FaultInjector::inject_serve_burst()
 {
+    if (!serve_stream_armed_.load(std::memory_order_relaxed)) {
+        return 0;
+    }
     const std::lock_guard<std::mutex> lock(mutex_);
     if (plan_.serve_burst <= 0) {
         return 0;
@@ -310,7 +301,6 @@ std::string FaultInjector::summary() const
         << counts.short_write_clamps << " fsync_fail=" << counts.fsync_failures
         << " alloc_reject=" << counts.alloc_rejections
         << " alloc_units=" << counts.alloc_unit_failures
-        << " shard_kills=" << counts.shard_kills
         << " serve_stalls=" << counts.serve_backend_stalls
         << " serve_mangled=" << counts.serve_mangled_packets
         << " serve_bursts=" << counts.serve_bursts
@@ -343,23 +333,6 @@ FaultPlan fault_plan_from_env()
     plan.serve_hang_at_batch = static_cast<int>(env_int("FPTC_FAULT_SERVE_HANG").value_or(0));
     plan.kill_serve_at_snapshot =
         static_cast<int>(env_int("FPTC_FAULT_KILL_SERVE").value_or(0));
-    // "s:k" = kill shard s after its k-th unit; a plain "k" targets shard 0.
-    if (const char* spec = std::getenv("FPTC_FAULT_KILL_SHARD");
-        spec != nullptr && *spec != '\0') {
-        char* end = nullptr;
-        const long first = std::strtol(spec, &end, 10);
-        if (end != spec && *end == ':') {
-            const char* rest = end + 1;
-            const long at = std::strtol(rest, &end, 10);
-            if (end != rest && *end == '\0' && first >= 0 && at > 0) {
-                plan.kill_shard = static_cast<int>(first);
-                plan.kill_shard_at_unit = static_cast<int>(at);
-            }
-        } else if (end != spec && *end == '\0' && first > 0) {
-            plan.kill_shard = 0;
-            plan.kill_shard_at_unit = static_cast<int>(first);
-        }
-    }
     return plan;
 }
 

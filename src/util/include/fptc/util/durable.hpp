@@ -95,54 +95,15 @@ private:
 /// must serialize externally (RunJournal holds its mutex across the call).
 void durable_append_line(const std::string& path, std::string_view line);
 
-/// Advisory cross-process mutex: construction opens `path` (O_CREAT) and
-/// blocks in flock(LOCK_EX); destruction unlocks and closes.  Shard workers
-/// serialize lease-file transactions and journal merges through one lock
-/// file per journal directory.  flock is per open-file-description, so
-/// distinct FileLock instances in one process also exclude each other —
-/// but the lock is NOT recursive; holding two FileLocks on the same path in
-/// one thread deadlocks.  Throws IoError when the lock file cannot be
-/// opened (a failed flock itself is fatal too: silent lock elision would
-/// corrupt the lease protocol).
-class FileLock {
-public:
-    explicit FileLock(const std::string& path);
-    FileLock(const FileLock&) = delete;
-    FileLock& operator=(const FileLock&) = delete;
-    ~FileLock();
-
-    [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
-private:
-    std::string path_;
-    int fd_ = -1;
-};
-
 /// Directory of `path` ("." for a bare filename, "/" for root children).
 [[nodiscard]] std::string parent_dir_of(const std::string& path);
-
-/// Human-readable name of the filesystem hosting `path` ("nfs", "ext4",
-/// "tmpfs", ...), via statfs f_type; falls back to the parent directory
-/// when `path` does not exist yet and to "unknown(0x<f_type>)" for magics
-/// outside the mapped set.  Diagnostic only — never throws.
-[[nodiscard]] std::string filesystem_name_of(const std::string& path);
-
-/// Startup probe that flock() actually *works* on the filesystem hosting
-/// `path`: opens the file (O_CREAT), takes LOCK_EX | LOCK_NB and releases
-/// it.  A refusal with ENOLCK / ENOSYS / EOPNOTSUPP — the signatures of a
-/// filesystem without functional advisory locks, classically an NFS mount
-/// without lockd — throws EnvError naming the filesystem, because the shard
-/// lease protocol built on FileLock would silently stop excluding anything
-/// there.  EWOULDBLOCK (a sibling currently holds the lock) proves flock
-/// works and passes.  Open failures throw IoError like FileLock itself.
-void probe_flock(const std::string& path);
 
 /// Startup scavenge of crash debris: unlink `*.tmp.<pid>.<seq>` files in
 /// `dir` whose creating process is gone (kill(pid, 0) == ESRCH).  A crash
 /// between a DurableFile's write and its commit leaks exactly such a temp;
-/// a live writer's in-flight temps (same or sibling shard process) are left
-/// alone.  Returns the number of files removed; a missing or unreadable
-/// directory scavenges nothing.
+/// a live writer's in-flight temps (this process or another running one)
+/// are left alone.  Returns the number of files removed; a missing or
+/// unreadable directory scavenges nothing.
 std::size_t scavenge_orphan_temps(const std::string& dir);
 
 /// Throwing writability probe: opens `path` for append (creating it if

@@ -47,12 +47,6 @@
 //                                 initial executions only — a shrink retry
 //                                 is spared, so targeted units shrink once
 //                                 and then succeed deterministically)
-//   FPTC_FAULT_KILL_SHARD=s:k     SIGKILL shard worker s right after its k-th
-//                                 unit execution finishes but *before* the
-//                                 journal commit — the worker dies holding
-//                                 its lease with maximal lost work (plain
-//                                 "k" targets shard 0; sequential runs and
-//                                 other shards are unaffected)
 //   FPTC_FAULT_SERVE_STALL_BACKEND=n  the first n streaming-serve backend
 //                                 classify calls stall until the batch
 //                                 deadline trips them (or a hard cap
@@ -116,8 +110,6 @@ struct FaultPlan {
     int crash_at_write = 0;        ///< _exit at the k-th durable write (0 = off)
     std::int64_t alloc_fail_after_mb = 0;  ///< per-unit-execution charge budget in MB (0 = off)
     int alloc_fail_units = 0;      ///< refuse the first reservation of units 0..n-1 (0 = off)
-    int kill_shard = -1;           ///< shard id to SIGKILL (-1 = off)
-    int kill_shard_at_unit = 0;    ///< kill after the target shard's k-th unit (0 = off)
     int serve_stall_backend = 0;   ///< first n serve backend classify calls stall
     double serve_mangle_percent = 0.0;  ///< % of stream packet events mangled
     int serve_burst = 0;           ///< extra packets injected per burst point (0 = off)
@@ -137,7 +129,6 @@ struct FaultCounters {
     std::uint64_t fsync_failures = 0;    ///< durable fsyncs failed with EIO
     std::uint64_t alloc_rejections = 0;  ///< accountant reservations refused (AFTER_MB)
     std::uint64_t alloc_unit_failures = 0; ///< units targeted by ALLOC_FAIL_UNITS
-    std::uint64_t shard_kills = 0;       ///< shard-kill trigger points reached
     std::uint64_t serve_backend_stalls = 0;  ///< serve backend classify calls stalled
     std::uint64_t serve_mangled_packets = 0; ///< stream packet events mangled
     std::uint64_t serve_bursts = 0;          ///< burst points injected into the stream
@@ -148,7 +139,7 @@ struct FaultCounters {
     {
         return nan_losses + truncated_writes + corrupted_csv_rows + stalled_units +
                transient_units + enospc_failures + short_write_clamps + fsync_failures +
-               alloc_rejections + alloc_unit_failures + shard_kills + serve_backend_stalls +
+               alloc_rejections + alloc_unit_failures + serve_backend_stalls +
                serve_mangled_packets + serve_bursts + serve_hangs + serve_kills;
     }
 };
@@ -223,13 +214,6 @@ public:
     /// for any FPTC_JOBS.
     [[nodiscard]] bool inject_unit_alloc_fail(std::size_t unit_index);
 
-    /// Consulted by a shard worker after each unit execution finishes,
-    /// before the journal commit, with its own shard id; true exactly once —
-    /// when shard `kill_shard` completes its kill_shard_at_unit-th unit.
-    /// The caller must then raise(SIGKILL): the lease stays held, the
-    /// finished work is lost, and a sibling must steal the unit.
-    [[nodiscard]] bool inject_shard_kill(int shard_id);
-
     /// Consulted once per streaming-serve backend classify call; true = this
     /// call must stall (sleep polling its CancelToken) until the batch
     /// deadline trips it or the caller's hard cap elapses.  First-n
@@ -273,7 +257,6 @@ private:
     std::uint64_t unit_executions_transient_ = 0;
     std::uint64_t durable_bytes_ = 0;   ///< cumulative bytes through the shim
     std::uint64_t durable_writes_ = 0;  ///< shim write calls (crash kill-point index)
-    std::uint64_t shard_unit_completions_ = 0;  ///< kill-shard trigger index
     std::uint64_t serve_backend_calls_ = 0;     ///< serve stall first-n index
     std::uint64_t serve_stream_events_ = 0;     ///< burst cadence counter (every 64th)
     std::uint64_t serve_batches_ = 0;           ///< serve-hang trigger index
@@ -286,6 +269,11 @@ private:
     std::atomic<std::uint64_t> alloc_fail_threshold_bytes_{0};  ///< 0 = unarmed
     std::atomic<std::uint64_t> alloc_scope_epoch_{1};
     std::atomic<std::uint64_t> alloc_rejections_{0};
+
+    // The two stream classes are consulted for every generated packet event
+    // on the serve driver's hot path; while neither is armed, one relaxed
+    // load answers both instead of two lock round trips.
+    std::atomic<bool> serve_stream_armed_{false};
 };
 
 /// The process-wide injector.  First use configures it from the

@@ -51,54 +51,6 @@ struct JournalRecord {
 /// Parse one journal line; std::nullopt on torn/malformed input.
 [[nodiscard]] std::optional<JournalRecord> parse_json_line(const std::string& line);
 
-/// Read every parseable record of a journal file (missing file = empty).
-/// Torn/malformed lines are skipped and counted into `*discarded` when
-/// given.  Later lines with a repeated key supersede earlier ones, exactly
-/// like RunJournal's load.
-[[nodiscard]] std::vector<JournalRecord> read_journal_records(const std::string& path,
-                                                              std::size_t* discarded = nullptr);
-
-// ---------------------------------------------------------------------------
-// Shard namespacing: a sharded campaign (FPTC_SHARDS) keeps one journal
-// *family* per base path — workers append to `<base>.shard<i>` so the hot
-// append path never contends across processes, claims/heartbeats live in
-// `<base>.leases`, and every cross-process transaction (lease ops, merges)
-// serializes on the `<base>.lock` flock file.  merge_shard_journals folds
-// the shard files back into the base journal so a sequential resume (or the
-// coordinator's aggregation pass) sees one flat record set.
-// ---------------------------------------------------------------------------
-
-/// Append target of shard `shard_id`: `<base>.shard<i>`.
-[[nodiscard]] std::string shard_journal_path(const std::string& base, int shard_id);
-
-/// Lease journal shared by all shards: `<base>.leases`.
-[[nodiscard]] std::string shard_lease_path(const std::string& base);
-
-/// flock file serializing lease transactions and merges: `<base>.lock`.
-[[nodiscard]] std::string shard_lock_path(const std::string& base);
-
-/// Existing `<base>.shard<i>` files, sorted by shard id (companion files
-/// like `<base>.shard0.out` are excluded).
-[[nodiscard]] std::vector<std::string> list_shard_journals(const std::string& base);
-
-/// Fold every existing shard journal into the base journal: under the
-/// family's file lock, union base + shard records (shard files win over the
-/// base, later shard ids over earlier — committed fields are deterministic
-/// per key, so the choice only breaks exact ties) and rewrite the base
-/// atomically.  With `remove_shards`, the absorbed shard files and the
-/// lease/lock files are unlinked afterwards — only safe once every worker
-/// has exited.  Returns the number of records in the merged base.
-std::size_t merge_shard_journals(const std::string& base, bool remove_shards);
-
-/// Reserved field names of a failure record: a shard that degrades a unit
-/// terminally journals {key, __status__=degraded, __error__=<chain>,
-/// __final__=<error class>} so surviving shards stop re-claiming it and the
-/// coordinator replays the degradation instead of the unit.
-inline constexpr const char* kStatusField = "__status__";
-inline constexpr const char* kErrorField = "__error__";
-inline constexpr const char* kFinalErrorField = "__final__";
-inline constexpr const char* kDegradedStatus = "degraded";
-
 /// Write `content` to `path` atomically and durably: temp file in the same
 /// directory, fsynced, renamed over the target, parent directory fsynced
 /// (a thin wrapper over util::DurableFile).  Readers never observe a
@@ -134,13 +86,6 @@ public:
     /// lines and superseded duplicates).
     void compact();
 
-    /// Merge foreign records (another shard's journal) into this one:
-    /// in-memory only — pair with compact() to persist the union.  Every
-    /// record overwrites any same-key entry (callers order inputs so the
-    /// intended winner comes last).  Returns how many records were new or
-    /// changed.
-    std::size_t absorb(const std::vector<JournalRecord>& records);
-
     [[nodiscard]] std::size_t size() const;
 
     /// Records loaded from disk at open time.
@@ -165,32 +110,12 @@ private:
 /// campaign name so several benches can share one journal file.
 class CampaignJournal {
 public:
-    /// `shard_id` >= 0 puts the journal in shard-worker mode: appends go to
-    /// shard_journal_path(FPTC_JOURNAL, shard_id) and the load additionally
-    /// absorbs the base journal plus every sibling shard journal, so a
-    /// worker replays units any member of the fleet already finished.
-    explicit CampaignJournal(std::string campaign, int shard_id = -1);
+    explicit CampaignJournal(std::string campaign);
 
     [[nodiscard]] bool enabled() const noexcept { return journal_.has_value(); }
 
-    /// FPTC_JOURNAL as given ("" when journaling is disabled) — the family
-    /// base that shard/lease/lock paths derive from.  In shard-worker mode
-    /// this differs from the RunJournal's own (shard) path.
-    [[nodiscard]] const std::string& base_path() const noexcept { return base_path_; }
-
-    /// Campaign-namespaced key as stored on disk ("<campaign>|<key>") —
-    /// lease records use the same namespace so several benches can share
-    /// one journal family.
-    [[nodiscard]] std::string full_key(const std::string& key) const
-    {
-        return campaign_ + "|" + key;
-    }
-
-    /// Coordinator merge: fold every shard journal into the base journal
-    /// (merge_shard_journals) and reload the absorbed records into this
-    /// instance so try_replay sees the fleet's results.  Returns the number
-    /// of records newly visible.  No-op when journaling is disabled.
-    std::size_t absorb_shard_journals(bool remove_shards);
+    /// FPTC_JOURNAL as given ("" when journaling is disabled).
+    [[nodiscard]] std::string path() const { return journal_ ? journal_->path() : std::string(); }
 
     /// Replay the recorded fields for `key`, or execute `run` and commit
     /// what it returns.  Without a journal, always executes.
@@ -216,7 +141,6 @@ public:
 private:
     mutable std::mutex mutex_;  ///< guards the replay/execute counters
     std::string campaign_;
-    std::string base_path_;  ///< FPTC_JOURNAL ("" = disabled)
     std::optional<RunJournal> journal_;
     std::size_t replayed_ = 0;
     std::size_t executed_ = 0;

@@ -1,21 +1,22 @@
 // Signal-safe campaign shutdown.
 //
-// A sharded fleet run is managed with process signals: the coordinator
-// forwards SIGTERM to its workers, operators Ctrl-C interactive runs, and
-// schedulers kill over-budget jobs.  A shard that dies without flushing its
-// telemetry sinks or journaling how far it got wastes the post-mortem; this
-// module makes SIGTERM/SIGINT *cooperative* instead of fatal:
+// Long campaigns are managed with process signals: operators Ctrl-C
+// interactive runs, schedulers kill over-budget jobs, and the serve
+// supervisor forwards SIGTERM to its worker.  A process that dies without
+// flushing its telemetry sinks or journaling how far it got wastes the
+// post-mortem; this module makes SIGTERM/SIGINT *cooperative* instead of
+// fatal:
 //
 //   * install_shutdown_handlers() (idempotent, called by every
 //     CampaignExecutor) installs handlers that only set an atomic flag —
 //     nothing async-signal-unsafe runs in signal context,
-//   * the executor's scheduling loops poll shutdown_signal() and trip the
+//   * the executor's scheduling loop polls shutdown_signal() and trips the
 //     campaign-wide CancelToken, so running units unwind at their next
 //     per-batch poll,
 //   * run_all() then appends a final `__shutdown__` journal record (signal,
 //     progress counters), flushes trace/metrics/profile sinks, and exits
-//     with the conventional 128+signum status — a killed shard still leaves
-//     a parseable journal and valid telemetry artifacts behind.
+//     with the conventional 128+signum status — a terminated campaign still
+//     leaves a parseable journal and valid telemetry artifacts behind.
 //
 // A second SIGTERM/SIGINT is an operator insisting: the handler _exits
 // immediately with 128+signum (skipping flushes), so a wedged unit cannot

@@ -11,9 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include <dirent.h>
-#include <unistd.h>
-
 namespace fptc::util {
 
 std::string json_escape(const std::string& text)
@@ -174,127 +171,6 @@ void atomic_write_file(const std::string& path, const std::string& content)
     DurableFile::write_file(path, content);
 }
 
-std::vector<JournalRecord> read_journal_records(const std::string& path, std::size_t* discarded)
-{
-    std::vector<JournalRecord> records;
-    std::map<std::string, std::size_t> index;  // key -> slot, last record wins
-    std::ifstream in(path);
-    if (!in) {
-        return records;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) {
-            continue;
-        }
-        auto record = parse_json_line(line);
-        if (!record) {
-            if (discarded != nullptr) {
-                ++*discarded;
-            }
-            continue;
-        }
-        const auto it = index.find(record->key);
-        if (it == index.end()) {
-            index[record->key] = records.size();
-            records.push_back(*std::move(record));
-        } else {
-            records[it->second] = *std::move(record);
-        }
-    }
-    return records;
-}
-
-std::string shard_journal_path(const std::string& base, int shard_id)
-{
-    return base + ".shard" + std::to_string(shard_id);
-}
-
-std::string shard_lease_path(const std::string& base)
-{
-    return base + ".leases";
-}
-
-std::string shard_lock_path(const std::string& base)
-{
-    return base + ".lock";
-}
-
-std::vector<std::string> list_shard_journals(const std::string& base)
-{
-    const std::string dir = parent_dir_of(base);
-    const auto slash = base.find_last_of('/');
-    const std::string prefix =
-        (slash == std::string::npos ? base : base.substr(slash + 1)) + ".shard";
-    // shard id -> path, so the returned order is by shard id regardless of
-    // readdir order (merge precedence must be deterministic).
-    std::map<long, std::string> found;
-    DIR* handle = ::opendir(dir.c_str());
-    if (handle == nullptr) {
-        return {};
-    }
-    while (const dirent* entry = ::readdir(handle)) {
-        const std::string name = entry->d_name;
-        if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
-            continue;
-        }
-        const std::string tail = name.substr(prefix.size());
-        if (tail.find_first_not_of("0123456789") != std::string::npos) {
-            continue;  // companion files (.shardN.out, .shardN.trace, ...)
-        }
-        found[std::strtol(tail.c_str(), nullptr, 10)] = dir + "/" + name;
-    }
-    ::closedir(handle);
-    std::vector<std::string> paths;
-    paths.reserve(found.size());
-    for (const auto& [id, path] : found) {
-        paths.push_back(path);
-    }
-    return paths;
-}
-
-std::size_t merge_shard_journals(const std::string& base, bool remove_shards)
-{
-    const FileLock lock(shard_lock_path(base));
-    // Base first, shards in id order: any same-key collision resolves to
-    // the highest shard id, and shard results always supersede a stale base
-    // entry.  Unit results are deterministic per key, so precedence only
-    // matters for exact byte ties anyway.
-    std::map<std::string, std::size_t> index;
-    std::vector<JournalRecord> merged;
-    const auto shard_paths = list_shard_journals(base);
-    std::vector<std::string> sources{base};
-    sources.insert(sources.end(), shard_paths.begin(), shard_paths.end());
-    for (const auto& source : sources) {
-        for (auto& record : read_journal_records(source)) {
-            const auto it = index.find(record.key);
-            if (it == index.end()) {
-                index[record.key] = merged.size();
-                merged.push_back(std::move(record));
-            } else {
-                merged[it->second] = std::move(record);
-            }
-        }
-    }
-    std::string content;
-    for (const auto& record : merged) {
-        content += to_json_line(record);
-        content += '\n';
-    }
-    atomic_write_file(base, content);
-    if (remove_shards) {
-        for (const auto& path : shard_paths) {
-            ::unlink(path.c_str());
-        }
-        ::unlink(shard_lease_path(base).c_str());
-        // The flock fd stays valid past the unlink; only safe because every
-        // worker has exited, so no late claimer can recreate-and-lock a
-        // second lock file concurrently.
-        ::unlink(shard_lock_path(base).c_str());
-    }
-    return merged.size();
-}
-
 RunJournal::RunJournal(std::string path) : path_(std::move(path))
 {
     // Validate writability up front: a bad path must fail here, before the
@@ -378,76 +254,23 @@ void RunJournal::compact()
     atomic_write_file(path_, content);
 }
 
-std::size_t RunJournal::absorb(const std::vector<JournalRecord>& records)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t changed = 0;
-    for (const auto& record : records) {
-        const auto it = records_.find(record.key);
-        if (it == records_.end()) {
-            order_.push_back(record.key);
-            records_[record.key] = record.fields;
-            ++changed;
-        } else if (it->second != record.fields) {
-            it->second = record.fields;
-            ++changed;
-        }
-    }
-    return changed;
-}
-
 std::size_t RunJournal::size() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     return order_.size();
 }
 
-CampaignJournal::CampaignJournal(std::string campaign, int shard_id)
-    : campaign_(std::move(campaign))
+CampaignJournal::CampaignJournal(std::string campaign) : campaign_(std::move(campaign))
 {
     const char* path = std::getenv("FPTC_JOURNAL");
     if (path == nullptr || *path == '\0') {
         return;
     }
-    base_path_ = path;
-    if (shard_id < 0) {
-        journal_.emplace(base_path_);
-    } else {
-        // Shard worker: the hot append path is private (<base>.shard<i>, no
-        // cross-process contention), but the initial view must be the whole
-        // family — base journal plus every sibling — so a restarted fleet
-        // replays units any member already finished.
-        journal_.emplace(shard_journal_path(base_path_, shard_id));
-        const std::string own_path = journal_->path();
-        std::size_t absorbed = journal_->absorb(read_journal_records(base_path_));
-        for (const auto& sibling : list_shard_journals(base_path_)) {
-            if (sibling != own_path) {
-                absorbed += journal_->absorb(read_journal_records(sibling));
-            }
-        }
-        if (absorbed > 0) {
-            log_debug("journal: shard " + std::to_string(shard_id) + " absorbed " +
-                      std::to_string(absorbed) + " record(s) from the journal family");
-        }
-    }
+    journal_.emplace(path);
     if (journal_->size() > 0) {
         log_info("journal: resuming from " + journal_->path() + " (" +
                  std::to_string(journal_->size()) + " completed unit(s) on record)");
     }
-}
-
-std::size_t CampaignJournal::absorb_shard_journals(bool remove_shards)
-{
-    if (!journal_) {
-        return 0;
-    }
-    const std::size_t before = journal_->size();
-    merge_shard_journals(base_path_, remove_shards);
-    const std::size_t absorbed = journal_->absorb(read_journal_records(base_path_));
-    log_info("journal: merged shard journals into " + base_path_ + " (" +
-             std::to_string(absorbed) + " new record(s), " +
-             std::to_string(before) + " already known)");
-    return absorbed;
 }
 
 std::map<std::string, std::string> CampaignJournal::run_or_replay(

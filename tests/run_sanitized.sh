@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Build and run the test suite under sanitizers.  Five stages:
+# Build and run the test suite under sanitizers.  Seven stages:
 #
 #   1. the full suite under AddressSanitizer + UBSan ("asan-ubsan" preset) —
 #      excluding the CrashTortureQuick / MemBudgetQuick bench gates, whose
@@ -10,6 +10,7 @@
 #   3. a bounded (<60s) kill-point torture sweep (tests/run_torture.sh
 #      --quick) against the default optimized build: crash at the first
 #      durable writes, resume from the journal, assert bit-identical tables,
+#      then SIGTERM a campaign and assert its cooperative shutdown,
 #   4. the resource-governance gate (tests/run_membudget.sh) against the
 #      same build: a tight FPTC_MEM_BUDGET_MB must degrade gracefully with
 #      peak <= budget and balanced accounting,
@@ -17,18 +18,14 @@
 #      tracing + metrics armed on a threaded campaign must be race-free,
 #      keep stdout bit-identical and export valid trace/metrics JSON (the
 #      overhead micro-gate is skipped — sanitized timings are meaningless),
-#   6. the sharded-execution gate (tests/run_shard_torture.sh --quick)
-#      against the optimized build: multi-process campaign with a worker
-#      SIGKILLed mid-unit must resume via lease stealing and produce stdout
-#      and table artifacts byte-identical to a sequential run,
-#   7. the overload-resilience gate (tests/run_serve_torture.sh --quick)
+#   6. the overload-resilience gate (tests/run_serve_torture.sh --quick)
 #      against BOTH sanitized builds: the streaming classifier under
 #      backend stalls, mangled packets and microbursts must never abort,
 #      type every shed and balance the MemBudget — race-free under tsan,
 #      leak-free under asan; the flight-recorder postmortem seal/decode
 #      and live-status scenarios run in the same sweep (the overhead
 #      micro-gate is skipped — no micro_benchmarks arg is passed),
-#   8. the drift / model-lifecycle gate (tests/run_serve_torture.sh
+#   7. the drift / model-lifecycle gate (tests/run_serve_torture.sh
 #      --quick --drift) against BOTH sanitized builds: no false drift
 #      alarms on a stationary stream, alarms after a scripted shift,
 #      unknown-flood open-set rejection, and the canary reload/rollback
@@ -51,10 +48,10 @@ cmake --build --preset asan-ubsan -j "$(nproc)"
 ctest --preset asan-ubsan -j "$(nproc)" -E 'CrashTortureQuick|MemBudgetQuick|TelemetryQuick|ServeTortureQuick|ServeDriftQuick' "$@"
 
 cmake --preset tsan
-cmake --build --preset tsan -j "$(nproc)" --target test_executor test_util test_membudget test_telemetry test_shard test_serve test_serve_recovery test_serve_drift test_serve_flightrec
+cmake --build --preset tsan -j "$(nproc)" --target test_executor test_util test_membudget test_telemetry test_serve test_serve_recovery test_serve_drift test_serve_flightrec
 ctest --preset tsan -j "$(nproc)" \
-    -R 'Executor|CancelToken|Journal|Backoff|ExceptionTaxonomy|MemBudget|Charge|Tracing|Histogram|Metrics|EnvValidation|Shard|Lease|Scavenge|Shutdown|FaultKillShard|TelemetryMerge|Serve|ServeDrift|Drift|Calibration' \
-    -E 'MemBudgetQuick|TelemetryQuick|ShardTortureQuick|ServeTortureQuick|ServeDriftQuick'
+    -R 'Executor|CancelToken|Journal|Backoff|ExceptionTaxonomy|MemBudget|Charge|Tracing|Histogram|Metrics|EnvValidation|Scavenge|Shutdown|Serve|ServeDrift|Drift|Calibration' \
+    -E 'MemBudgetQuick|TelemetryQuick|ServeTortureQuick|ServeDriftQuick'
 
 cmake --preset default
 cmake --build --preset default -j "$(nproc)" --target table4_augmentations
@@ -67,8 +64,6 @@ tests/run_membudget.sh build/bench/table4_augmentations
 
 cmake --build --preset tsan -j "$(nproc)" --target table4_augmentations
 tests/run_telemetry.sh build-tsan/bench/table4_augmentations
-
-tests/run_shard_torture.sh --quick build/bench/table4_augmentations
 
 cmake --build --preset asan-ubsan -j "$(nproc)" --target serve_throughput fptc_flightrec fptc_servestat
 cmake --build --preset tsan -j "$(nproc)" --target serve_throughput fptc_flightrec fptc_servestat

@@ -16,7 +16,10 @@
 #   * it also greps src/ to assert no persistence bypasses the durable
 #     layer via a raw std::ofstream, and no binary format bypasses the
 #     shared codec (util/codec.hpp) with its own byte helpers or a
-#     .rdbuf() whole-file read.
+#     .rdbuf() whole-file read,
+#   * cooperative shutdown: a campaign sent SIGTERM mid-run must exit
+#     128+15, journal a __shutdown__ record and flush a valid metrics JSON
+#     (send-the-signal-then-inspect, no mocks).
 #
 # Usage, from the repo root (binary defaults to build/bench/table4_augmentations):
 #
@@ -175,4 +178,44 @@ if [ "$SWEPT" -lt 1 ]; then
     echo "run_torture: FAIL: no kill point was actually exercised" >&2
     exit 1
 fi
-echo "run_torture: PASS ($SWEPT kill point(s) swept, resume bit-identical each time)"
+
+# ---- cooperative shutdown: SIGTERM mid-campaign, then inspect ---------------
+echo "run_torture: SIGTERM mid-campaign (expect exit 143 + __shutdown__ record)..."
+dir="$WORK/sigterm"
+mkdir -p "$dir"
+env $SCALE FPTC_JOBS="$JOBS" \
+    FPTC_JOURNAL="$dir/journal.jsonl" FPTC_ARTIFACTS_DIR="$dir" \
+    FPTC_METRICS="$dir/metrics.json" \
+    "$BIN" >"$dir/stdout.txt" 2>"$dir/stderr.txt" &
+PID=$!
+# Wait until real progress is journaled, then interrupt.
+for _ in $(seq 1 300); do
+    journaled=$(grep -c '^{' "$dir/journal.jsonl" 2>/dev/null || true)
+    if [ "${journaled:-0}" -ge 1 ]; then
+        break
+    fi
+    sleep 0.1
+done
+kill -TERM "$PID" 2>/dev/null || true
+status=0
+wait "$PID" || status=$?
+if [ "$status" != 143 ]; then
+    echo "run_torture: FAIL: SIGTERMed run exited $status (expected 143 = 128+SIGTERM)" >&2
+    exit 1
+fi
+if ! grep -q '"key":"table4|__shutdown__"' "$dir/journal.jsonl"; then
+    echo "run_torture: FAIL: no __shutdown__ record in the journal after SIGTERM" >&2
+    exit 1
+fi
+if [ ! -s "$dir/metrics.json" ]; then
+    echo "run_torture: FAIL: SIGTERMed run flushed no metrics.json" >&2
+    exit 1
+fi
+if command -v python3 >/dev/null 2>&1; then
+    python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$dir/metrics.json" || {
+        echo "run_torture: FAIL: metrics.json is not valid JSON after SIGTERM" >&2
+        exit 1
+    }
+fi
+echo "run_torture: shutdown ok (exit 143, journal + telemetry flushed)"
+echo "run_torture: PASS ($SWEPT kill point(s) swept, resume bit-identical each time; SIGTERM shutdown clean)"

@@ -1,12 +1,15 @@
 // Unit tests for fptc::util — RNG determinism and distribution sanity,
 // table/CSV rendering, heatmaps, campaign-scale resolution, the run
-// journal and the fault injector.
+// journal, orphan temp scavenging, cooperative shutdown and the fault
+// injector.
 #include "fptc/util/csv.hpp"
+#include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/heatmap.hpp"
 #include "fptc/util/journal.hpp"
 #include "fptc/util/rng.hpp"
+#include "fptc/util/shutdown.hpp"
 #include "fptc/util/table.hpp"
 
 #include <gtest/gtest.h>
@@ -21,8 +24,14 @@
 #include <set>
 #include <string>
 
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 namespace {
 
+namespace util = fptc::util;
 using fptc::util::Rng;
 
 TEST(Rng, DeterministicForSameSeed)
@@ -443,6 +452,82 @@ TEST(Journal, CampaignJournalDisabledWithoutEnv)
     (void)journal.run_or_replay("u1", run);
     EXPECT_EQ(executions, 2); // every call executes without a journal
     EXPECT_TRUE(journal.summary().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Orphan temp scavenging
+// ---------------------------------------------------------------------------
+
+class TempDir {
+public:
+    explicit TempDir(const std::string& name)
+        : path_(std::string(::testing::TempDir()) + name + "." + std::to_string(::getpid()))
+    {
+        std::string cmd = "rm -rf '" + path_ + "' && mkdir -p '" + path_ + "'";
+        [[maybe_unused]] const int rc = std::system(cmd.c_str());
+    }
+    ~TempDir()
+    {
+        std::string cmd = "rm -rf '" + path_ + "'";
+        [[maybe_unused]] const int rc = std::system(cmd.c_str());
+    }
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+    [[nodiscard]] std::string file(const std::string& name) const { return path_ + "/" + name; }
+
+private:
+    std::string path_;
+};
+
+void write_text(const std::string& path, const std::string& content)
+{
+    std::ofstream out(path, std::ios::trunc);
+    out << content;
+}
+
+TEST(Scavenge, RemovesOnlyDeadWritersDebris)
+{
+    TempDir dir("fptc_scav");
+    // Find a pid that is certainly dead: fork a child that exits at once.
+    const pid_t dead = ::fork();
+    ASSERT_GE(dead, 0);
+    if (dead == 0) {
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(dead, &status, 0), dead);
+
+    const std::string debris = dir.file("table.csv.tmp." + std::to_string(dead) + ".7");
+    const std::string own =
+        dir.file("table.csv.tmp." + std::to_string(::getpid()) + ".1");
+    const std::string odd = dir.file("notes.tmp.abc.1");
+    write_text(debris, "torn");
+    write_text(own, "in flight");
+    write_text(odd, "unrelated");
+    EXPECT_EQ(util::scavenge_orphan_temps(dir.path()), 1u);
+    struct stat st{};
+    EXPECT_NE(::stat(debris.c_str(), &st), 0);  // dead writer's temp removed
+    EXPECT_EQ(::stat(own.c_str(), &st), 0);     // our own in-flight temp kept
+    EXPECT_EQ(::stat(odd.c_str(), &st), 0);     // non-DurableFile name kept
+    EXPECT_EQ(util::scavenge_orphan_temps(dir.file("missing-dir")), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cooperative shutdown state
+// ---------------------------------------------------------------------------
+
+TEST(Shutdown, SigtermLatchesTheFlagInsteadOfKilling)
+{
+    util::reset_shutdown_for_tests();
+    util::install_shutdown_handlers();
+    EXPECT_FALSE(util::shutdown_requested());
+    EXPECT_EQ(util::shutdown_signal(), 0);
+    ASSERT_EQ(::raise(SIGTERM), 0);  // the handler only sets the flag
+    EXPECT_TRUE(util::shutdown_requested());
+    EXPECT_EQ(util::shutdown_signal(), SIGTERM);
+    EXPECT_EQ(util::shutdown_exit_code(SIGTERM), 143);
+    EXPECT_EQ(util::shutdown_exit_code(SIGINT), 130);
+    util::reset_shutdown_for_tests();
+    EXPECT_FALSE(util::shutdown_requested());
 }
 
 TEST(Fault, InertByDefault)
