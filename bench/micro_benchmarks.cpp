@@ -5,7 +5,8 @@
 //
 // Besides the console table, every run writes BENCH_micro.json (to
 // FPTC_ARTIFACTS_DIR when set, else the working directory) with name,
-// ns/op, and bytes/op per benchmark so campaign tooling and the telemetry
+// ns/op, and bytes/op per run, the median ns/op per benchmark and the
+// host's CPU count and load, so campaign tooling and the telemetry
 // overhead gate (tests/run_telemetry.sh) can consume the numbers without
 // scraping stdout.
 #include "fptc/augment/augmentation.hpp"
@@ -26,10 +27,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -145,9 +149,35 @@ void BM_Conv2dBackward(benchmark::State& state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
 }
+// Dense randn gradients: every term is nonzero, which training never sees.
 BENCHMARK(BM_Conv2dBackward)
     ->Args({1, 6, 32, 16})->Args({1, 6, 32, 32})
     ->Args({6, 16, 14, 16})->Args({6, 16, 14, 32});
+
+/// Conv2d backward as training runs it: the output gradient comes back
+/// through ReLU and MaxPool2d(2) from a dense gradient on the pooled map,
+/// so at least 3 in 4 of its elements are exact zeros.  Args (C_in, C_out,
+/// H = W, batch, input gradient): conv1 computes no input gradient in a
+/// LeNet-5, conv2 does.
+void BM_Conv2dBackwardReluPool(benchmark::State& state)
+{
+    auto layer = conv_for(state);
+    layer.set_input_gradient(state.range(4) != 0);
+    util::Rng rng(3);
+    const auto input = conv_input(state, rng);
+    nn::ReLU relu;
+    nn::MaxPool2d pool(2);
+    const auto pooled = pool.forward(relu.forward(layer.forward(input, true), true), true);
+    const auto grad_output = relu.backward(pool.backward(nn::Tensor::randn(pooled.shape(), rng)));
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.backward(grad_output));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
+}
+BENCHMARK(BM_Conv2dBackwardReluPool)
+    ->Args({1, 6, 32, 16, 0})->Args({1, 6, 32, 32, 0})
+    ->Args({6, 16, 14, 16, 1})->Args({6, 16, 14, 32, 1});
 
 /// fc1 (400 -> 120); arg: batch.
 void BM_LinearForward(benchmark::State& state)
@@ -383,11 +413,31 @@ void BM_FlightRecEnabled(benchmark::State& state)
 }
 BENCHMARK(BM_FlightRecEnabled);
 
+/// The host the numbers come from: CPU count and the 1-minute load average
+/// before the first benchmark ran (-1 where /proc/loadavg is unreadable).
+std::string host_json()
+{
+    double load1 = -1.0;
+    if (std::FILE* f = std::fopen("/proc/loadavg", "r")) {
+        if (std::fscanf(f, "%lf", &load1) != 1) {
+            load1 = -1.0;
+        }
+        std::fclose(f);
+    }
+    char host[128];
+    std::snprintf(host, sizeof host, "{\"nproc\": %u, \"load1\": %.2f}",
+                  std::thread::hardware_concurrency(), load1);
+    return host;
+}
+
 /// Console output as usual, plus a machine-readable capture of every
-/// per-iteration run for BENCH_micro.json.  Aggregate rows (when
-/// --benchmark_repetitions is used) are skipped: consumers want raw runs.
+/// per-iteration run for BENCH_micro.json: the raw runs in `benchmarks`
+/// (aggregate rows of --benchmark_repetitions are skipped), one median
+/// ns/op per benchmark in `medians`, and the `host`.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
 public:
+    JsonCaptureReporter() : host_(host_json()) {}
+
     void ReportRuns(const std::vector<Run>& runs) override
     {
         benchmark::ConsoleReporter::ReportRuns(runs);
@@ -410,22 +460,46 @@ public:
                           run.benchmark_name().c_str(),
                           static_cast<long long>(run.iterations), ns_per_op, bytes_per_op);
             rows_.emplace_back(row);
+            auto group = std::find_if(times_.begin(), times_.end(), [&](const auto& named) {
+                return named.first == run.benchmark_name();
+            });
+            if (group == times_.end()) {
+                group = times_.insert(group, {run.benchmark_name(), {}});
+            }
+            group->second.push_back(ns_per_op);
         }
     }
 
     [[nodiscard]] std::string json() const
     {
-        std::string out = "{\n  \"benchmarks\": [\n";
+        std::string out = "{\n  \"host\": " + host_ + ",\n  \"benchmarks\": [\n";
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             out += rows_[i];
             out += i + 1 < rows_.size() ? ",\n" : "\n";
+        }
+        out += "  ],\n  \"medians\": [\n";
+        for (std::size_t i = 0; i < times_.size(); ++i) {
+            auto times = times_[i].second;
+            std::sort(times.begin(), times.end());
+            const std::size_t mid = times.size() / 2;
+            const double median =
+                times.size() % 2 == 1 ? times[mid] : 0.5 * (times[mid - 1] + times[mid]);
+            char row[256];
+            std::snprintf(row, sizeof(row),
+                          "    {\"name\": \"%s\", \"repetitions\": %zu, \"ns_per_op\": %.3f}%s\n",
+                          times_[i].first.c_str(), times.size(), median,
+                          i + 1 < times_.size() ? "," : "");
+            out += row;
         }
         out += "  ]\n}\n";
         return out;
     }
 
 private:
+    std::string host_;
     std::vector<std::string> rows_;
+    /// ns/op of every raw run, per benchmark in first-run order.
+    std::vector<std::pair<std::string, std::vector<double>>> times_;
 };
 
 } // namespace

@@ -1,25 +1,8 @@
 #include "gemm.hpp"
 
-#include <cstring>
-
 namespace fptc::nn::detail {
 
 namespace {
-
-using v4f = float __attribute__((vector_size(16)));
-constexpr std::size_t kLanes = 4;
-
-inline v4f load(const float* p) noexcept
-{
-    v4f v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-inline void store(float* p, v4f v) noexcept
-{
-    std::memcpy(p, &v, sizeof v);
-}
 
 /// C[Rows × 4·Vecs] += A[Rows × k] · B[k × 4·Vecs], accumulators in registers.
 template <std::size_t Rows, std::size_t Vecs>
@@ -29,13 +12,13 @@ inline void tile(std::size_t k, const float* a, std::size_t lda, const float* b,
     v4f acc[Rows][Vecs];
     for (std::size_t r = 0; r < Rows; ++r) {
         for (std::size_t v = 0; v < Vecs; ++v) {
-            acc[r][v] = load(c + r * ldc + v * kLanes);
+            acc[r][v] = load<v4f>(c + r * ldc + v * kLanes);
         }
     }
     for (std::size_t p = 0; p < k; ++p) {
         v4f bv[Vecs];
         for (std::size_t v = 0; v < Vecs; ++v) {
-            bv[v] = load(b + p * ldb + v * kLanes);
+            bv[v] = load<v4f>(b + p * ldb + v * kLanes);
         }
         for (std::size_t r = 0; r < Rows; ++r) {
             const float s = a[r * lda + p];

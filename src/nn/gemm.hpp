@@ -1,4 +1,5 @@
-// The one matrix kernel behind Conv2d and Linear (internal to fptc_nn).
+// The one matrix kernel behind Conv2d and Linear, and the 16-byte vector
+// type it is written in (internal to fptc_nn).
 //
 // gemm_acc computes C += A·B on row-major float matrices with a
 // register-blocked tile: 2 rows × 16 columns of C held in 16-byte vector
@@ -13,8 +14,28 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 namespace fptc::nn::detail {
+
+/// Four floats in one 16-byte GCC/Clang vector register.
+using v4f = float __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = 4;
+
+/// Unaligned load / store of a v4f (or, with V = float, of one float).
+template <typename V>
+inline V load(const float* p) noexcept
+{
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+template <typename V>
+inline void store(float* p, V v) noexcept
+{
+    std::memcpy(p, &v, sizeof v);
+}
 
 /// C[m×n] += A[m×k] · B[k×n].  Leading dimensions are the row strides of
 /// each matrix in elements.  C must not overlap A or B.

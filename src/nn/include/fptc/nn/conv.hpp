@@ -1,10 +1,13 @@
 // Convolution and pooling layers.
 //
 // LeNet-5 (App. C listing 1) needs only valid (unpadded) convolutions with
-// square kernels and 2x2 max pooling.  Conv2d forward and its weight
-// gradient run per sample as one register-blocked GEMM over an im2col
-// buffer (the layer's only scratch, reused across calls and charged to the
-// memory budget); the input gradient is a direct loop.
+// square kernels and 2x2 max pooling.  Conv2d forward runs per sample as
+// one register-blocked GEMM over an im2col buffer.  Backward walks, per
+// (n, oc), only the nonzero output-gradient elements -- after ReLU and
+// MaxPool at least 3 in 4 are exact zeros -- accumulating weight-gradient
+// rows in registers and scattering the input gradient.  The im2col matrix
+// and backward's nonzero list share the layer's one scratch buffer, reused
+// across calls and charged to the memory budget.
 // Every output and gradient element receives its terms in the order of the
 // plain nested loop over (n, oc, oy, ox, ic, ky, kx), so results match
 // that loop bit for bit; tests/nn_reference.cpp keeps it as the oracle
@@ -37,6 +40,12 @@ public:
     [[nodiscard]] std::size_t kernel_size() const noexcept { return kernel_size_; }
     [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
+    /// Whether backward() computes the input gradient (default true).  The
+    /// model factory turns it off on the trunk's conv1, whose input is the
+    /// flowpic, so nobody reads it; backward() then returns an empty Tensor.
+    void set_input_gradient(bool needed) noexcept { input_gradient_ = needed; }
+    [[nodiscard]] bool input_gradient() const noexcept { return input_gradient_; }
+
 private:
     /// The scratch buffer, grown to at least `size` floats.
     [[nodiscard]] float* columns(std::size_t size);
@@ -47,8 +56,9 @@ private:
     std::size_t stride_;
     Parameter weight_; ///< [C_out, C_in, k, k]
     Parameter bias_;   ///< [C_out]
+    bool input_gradient_ = true;
     Tensor input_cache_;
-    Tensor columns_; ///< one sample's im2col matrix (and backward's spread gY)
+    Tensor columns_; ///< one sample's im2col matrix, or backward's nonzero list
 };
 
 /// Max pooling with square window == stride (LeNet uses 2x2/2).

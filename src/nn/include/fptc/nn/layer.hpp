@@ -44,7 +44,9 @@ public:
 
     /// Backward pass: gradient w.r.t. this layer's input, given the gradient
     /// w.r.t. its output.  Must be called after forward() on the same input;
-    /// parameter gradients are *accumulated* into Parameter::grad.
+    /// parameter gradients are *accumulated* into Parameter::grad.  A layer
+    /// told that its input gradient is unused (Conv2d::set_input_gradient)
+    /// returns an empty Tensor instead.
     [[nodiscard]] virtual Tensor backward(const Tensor& grad_output) = 0;
 
     /// Trainable parameters (empty by default).

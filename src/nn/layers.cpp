@@ -88,8 +88,10 @@ Tensor ReLU::forward(const Tensor& input, bool /*training*/)
 {
     input_cache_ = input;
     Tensor output = input;
+    // NaN passes through (as in PyTorch), so a diverged activation reaches
+    // the loss instead of hiding as 0.
     for (auto& v : output.data()) {
-        v = v > 0.0f ? v : 0.0f;
+        v = v <= 0.0f ? 0.0f : v;
     }
     return output;
 }
@@ -100,10 +102,10 @@ Tensor ReLU::backward(const Tensor& grad_output)
     Tensor grad_input = grad_output;
     const auto x = input_cache_.data();
     auto g = grad_input.data();
+    // A select, not a conditional store: after MaxPool the zero pattern is
+    // data-dependent and a branch on it mispredicts.
     for (std::size_t i = 0; i < g.size(); ++i) {
-        if (x[i] <= 0.0f) {
-            g[i] = 0.0f;
-        }
+        g[i] = x[i] <= 0.0f ? 0.0f : g[i];
     }
     return grad_input;
 }

@@ -38,8 +38,11 @@ std::size_t append_trunk(Sequential& network, const ModelConfig& config)
     if (input_dim < 2 * kConvKernel) {
         throw std::invalid_argument("make network: flowpic_dim too small for LeNet trunk");
     }
-    network.add(std::make_unique<Conv2d>(config.input_channels, kConv1Channels, kConvKernel,
-                                         util::mix_seed(config.seed, 1)));
+    // The trunk's input is data: nobody reads conv1's input gradient.
+    auto conv1 = std::make_unique<Conv2d>(config.input_channels, kConv1Channels, kConvKernel,
+                                          util::mix_seed(config.seed, 1));
+    conv1->set_input_gradient(false);
+    network.add(std::move(conv1));
     network.add(std::make_unique<ReLU>());
     network.add(std::make_unique<MaxPool2d>(kPoolWindow));
     network.add(std::make_unique<Conv2d>(kConv1Channels, kConv2Channels, kConvKernel,

@@ -34,18 +34,24 @@ void Sequential::mask_layer(std::size_t index)
 
 Tensor Sequential::forward(const Tensor& input, bool training)
 {
-    Tensor current = input;
-    for (const auto& layer : layers_) {
-        current = layer->forward(current, training);
+    if (layers_.empty()) {
+        return input;
+    }
+    Tensor current = layers_.front()->forward(input, training);
+    for (std::size_t i = 1; i < layers_.size(); ++i) {
+        current = layers_[i]->forward(current, training);
     }
     return current;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output)
 {
-    Tensor current = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-        current = (*it)->backward(current);
+    if (layers_.empty()) {
+        return grad_output;
+    }
+    Tensor current = layers_.back()->backward(grad_output);
+    for (std::size_t i = layers_.size() - 1; i-- > 0;) {
+        current = layers_[i]->backward(current);
     }
     return current;
 }

@@ -5,6 +5,8 @@
 #include "fptc/core/guard.hpp"
 #include "fptc/core/simclr.hpp"
 #include "fptc/core/trainer.hpp"
+#include "fptc/nn/loss.hpp"
+#include "fptc/nn/models.hpp"
 #include "fptc/util/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -244,6 +246,28 @@ TEST(Guard, RollbackRestoresSnapshot)
     EXPECT_TRUE(guard.step_diverged(1e9)); // beyond loss_limit
     EXPECT_TRUE(guard.rollback());
     EXPECT_EQ(params[0]->value.data()[0], original + 1.0f);
+}
+
+TEST(Guard, NaNConv1WeightIsDetected)
+{
+    // A NaN weight poisons its conv1 channel.  ReLU and MaxPool must carry
+    // the NaN on to the loss rather than clamp it to 0, or the guard never
+    // sees it and the channel stays NaN for the rest of training.
+    nn::ModelConfig model_config;
+    auto network = nn::make_supervised_network(model_config);
+    network.parameters()[0]->value.data()[0] = std::nanf("");
+    DivergenceGuard guard(network.parameters(), GuardConfig{});
+
+    nn::Tensor x({2, 1, 32, 32});
+    for (std::size_t i = 0; i < x.size(); i += 7) {
+        x[i] = 1.0f;
+    }
+    const auto logits = network.forward(x, /*training=*/true);
+    const std::vector<std::size_t> labels{0, 1};
+    const auto loss = nn::cross_entropy(logits, labels);
+    network.zero_grad();
+    (void)network.backward(loss.grad);
+    EXPECT_TRUE(guard.step_diverged(loss.loss));
 }
 
 TEST(Guard, RetrySeedsAreDistinct)

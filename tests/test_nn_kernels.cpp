@@ -1,7 +1,9 @@
 // Bit-exactness of the optimized Conv2d and Linear against the scalar
 // reference loops (tests/nn_reference.cpp).  Outputs and weight, bias and
 // input gradients must match byte for byte: per layer over a sweep of
-// shapes, and through whole LeNet-5 networks trained for a few steps.
+// shapes and of output gradients (dense, mostly or all exact zeros, real
+// ReLU -> MaxPool masks), and through whole LeNet-5 networks trained for a
+// few steps.
 #include "nn_reference.hpp"
 
 #include "fptc/nn/loss.hpp"
@@ -71,10 +73,53 @@ Tensor half_zero_randn(const Shape& shape, Rng& rng)
     return t;
 }
 
+/// An output gradient for a layer output `y`.
+using GradientMaker = Tensor (*)(const Tensor& y, Rng& rng);
+
+Tensor half_zero_gradient(const Tensor& y, Rng& rng)
+{
+    return half_zero_randn(y.shape(), rng);
+}
+
+/// About 75% exact zeros, a fifth of them -0, as in training after ReLU
+/// and 2x2 MaxPool.
+Tensor mostly_zero_gradient(const Tensor& y, Rng& rng)
+{
+    Tensor t(y.shape());
+    for (auto& v : t.data()) {
+        const double u = rng.uniform();
+        v = u < 0.6 ? 0.0f : u < 0.75 ? -0.0f : static_cast<float>(rng.normal());
+    }
+    return t;
+}
+
+/// Every element an exact zero, +0 and -0 mixed.
+Tensor zero_gradient(const Tensor& y, Rng& rng)
+{
+    Tensor t(y.shape());
+    for (auto& v : t.data()) {
+        v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+    }
+    return t;
+}
+
+/// The gradient a conv output gets in LeNet: a dense gradient on
+/// MaxPool2d(2)(ReLU(y)), sent back through both layers.
+Tensor pooled_relu_gradient(const Tensor& y, Rng& rng)
+{
+    ReLU relu;
+    MaxPool2d pool(2);
+    const Tensor pooled = pool.forward(relu.forward(y, true), true);
+    return relu.backward(pool.backward(Tensor::randn(pooled.shape(), rng)));
+}
+
 /// Runs `layer` and `ref` (which starts as its copy) through two forward /
 /// backward rounds, so the second round's parameter gradients accumulate
-/// onto the first's, comparing every output and gradient.
-void expect_layers_agree(Layer& layer, Layer& ref, const Shape& input_shape, Rng& rng)
+/// onto the first's, comparing every output and gradient.  A layer that
+/// computes no input gradient must return an empty tensor.
+void expect_layers_agree(Layer& layer, Layer& ref, const Shape& input_shape, Rng& rng,
+                         GradientMaker make_gradient = half_zero_gradient,
+                         bool input_gradient = true)
 {
     ASSERT_TRUE(same_parameters(layer.parameters(), ref.parameters()));
     for (int round = 0; round < 2; ++round) {
@@ -82,8 +127,14 @@ void expect_layers_agree(Layer& layer, Layer& ref, const Shape& input_shape, Rng
         const Tensor x = half_zero_randn(input_shape, rng);
         const Tensor y = layer.forward(x, true);
         ASSERT_TRUE(bit_equal(y, ref.forward(x, true))) << "forward";
-        const Tensor gy = half_zero_randn(y.shape(), rng);
-        ASSERT_TRUE(bit_equal(layer.backward(gy), ref.backward(gy))) << "input gradient";
+        const Tensor gy = make_gradient(y, rng);
+        const Tensor gx = layer.backward(gy);
+        const Tensor ref_gx = ref.backward(gy);
+        if (input_gradient) {
+            ASSERT_TRUE(bit_equal(gx, ref_gx)) << "input gradient";
+        } else {
+            ASSERT_TRUE(gx.empty()) << "input gradient computed: " << gx.shape_string();
+        }
         ASSERT_TRUE(same_parameters(layer.parameters(), ref.parameters()));
     }
 }
@@ -100,17 +151,20 @@ std::string describe(const ConvCase& c)
     return out.str();
 }
 
-void expect_conv_agrees(const ConvCase& c)
+void expect_conv_agrees(const ConvCase& c, GradientMaker make_gradient = half_zero_gradient,
+                        bool input_gradient = true)
 {
     SCOPED_TRACE(describe(c));
     Conv2d layer(c.in_channels, c.out_channels, c.kernel, /*seed=*/c.hw * 131 + c.kernel,
                  c.stride);
+    layer.set_input_gradient(input_gradient);
     Rng rng(c.in_channels * 1000003 + c.out_channels * 1009 + c.batch);
     for (auto& b : layer.parameters()[1]->value.data()) {
         b = static_cast<float>(rng.normal(0.0, 0.1));
     }
     reference::RefConv2d ref(layer);
-    expect_layers_agree(layer, ref, {c.batch, c.in_channels, c.hw, c.hw}, rng);
+    expect_layers_agree(layer, ref, {c.batch, c.in_channels, c.hw, c.hw}, rng, make_gradient,
+                        input_gradient);
 }
 
 constexpr std::array<std::size_t, 3> kInChannels = {1, 3, 6};
@@ -166,6 +220,59 @@ TEST(Conv2dKernel, MatchesReferenceAtLeNetShapes)
         expect_conv_agrees({1, 6, 64, 5, 1, batch});
         expect_conv_agrees({6, 16, 14, 5, 1, batch});
         expect_conv_agrees({6, 16, 30, 5, 1, batch});
+    }
+}
+
+/// Geometries for the sparse-gradient tests: the LeNet shapes, every
+/// kernel size and stride, odd sizes, channel counts past one register
+/// group of kernel rows (6 x 5 = 30 rows).
+constexpr std::array<ConvCase, 8> kSparseCases = {{{1, 6, 32, 5, 1, 16},
+                                                   {6, 16, 14, 5, 1, 16},
+                                                   {1, 6, 64, 5, 1, 8},
+                                                   {6, 16, 30, 5, 1, 4},
+                                                   {3, 6, 17, 3, 2, 5},
+                                                   {6, 1, 16, 2, 1, 3},
+                                                   {3, 16, 14, 5, 2, 2},
+                                                   {1, 1, 6, 5, 1, 7}}};
+
+TEST(Conv2dKernel, MatchesReferenceOnMostlyZeroGradients)
+{
+    for (const auto& c : kSparseCases) {
+        expect_conv_agrees(c, mostly_zero_gradient);
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+}
+
+TEST(Conv2dKernel, MatchesReferenceOnAllZeroGradients)
+{
+    for (const auto& c : kSparseCases) {
+        expect_conv_agrees(c, zero_gradient);
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+}
+
+TEST(Conv2dKernel, MatchesReferenceOnReluMaxPoolGradients)
+{
+    for (const auto& c : kSparseCases) {
+        expect_conv_agrees(c, pooled_relu_gradient);
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+}
+
+TEST(Conv2dKernel, WithoutInputGradientKeepsParameterGradients)
+{
+    for (const auto& c : kSparseCases) {
+        expect_conv_agrees(c, pooled_relu_gradient, /*input_gradient=*/false);
+        expect_conv_agrees(c, half_zero_gradient, /*input_gradient=*/false);
+        if (HasFatalFailure()) {
+            return;
+        }
     }
 }
 
@@ -241,9 +348,9 @@ Tensor flowpic_batch(std::size_t batch, std::size_t dim, Rng& rng)
     return x;
 }
 
-void expect_supervised_training_agrees(std::size_t dim)
+void expect_supervised_training_agrees(std::size_t dim, std::size_t batch = 8)
 {
-    SCOPED_TRACE("flowpic_dim=" + std::to_string(dim));
+    SCOPED_TRACE("flowpic_dim=" + std::to_string(dim) + " batch=" + std::to_string(batch));
     ModelConfig config;
     config.flowpic_dim = dim;
     Sequential network = make_supervised_network(config);
@@ -254,7 +361,6 @@ void expect_supervised_training_agrees(std::size_t dim)
     Adam twin_optimizer(twin.parameters(), 1e-3);
 
     Rng rng(dim);
-    const std::size_t batch = 8;
     const Tensor x = flowpic_batch(batch, dim, rng);
     std::vector<std::size_t> labels(batch);
     for (std::size_t i = 0; i < batch; ++i) {
@@ -285,8 +391,14 @@ TEST(KernelPin, SupervisedLeNetTrainsBitIdenticallyAt64)
     expect_supervised_training_agrees(64);
 }
 
-TEST(KernelPin, SimClrNtXentStepIsBitIdentical)
+TEST(KernelPin, SupervisedLeNetTrainsBitIdenticallyAtBatch32)
 {
+    expect_supervised_training_agrees(32, 32);
+}
+
+void expect_simclr_step_agrees(std::size_t batch)
+{
+    SCOPED_TRACE("batch=" + std::to_string(batch));
     ModelConfig config;
     SimClrNetwork network = make_simclr_network(config);
     SimClrNetwork donor = make_simclr_network(config);
@@ -296,7 +408,7 @@ TEST(KernelPin, SimClrNtXentStepIsBitIdentical)
     Adam twin_optimizer(twin.parameters(), 1e-3);
 
     Rng rng(5);
-    const Tensor views = flowpic_batch(8, config.flowpic_dim, rng); // 4 view pairs
+    const Tensor views = flowpic_batch(batch, config.flowpic_dim, rng); // batch / 2 view pairs
     const Tensor z = network.forward(views, true);
     const Tensor twin_z = twin.forward(views, true);
     ASSERT_TRUE(bit_equal(z, twin_z)) << "projections";
@@ -307,6 +419,16 @@ TEST(KernelPin, SimClrNtXentStepIsBitIdentical)
     optimizer.step();
     twin_optimizer.step();
     EXPECT_TRUE(same_parameters(network.parameters(), twin.parameters()));
+}
+
+TEST(KernelPin, SimClrNtXentStepIsBitIdentical)
+{
+    expect_simclr_step_agrees(8);
+}
+
+TEST(KernelPin, SimClrNtXentStepIsBitIdenticalAtBatch32)
+{
+    expect_simclr_step_agrees(32);
 }
 
 } // namespace

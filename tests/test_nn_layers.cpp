@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace {
 
 using namespace fptc::nn;
@@ -71,6 +74,20 @@ TEST(ReLU, ForwardBackward)
     const auto gx = relu.backward(gy);
     EXPECT_FLOAT_EQ(gx[0], 0.0f);
     EXPECT_FLOAT_EQ(gx[2], 1.0f);
+}
+
+TEST(ReLU, PropagatesNaN)
+{
+    // As in PyTorch: NaN passes forward, and its gradient passes backward.
+    ReLU relu;
+    const Tensor x({3}, {std::nanf(""), -0.0f, 1.0f});
+    const auto y = relu.forward(x, true);
+    EXPECT_TRUE(std::isnan(y[0]));
+    EXPECT_FALSE(std::signbit(y[1])); // -0 maps to +0
+    const auto gx = relu.backward(Tensor({3}, {2.0f, 2.0f, 2.0f}));
+    EXPECT_FLOAT_EQ(gx[0], 2.0f);
+    EXPECT_FLOAT_EQ(gx[1], 0.0f);
+    EXPECT_FLOAT_EQ(gx[2], 2.0f);
 }
 
 TEST(Flatten, RoundTrip)
@@ -178,6 +195,33 @@ TEST(MaxPool2d, BackwardRoutesToArgmax)
     EXPECT_FLOAT_EQ(gx[1], 7.0f); // the max got the gradient
     EXPECT_FLOAT_EQ(gx[2], 0.0f);
     EXPECT_FLOAT_EQ(gx[3], 0.0f);
+}
+
+TEST(MaxPool2d, NaNWinsAndStays)
+{
+    // As in PyTorch: a NaN beats every number before or after it, and the
+    // first NaN of a window is the one routed back.
+    MaxPool2d pool(2);
+    const float nan = std::nanf("");
+    const Tensor x({1, 1, 2, 6}, {1, nan, 5, 2, nan, nan, //
+                                  3, 4, 1, nan, 1, 7});
+    const auto y = pool.forward(x, false);
+    EXPECT_TRUE(std::isnan(y[0]));
+    EXPECT_TRUE(std::isnan(y[1]));
+    EXPECT_TRUE(std::isnan(y[2]));
+    const auto gx = pool.backward(Tensor({1, 1, 1, 3}, {1.0f, 2.0f, 3.0f}));
+    EXPECT_FLOAT_EQ(gx[1], 1.0f);
+    EXPECT_FLOAT_EQ(gx[9], 2.0f);
+    EXPECT_FLOAT_EQ(gx[4], 3.0f);
+    EXPECT_DOUBLE_EQ(gx.sum(), 6.0);
+
+    // Infinities are numbers: no NaN, the first maximum wins.
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto z = pool.forward(Tensor({1, 1, 2, 2}, {-inf, inf, inf, 0}), false);
+    EXPECT_EQ(z[0], inf);
+    EXPECT_FLOAT_EQ(pool.backward(Tensor({1, 1, 1, 1}, {1.0f}))[1], 1.0f);
+    const auto m = pool.forward(Tensor({1, 1, 2, 2}, {-inf, -inf, -inf, -inf}), false);
+    EXPECT_EQ(m[0], -inf);
 }
 
 TEST(MaxPool2d, FloorsOddDimensions)

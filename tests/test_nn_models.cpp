@@ -1,6 +1,7 @@
 // Tests of the model factories against the paper's App. C listings —
 // including the exact trainable-parameter counts printed there — plus
 // optimizers and weight serialization.
+#include "fptc/nn/conv.hpp"
 #include "fptc/nn/loss.hpp"
 #include "fptc/nn/models.hpp"
 #include "fptc/nn/optimizer.hpp"
@@ -91,6 +92,27 @@ TEST(Models, SimClrForwardAndEmbed)
     EXPECT_EQ(z.shape(), (Shape{4, 30}));
     const auto h = network.embed(x);
     EXPECT_EQ(h.shape(), (Shape{4, kRepresentationDim}));
+}
+
+TEST(Models, OnlyTheTrunksFirstConvSkipsItsInputGradient)
+{
+    // conv1's input gradient would be the gradient w.r.t. the flowpic,
+    // which no caller reads; conv2's feeds conv1.
+    ModelConfig config;
+    auto supervised = make_supervised_network(config);
+    auto simclr = make_simclr_network(config);
+    for (Sequential* trunk : {&supervised, &simclr.trunk}) {
+        EXPECT_FALSE(dynamic_cast<Conv2d&>(trunk->layer(0)).input_gradient());
+        EXPECT_TRUE(dynamic_cast<Conv2d&>(trunk->layer(3)).input_gradient());
+    }
+    const Tensor x({4, 1, 32, 32});
+    const auto logits = supervised.forward(x, true);
+    const std::vector<std::size_t> labels{0, 1, 2, 3};
+    EXPECT_TRUE(supervised.backward(cross_entropy(logits, labels).grad).empty());
+    // The projection head still returns the gradient the trunk needs.
+    const auto z = simclr.forward(x, true);
+    EXPECT_EQ(simclr.projection.backward(nt_xent(z).grad).shape(),
+              (Shape{4, kRepresentationDim}));
 }
 
 TEST(Models, SeedChangesInitialization)
