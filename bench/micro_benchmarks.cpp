@@ -25,6 +25,8 @@
 #include "fptc/util/membudget.hpp"
 #include "fptc/util/telemetry.hpp"
 
+#include "gemm.hpp" // src/nn: the kernel ISA hook
+
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -105,6 +107,50 @@ BENCHMARK(BM_Augmentation)
     ->Arg(static_cast<int>(augment::AugmentationKind::packet_loss))
     ->Arg(static_cast<int>(augment::AugmentationKind::change_rtt));
 
+/// The nn kernels' instruction set for one benchmark, from its argument
+/// `index`: 0 forces the x86-64 baseline (4 lanes), 1 runs AVX2 (8 lanes),
+/// an error on a CPU without it.
+class KernelIsa {
+public:
+    KernelIsa(benchmark::State& state, int index)
+    {
+        if (state.range(index) == 0) {
+            nn::detail::force_baseline(true);
+        } else if (nn::detail::selected_isa() != nn::detail::Isa::avx2) {
+            state.SkipWithError("no AVX2 on this CPU");
+        }
+    }
+    ~KernelIsa() { nn::detail::force_baseline(false); }
+
+    KernelIsa(const KernelIsa&) = delete;
+    KernelIsa& operator=(const KernelIsa&) = delete;
+};
+
+/// C[m×n] += A[m×k]·B[k×n] at a layer's shape: args (m, n, k, isa).
+void BM_Gemm(benchmark::State& state)
+{
+    const KernelIsa isa(state, 3);
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const auto k = static_cast<std::size_t>(state.range(2));
+    util::Rng rng(3);
+    const auto a = nn::Tensor::randn({m, k}, rng);
+    const auto b = nn::Tensor::randn({k, n}, rng);
+    auto c = nn::Tensor::randn({m, n}, rng);
+    for (auto _ : state) {
+        nn::detail::gemm_acc(m, n, k, a.data().data(), k, b.data().data(), n, c.data().data(), n);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(m * n * k));
+}
+// conv2 per sample (16 channels × 100 positions × 150 taps) and fc1
+// forward at batch 16 and 32 (120 outputs × batch × 400 inputs).
+BENCHMARK(BM_Gemm)
+    ->Args({16, 100, 150, 0})->Args({16, 100, 150, 1})
+    ->Args({120, 16, 400, 0})->Args({120, 16, 400, 1})
+    ->Args({120, 32, 400, 0})->Args({120, 32, 400, 1});
+
 /// One Conv2d layer at a LeNet shape: args (C_in, C_out, H = W, batch).
 nn::Conv2d conv_for(const benchmark::State& state)
 {
@@ -122,6 +168,7 @@ nn::Tensor conv_input(const benchmark::State& state, util::Rng& rng)
 
 void BM_Conv2dForward(benchmark::State& state)
 {
+    const KernelIsa isa(state, 4);
     auto layer = conv_for(state);
     util::Rng rng(3);
     const auto input = conv_input(state, rng);
@@ -131,10 +178,11 @@ void BM_Conv2dForward(benchmark::State& state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
 }
-// conv1 (1 -> 6 at 32x32) and conv2 (6 -> 16 at 14x14) at batch 16 and 32.
+// conv1 (1 -> 6 at 32x32) and conv2 (6 -> 16 at 14x14) at batch 16 and
+// 32, each on both kernel ISAs (last arg).
 BENCHMARK(BM_Conv2dForward)
-    ->Args({1, 6, 32, 16})->Args({1, 6, 32, 32})
-    ->Args({6, 16, 14, 16})->Args({6, 16, 14, 32});
+    ->ArgsProduct({{1}, {6}, {32}, {16, 32}, {0, 1}})
+    ->ArgsProduct({{6}, {16}, {14}, {16, 32}, {0, 1}});
 
 void BM_Conv2dBackward(benchmark::State& state)
 {
@@ -179,9 +227,10 @@ BENCHMARK(BM_Conv2dBackwardReluPool)
     ->Args({1, 6, 32, 16, 0})->Args({1, 6, 32, 32, 0})
     ->Args({6, 16, 14, 16, 1})->Args({6, 16, 14, 32, 1});
 
-/// fc1 (400 -> 120); arg: batch.
+/// fc1 (400 -> 120); args (batch, isa).
 void BM_LinearForward(benchmark::State& state)
 {
+    const KernelIsa isa(state, 1);
     nn::Linear layer(400, 120, /*seed=*/1);
     util::Rng rng(3);
     const auto input =
@@ -192,7 +241,29 @@ void BM_LinearForward(benchmark::State& state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_LinearForward)->Arg(16)->Arg(32);
+BENCHMARK(BM_LinearForward)->ArgsProduct({{16, 32}, {0, 1}});
+
+/// MaxPool2d(2) forward on a ReLU'd conv output: args (C, H = W, batch,
+/// isa); pool1 is 6 × 28 × 28, pool2 16 × 10 × 10.
+void BM_MaxPool2dForward(benchmark::State& state)
+{
+    const KernelIsa isa(state, 3);
+    const auto channels = static_cast<std::size_t>(state.range(0));
+    const auto hw = static_cast<std::size_t>(state.range(1));
+    const auto batch = static_cast<std::size_t>(state.range(2));
+    util::Rng rng(3);
+    nn::ReLU relu;
+    const auto input = relu.forward(nn::Tensor::randn({batch, channels, hw, hw}, rng), false);
+    nn::MaxPool2d pool(2);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pool.forward(input, false));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(2));
+}
+BENCHMARK(BM_MaxPool2dForward)
+    ->ArgsProduct({{6}, {28}, {16, 32}, {0, 1}})
+    ->ArgsProduct({{16}, {10}, {16, 32}, {0, 1}});
 
 void BM_LeNetForward(benchmark::State& state)
 {

@@ -72,7 +72,13 @@ void im2col(const float* x, const ConvShape& s, float* col) noexcept
                 for (std::size_t oy = 0; oy < s.out_h; ++oy) {
                     const float* src = x + (ic * s.h + oy * s.stride + ky) * s.w + kx;
                     float* dst_row = dst + oy * s.out_w;
-                    for (std::size_t ox = 0; ox < s.out_w; ++ox) {
+                    std::size_t ox = 0;
+                    if (s.stride == 1) { // LeNet's: a contiguous run, by vector
+                        for (; ox + kLanes <= s.out_w; ox += kLanes) {
+                            store(dst_row + ox, load<v4f>(src + ox));
+                        }
+                    }
+                    for (; ox < s.out_w; ++ox) {
                         dst_row[ox] = src[ox * s.stride];
                     }
                 }
@@ -350,7 +356,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/)
         throw std::invalid_argument("MaxPool2d::forward: input smaller than window");
     }
     Tensor output({batch, channels, out_h, out_w});
-    argmax_.assign(output.size(), 0);
+    argmax_.resize(output.size()); // every path below writes each element
 
     const auto x = input.data();
     auto y = output.data();
@@ -365,6 +371,13 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/)
         unordered |= static_cast<int>(v != v);
     }
     const bool has_nan = unordered != 0;
+
+    // LeNet's 2x2 window without NaN: vector selects that give the scan's
+    // value and index (the kernel keeps plane offsets in 32-bit lanes).
+    if (window_ == 2 && !has_nan && in_plane <= std::numeric_limits<std::int32_t>::max()) {
+        detail::max_pool_2x2(batch * channels, h, w, x.data(), y.data(), argmax_.data());
+        return output;
+    }
 
     for (std::size_t nc = 0; nc < batch * channels; ++nc) {
         const float* x_plane = x.data() + nc * in_plane;

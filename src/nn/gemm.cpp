@@ -1,81 +1,55 @@
 #include "gemm.hpp"
 
+#include "kernels.hpp"
+
+#include <atomic>
+
 namespace fptc::nn::detail {
+
+#if defined(__x86_64__)
+namespace avx2 { // gemm_avx2.cpp, built with -mavx2
+
+void gemm_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
+              const float* b, std::size_t ldb, float* c, std::size_t ldc) noexcept;
+void max_pool_2x2(std::size_t planes, std::size_t h, std::size_t w, const float* x, float* y,
+                  std::size_t* arg) noexcept;
+
+} // namespace avx2
+#endif
 
 namespace {
 
-/// C[Rows × 4·Vecs] += A[Rows × k] · B[k × 4·Vecs], accumulators in registers.
-template <std::size_t Rows, std::size_t Vecs>
-inline void tile(std::size_t k, const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                 float* c, std::size_t ldc) noexcept
+/// One instruction set's kernels.
+struct Kernels {
+    Isa isa;
+    void (*gemm_acc)(std::size_t, std::size_t, std::size_t, const float*, std::size_t,
+                     const float*, std::size_t, float*, std::size_t) noexcept;
+    void (*max_pool_2x2)(std::size_t, std::size_t, std::size_t, const float*, float*,
+                         std::size_t*) noexcept;
+};
+
+constexpr Kernels kBaseline{Isa::baseline, gemm_lanes<v4f>, max_pool_lanes<v4f>};
+
+/// AVX2 where the CPU has it, read once per process.
+const Kernels& selected() noexcept
 {
-    v4f acc[Rows][Vecs];
-    for (std::size_t r = 0; r < Rows; ++r) {
-        for (std::size_t v = 0; v < Vecs; ++v) {
-            acc[r][v] = load<v4f>(c + r * ldc + v * kLanes);
-        }
-    }
-    for (std::size_t p = 0; p < k; ++p) {
-        v4f bv[Vecs];
-        for (std::size_t v = 0; v < Vecs; ++v) {
-            bv[v] = load<v4f>(b + p * ldb + v * kLanes);
-        }
-        for (std::size_t r = 0; r < Rows; ++r) {
-            const float s = a[r * lda + p];
-            const v4f av = {s, s, s, s};
-            for (std::size_t v = 0; v < Vecs; ++v) {
-                acc[r][v] += av * bv[v];
-            }
-        }
-    }
-    for (std::size_t r = 0; r < Rows; ++r) {
-        for (std::size_t v = 0; v < Vecs; ++v) {
-            store(c + r * ldc + v * kLanes, acc[r][v]);
-        }
-    }
+#if defined(__x86_64__)
+    static constexpr Kernels kAvx2{Isa::avx2, avx2::gemm_acc, avx2::max_pool_2x2};
+    static const Kernels* const chosen = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") ? &kAvx2 : &kBaseline;
+    }();
+    return *chosen;
+#else
+    return kBaseline;
+#endif
 }
 
-/// One column of C for Rows rows, scalar.
-template <std::size_t Rows>
-inline void column(std::size_t k, const float* a, std::size_t lda, const float* b,
-                   std::size_t ldb, float* c, std::size_t ldc) noexcept
-{
-    float acc[Rows];
-    for (std::size_t r = 0; r < Rows; ++r) {
-        acc[r] = c[r * ldc];
-    }
-    for (std::size_t p = 0; p < k; ++p) {
-        const float bp = b[p * ldb];
-        for (std::size_t r = 0; r < Rows; ++r) {
-            acc[r] += a[r * lda + p] * bp;
-        }
-    }
-    for (std::size_t r = 0; r < Rows; ++r) {
-        c[r * ldc] = acc[r];
-    }
-}
+std::atomic<bool> baseline_forced{false};
 
-/// Columns [j, j + 4·Vecs) of every row: row pairs, then the odd last row.
-/// Vecs == 0 selects the scalar single-column path.
-template <std::size_t Vecs>
-inline void column_block(std::size_t m, std::size_t k, const float* a, std::size_t lda,
-                         const float* b, std::size_t ldb, float* c, std::size_t ldc) noexcept
+const Kernels& active() noexcept
 {
-    std::size_t i = 0;
-    for (; i + 2 <= m; i += 2) {
-        if constexpr (Vecs == 0) {
-            column<2>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
-        } else {
-            tile<2, Vecs>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
-        }
-    }
-    if (i < m) {
-        if constexpr (Vecs == 0) {
-            column<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
-        } else {
-            tile<1, Vecs>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
-        }
-    }
+    return baseline_forced.load(std::memory_order_relaxed) ? kBaseline : selected();
 }
 
 } // namespace
@@ -83,18 +57,13 @@ inline void column_block(std::size_t m, std::size_t k, const float* a, std::size
 void gemm_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
               const float* b, std::size_t ldb, float* c, std::size_t ldc) noexcept
 {
-    // Column blocks outermost: one k×16 panel of B stays in L1 while every
-    // row pair of A streams past it.
-    std::size_t j = 0;
-    for (; j + 4 * kLanes <= n; j += 4 * kLanes) {
-        column_block<4>(m, k, a, lda, b + j, ldb, c + j, ldc);
-    }
-    for (; j + kLanes <= n; j += kLanes) {
-        column_block<1>(m, k, a, lda, b + j, ldb, c + j, ldc);
-    }
-    for (; j < n; ++j) {
-        column_block<0>(m, k, a, lda, b + j, ldb, c + j, ldc);
-    }
+    active().gemm_acc(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+void max_pool_2x2(std::size_t planes, std::size_t h, std::size_t w, const float* x, float* y,
+                  std::size_t* arg) noexcept
+{
+    active().max_pool_2x2(planes, h, w, x, y, arg);
 }
 
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) noexcept
@@ -104,6 +73,21 @@ void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst)
             dst[c * rows + r] = src[r * cols + c];
         }
     }
+}
+
+Isa selected_isa() noexcept
+{
+    return selected().isa;
+}
+
+Isa active_isa() noexcept
+{
+    return active().isa;
+}
+
+void force_baseline(bool on) noexcept
+{
+    baseline_forced.store(on, std::memory_order_relaxed);
 }
 
 } // namespace fptc::nn::detail

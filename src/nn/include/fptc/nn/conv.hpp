@@ -2,10 +2,13 @@
 //
 // LeNet-5 (App. C listing 1) needs only valid (unpadded) convolutions with
 // square kernels and 2x2 max pooling.  Conv2d forward runs per sample as
-// one register-blocked GEMM over an im2col buffer.  Backward walks, per
-// (n, oc), only the nonzero output-gradient elements -- after ReLU and
-// MaxPool at least 3 in 4 are exact zeros -- accumulating weight-gradient
-// rows in registers and scattering the input gradient.  The im2col matrix
+// one register-blocked GEMM over an im2col buffer, on 8-lane AVX2 vectors
+// where CPUID reports them and on the 4-lane x86-64 baseline elsewhere;
+// a 2x2 MaxPool2d without NaN takes a vector path of the same two widths,
+// and both widths give the same bits.  Backward walks, per (n, oc), only
+// the nonzero output-gradient elements -- after ReLU and MaxPool at least
+// 3 in 4 are exact zeros -- accumulating weight-gradient rows in registers
+// and scattering the input gradient.  The im2col matrix
 // and backward's nonzero list share the layer's one scratch buffer, reused
 // across calls and charged to the memory budget.
 // Every output and gradient element receives its terms in the order of the
@@ -69,6 +72,8 @@ public:
     [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
     [[nodiscard]] Tensor forward(const Tensor& input, bool training) override;
     [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+
+    [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
 private:
     std::size_t window_;

@@ -1,8 +1,11 @@
-// The loop bodies below are the original Conv2d / Linear loops unchanged;
+// The loop bodies below are the original Conv2d / Linear / MaxPool2d loops
+// unchanged;
 // locals carry the original member names (in_channels_, stride_, ...) so
 // they read verbatim.
 #include "nn_reference.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace fptc::nn::reference {
@@ -180,6 +183,73 @@ Tensor linear_backward(const Tensor& input, const Tensor& weight, Tensor& weight
     return grad_input;
 }
 
+void gemm_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
+              const float* b, std::size_t ldb, float* c, std::size_t ldc)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = c[i * ldc + j];
+            for (std::size_t p = 0; p < k; ++p) {
+                acc += a[i * lda + p] * b[p * ldb + j];
+            }
+            c[i * ldc + j] = acc;
+        }
+    }
+}
+
+Tensor max_pool2d_forward(const Tensor& input, std::size_t window_,
+                          std::vector<std::size_t>& argmax_)
+{
+    const std::size_t batch = input.dim(0);
+    const std::size_t channels = input.dim(1);
+    const std::size_t h = input.dim(2);
+    const std::size_t w = input.dim(3);
+    const std::size_t out_h = h / window_;
+    const std::size_t out_w = w / window_;
+    Tensor output({batch, channels, out_h, out_w});
+    argmax_.assign(output.size(), 0);
+
+    const auto x = input.data();
+    auto y = output.data();
+    const std::size_t in_plane = h * w;
+    const std::size_t out_plane = out_h * out_w;
+    for (std::size_t nc = 0; nc < batch * channels; ++nc) {
+        const float* x_plane = x.data() + nc * in_plane;
+        float* y_plane = y.data() + nc * out_plane;
+        std::size_t* arg_plane = argmax_.data() + nc * out_plane;
+        for (std::size_t oy = 0; oy < out_h; ++oy) {
+            for (std::size_t ox = 0; ox < out_w; ++ox) {
+                float best = -std::numeric_limits<float>::infinity();
+                std::size_t best_index = 0;
+                for (std::size_t wy = 0; wy < window_; ++wy) {
+                    for (std::size_t wx = 0; wx < window_; ++wx) {
+                        const std::size_t idx = (oy * window_ + wy) * w + (ox * window_ + wx);
+                        if (x_plane[idx] > best) {
+                            best = x_plane[idx];
+                            best_index = idx;
+                        }
+                    }
+                }
+                // The first NaN of the window, row by row, wins.
+                bool nan_found = false;
+                for (std::size_t wy = 0; wy < window_ && !nan_found; ++wy) {
+                    for (std::size_t wx = 0; wx < window_ && !nan_found; ++wx) {
+                        const std::size_t idx = (oy * window_ + wy) * w + (ox * window_ + wx);
+                        if (std::isnan(x_plane[idx])) {
+                            best = x_plane[idx];
+                            best_index = idx;
+                            nan_found = true;
+                        }
+                    }
+                }
+                y_plane[oy * out_w + ox] = best;
+                arg_plane[oy * out_w + ox] = nc * in_plane + best_index;
+            }
+        }
+    }
+    return output;
+}
+
 namespace {
 
 /// A copy of `source` (value and accumulated gradient).
@@ -228,6 +298,26 @@ Tensor RefLinear::forward(const Tensor& input, bool /*training*/)
 Tensor RefLinear::backward(const Tensor& grad_output)
 {
     return linear_backward(input_cache_, weight_.value, weight_.grad, bias_.grad, grad_output);
+}
+
+Tensor RefMaxPool2d::forward(const Tensor& input, bool /*training*/)
+{
+    if (input.rank() != 4) {
+        throw std::invalid_argument("RefMaxPool2d::forward: bad input " + input.shape_string());
+    }
+    input_shape_ = input.shape();
+    return max_pool2d_forward(input, window_, argmax_);
+}
+
+Tensor RefMaxPool2d::backward(const Tensor& grad_output)
+{
+    Tensor grad_input(input_shape_);
+    auto gx = grad_input.data();
+    const auto gy = grad_output.data();
+    for (std::size_t i = 0; i < argmax_.size(); ++i) {
+        gx[argmax_[i]] += gy[i];
+    }
+    return grad_input;
 }
 
 } // namespace fptc::nn::reference

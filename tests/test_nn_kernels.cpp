@@ -1,10 +1,15 @@
-// Bit-exactness of the optimized Conv2d and Linear against the scalar
-// reference loops (tests/nn_reference.cpp).  Outputs and weight, bias and
-// input gradients must match byte for byte: per layer over a sweep of
+// Bit-exactness of the optimized GEMM, Conv2d, Linear and MaxPool2d
+// against the scalar reference loops (tests/nn_reference.cpp).  Outputs and
+// weight, bias and input gradients must match byte for byte: the GEMM over
+// shapes that reach every column and row tail, each layer over a sweep of
 // shapes and of output gradients (dense, mostly or all exact zeros, real
-// ReLU -> MaxPool masks), and through whole LeNet-5 networks trained for a
-// few steps.
+// ReLU -> MaxPool masks) or pooling windows (ties, signed zeros,
+// infinities, NaN), and whole LeNet-5 networks trained for a few steps.
+// Every such test runs twice: on the baseline kernels, forced, and on the
+// AVX2 ones, a half skipped on CPUs without AVX2.
 #include "nn_reference.hpp"
+
+#include "gemm.hpp"
 
 #include "fptc/nn/loss.hpp"
 #include "fptc/nn/models.hpp"
@@ -15,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -24,7 +31,58 @@
 namespace {
 
 using namespace fptc::nn;
+using detail::Isa;
 using fptc::util::Rng;
+
+bool cpu_has_avx2()
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+
+/// Runs the baseline kernels for its lifetime.
+class ForcedBaseline {
+public:
+    ForcedBaseline() { detail::force_baseline(true); }
+    ~ForcedBaseline() { detail::force_baseline(false); }
+    ForcedBaseline(const ForcedBaseline&) = delete;
+    ForcedBaseline& operator=(const ForcedBaseline&) = delete;
+};
+
+/// Runs `body` on the baseline kernels, then on the AVX2 ones; the AVX2
+/// half is skipped on a CPU without AVX2.
+template <typename Body>
+void on_both_paths(Body body)
+{
+    {
+        SCOPED_TRACE("baseline kernels");
+        const ForcedBaseline forced;
+        ASSERT_EQ(detail::active_isa(), Isa::baseline);
+        body();
+    }
+    if (::testing::Test::HasFatalFailure()) {
+        return;
+    }
+    if (!cpu_has_avx2()) {
+        GTEST_SKIP() << "no AVX2 on this CPU: only the baseline half ran";
+    }
+    SCOPED_TRACE("AVX2 kernels");
+    ASSERT_EQ(detail::active_isa(), Isa::avx2);
+    body();
+}
+
+TEST(KernelDispatch, PicksAvx2WheneverTheCpuHasIt)
+{
+    // A build that lost the AVX2 unit, or a pick that fell back, would
+    // leave an AVX2 host on 4 lanes without failing anything else.
+    EXPECT_EQ(detail::selected_isa(), cpu_has_avx2() ? Isa::avx2 : Isa::baseline);
+    EXPECT_EQ(detail::active_isa(), detail::selected_isa());
+    {
+        const ForcedBaseline forced;
+        EXPECT_EQ(detail::active_isa(), Isa::baseline);
+    }
+    EXPECT_EQ(detail::active_isa(), detail::selected_isa());
+}
 
 ::testing::AssertionResult bit_equal(const Tensor& actual, const Tensor& expected)
 {
@@ -175,12 +233,38 @@ constexpr std::array<std::size_t, 2> kStrides = {1, 2};
 
 TEST(Conv2dKernel, MatchesReferenceForEveryShapeAtBatchOne)
 {
-    for (const auto hw : kSizes) {
-        for (const auto kernel : kKernels) {
-            for (const auto stride : kStrides) {
-                for (const auto in : kInChannels) {
-                    for (const auto out : kOutChannels) {
-                        expect_conv_agrees({in, out, hw, kernel, stride, 1});
+    on_both_paths([] {
+        for (const auto hw : kSizes) {
+            for (const auto kernel : kKernels) {
+                for (const auto stride : kStrides) {
+                    for (const auto in : kInChannels) {
+                        for (const auto out : kOutChannels) {
+                            expect_conv_agrees({in, out, hw, kernel, stride, 1});
+                            if (HasFatalFailure()) {
+                                return;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+TEST(Conv2dKernel, MatchesReferenceAtBatch16And32)
+{
+    on_both_paths([] {
+        // Every (size, kernel, stride) at both batch sizes, the channel pair
+        // cycling through the sweep; at 32x32 and up only C_in = 1 (the conv1
+        // shapes) so the scalar oracle stays fast under sanitizers.
+        std::size_t next = 0;
+        for (const std::size_t batch : {16, 32}) {
+            for (const auto hw : kSizes) {
+                for (const auto kernel : kKernels) {
+                    for (const auto stride : kStrides) {
+                        const std::size_t pair = next++;
+                        const std::size_t in = hw >= 32 ? 1 : kInChannels[pair / 3 % 3];
+                        expect_conv_agrees({in, kOutChannels[pair % 3], hw, kernel, stride, batch});
                         if (HasFatalFailure()) {
                             return;
                         }
@@ -188,39 +272,19 @@ TEST(Conv2dKernel, MatchesReferenceForEveryShapeAtBatchOne)
                 }
             }
         }
-    }
-}
-
-TEST(Conv2dKernel, MatchesReferenceAtBatch16And32)
-{
-    // Every (size, kernel, stride) at both batch sizes, the channel pair
-    // cycling through the sweep; at 32x32 and up only C_in = 1 (the conv1
-    // shapes) so the scalar oracle stays fast under sanitizers.
-    std::size_t next = 0;
-    for (const std::size_t batch : {16, 32}) {
-        for (const auto hw : kSizes) {
-            for (const auto kernel : kKernels) {
-                for (const auto stride : kStrides) {
-                    const std::size_t pair = next++;
-                    const std::size_t in = hw >= 32 ? 1 : kInChannels[pair / 3 % 3];
-                    expect_conv_agrees({in, kOutChannels[pair % 3], hw, kernel, stride, batch});
-                    if (HasFatalFailure()) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
+    });
 }
 
 TEST(Conv2dKernel, MatchesReferenceAtLeNetShapes)
 {
-    for (const std::size_t batch : {16, 32}) {
-        expect_conv_agrees({1, 6, 32, 5, 1, batch});
-        expect_conv_agrees({1, 6, 64, 5, 1, batch});
-        expect_conv_agrees({6, 16, 14, 5, 1, batch});
-        expect_conv_agrees({6, 16, 30, 5, 1, batch});
-    }
+    on_both_paths([] {
+        for (const std::size_t batch : {16, 32}) {
+            expect_conv_agrees({1, 6, 32, 5, 1, batch});
+            expect_conv_agrees({1, 6, 64, 5, 1, batch});
+            expect_conv_agrees({6, 16, 14, 5, 1, batch});
+            expect_conv_agrees({6, 16, 30, 5, 1, batch});
+        }
+    });
 }
 
 /// Geometries for the sparse-gradient tests: the LeNet shapes, every
@@ -237,65 +301,250 @@ constexpr std::array<ConvCase, 8> kSparseCases = {{{1, 6, 32, 5, 1, 16},
 
 TEST(Conv2dKernel, MatchesReferenceOnMostlyZeroGradients)
 {
-    for (const auto& c : kSparseCases) {
-        expect_conv_agrees(c, mostly_zero_gradient);
-        if (HasFatalFailure()) {
-            return;
-        }
-    }
-}
-
-TEST(Conv2dKernel, MatchesReferenceOnAllZeroGradients)
-{
-    for (const auto& c : kSparseCases) {
-        expect_conv_agrees(c, zero_gradient);
-        if (HasFatalFailure()) {
-            return;
-        }
-    }
-}
-
-TEST(Conv2dKernel, MatchesReferenceOnReluMaxPoolGradients)
-{
-    for (const auto& c : kSparseCases) {
-        expect_conv_agrees(c, pooled_relu_gradient);
-        if (HasFatalFailure()) {
-            return;
-        }
-    }
-}
-
-TEST(Conv2dKernel, WithoutInputGradientKeepsParameterGradients)
-{
-    for (const auto& c : kSparseCases) {
-        expect_conv_agrees(c, pooled_relu_gradient, /*input_gradient=*/false);
-        expect_conv_agrees(c, half_zero_gradient, /*input_gradient=*/false);
-        if (HasFatalFailure()) {
-            return;
-        }
-    }
-}
-
-TEST(LinearKernel, MatchesReference)
-{
-    constexpr std::array<std::pair<std::size_t, std::size_t>, 4> kShapes = {
-        {{2, 3}, {84, 5}, {120, 84}, {400, 120}}};
-    for (const auto& [in, out] : kShapes) {
-        for (const std::size_t batch : {1, 7, 16, 17, 32}) {
-            SCOPED_TRACE("in=" + std::to_string(in) + " out=" + std::to_string(out) +
-                         " batch=" + std::to_string(batch));
-            Linear layer(in, out, /*seed=*/in + out);
-            Rng rng(in * 31 + batch);
-            for (auto& b : layer.parameters()[1]->value.data()) {
-                b = static_cast<float>(rng.normal(0.0, 0.1));
-            }
-            reference::RefLinear ref(layer);
-            expect_layers_agree(layer, ref, {batch, in}, rng);
+    on_both_paths([] {
+        for (const auto& c : kSparseCases) {
+            expect_conv_agrees(c, mostly_zero_gradient);
             if (HasFatalFailure()) {
                 return;
             }
         }
+    });
+}
+
+TEST(Conv2dKernel, MatchesReferenceOnAllZeroGradients)
+{
+    on_both_paths([] {
+        for (const auto& c : kSparseCases) {
+            expect_conv_agrees(c, zero_gradient);
+            if (HasFatalFailure()) {
+                return;
+            }
+        }
+    });
+}
+
+TEST(Conv2dKernel, MatchesReferenceOnReluMaxPoolGradients)
+{
+    on_both_paths([] {
+        for (const auto& c : kSparseCases) {
+            expect_conv_agrees(c, pooled_relu_gradient);
+            if (HasFatalFailure()) {
+                return;
+            }
+        }
+    });
+}
+
+TEST(Conv2dKernel, WithoutInputGradientKeepsParameterGradients)
+{
+    on_both_paths([] {
+        for (const auto& c : kSparseCases) {
+            expect_conv_agrees(c, pooled_relu_gradient, /*input_gradient=*/false);
+            expect_conv_agrees(c, half_zero_gradient, /*input_gradient=*/false);
+            if (HasFatalFailure()) {
+                return;
+            }
+        }
+    });
+}
+
+TEST(LinearKernel, MatchesReference)
+{
+    on_both_paths([] {
+        constexpr std::array<std::pair<std::size_t, std::size_t>, 4> kShapes = {
+            {{2, 3}, {84, 5}, {120, 84}, {400, 120}}};
+        for (const auto& [in, out] : kShapes) {
+            for (const std::size_t batch : {1, 7, 16, 17, 32}) {
+                SCOPED_TRACE("in=" + std::to_string(in) + " out=" + std::to_string(out) +
+                             " batch=" + std::to_string(batch));
+                Linear layer(in, out, /*seed=*/in + out);
+                Rng rng(in * 31 + batch);
+                for (auto& b : layer.parameters()[1]->value.data()) {
+                    b = static_cast<float>(rng.normal(0.0, 0.1));
+                }
+                reference::RefLinear ref(layer);
+                expect_layers_agree(layer, ref, {batch, in}, rng);
+                if (HasFatalFailure()) {
+                    return;
+                }
+            }
+        }
+    });
+}
+
+/// Normal entries, a tenth of them exact zeros of either sign.
+std::vector<float> gemm_operand(std::size_t size, Rng& rng)
+{
+    std::vector<float> v(size);
+    for (auto& x : v) {
+        const double u = rng.uniform();
+        x = u < 0.05 ? 0.0f : u < 0.1 ? -0.0f : static_cast<float>(rng.normal());
     }
+    return v;
+}
+
+TEST(GemmKernel, MatchesReferenceOnEveryTail)
+{
+    // n reaches every column block and tail of both widths (32/16/8/4 and
+    // 16/8/4 columns, then scalar), m odd and even, k from one term to
+    // fc1's 400; leading dimensions wider than the rows, whose padding must
+    // stay untouched.
+    constexpr std::array<std::size_t, 13> kColumns = {1, 3, 7, 8, 9, 15, 16,
+                                                      17, 31, 32, 33, 100, 784};
+    constexpr std::array<std::size_t, 5> kRows = {1, 2, 3, 6, 17};
+    constexpr std::array<std::size_t, 4> kDepths = {1, 25, 150, 400};
+    on_both_paths([&] {
+        for (const auto n : kColumns) {
+            for (const auto m : kRows) {
+                for (const auto k : kDepths) {
+                    SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k));
+                    const std::size_t lda = k + 1;
+                    const std::size_t ldb = n + 2;
+                    const std::size_t ldc = n + 3;
+                    Rng rng(m * 7919 + n * 31 + k);
+                    const auto a = gemm_operand(m * lda, rng);
+                    const auto b = gemm_operand(k * ldb, rng);
+                    auto c = gemm_operand(m * ldc, rng);
+                    auto expected = c;
+                    detail::gemm_acc(m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+                    reference::gemm_acc(m, n, k, a.data(), lda, b.data(), ldb, expected.data(),
+                                        ldc);
+                    ASSERT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)),
+                              0);
+                }
+            }
+        }
+    });
+}
+
+/// Pool inputs drawn from a few values, so windows tie often, with +0 and
+/// -0, both infinities, and -inf-only windows common at `inf_share`.
+Tensor pool_input(const Shape& shape, Rng& rng, double inf_share = 0.1)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Tensor t(shape);
+    for (auto& v : t.data()) {
+        const double u = rng.uniform();
+        if (u < inf_share) {
+            v = -kInf;
+            continue;
+        }
+        switch (rng.uniform_int(0, 7)) {
+        case 0: v = 0.0f; break;
+        case 1: v = -0.0f; break;
+        case 2: v = 1.0f; break;
+        case 3: v = -1.0f; break;
+        case 4: v = kInf; break;
+        default: v = static_cast<float>(rng.normal()); break;
+        }
+    }
+    return t;
+}
+
+/// MaxPool2d and the reference agree on the output and, through a backward
+/// pass of distinct gradients, on every window's index.
+::testing::AssertionResult pools_agree(std::size_t window, const Tensor& x)
+{
+    MaxPool2d pool(window);
+    reference::RefMaxPool2d ref(window);
+    const Tensor y = pool.forward(x, true);
+    if (auto same = bit_equal(y, ref.forward(x, true)); !same) {
+        return same << " (forward)";
+    }
+    Tensor gy(y.shape());
+    for (std::size_t i = 0; i < gy.size(); ++i) {
+        gy[i] = static_cast<float>(i + 1);
+    }
+    if (auto same = bit_equal(pool.backward(gy), ref.backward(gy)); !same) {
+        return same << " (backward: a window's index differs)";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(MaxPoolKernel, MatchesReferenceOnEveryTail)
+{
+    // Output widths 1..33 reach both vector widths, the overlapping last
+    // block and the scalar path; odd sizes drop their last row / column.
+    on_both_paths([] {
+        for (const std::size_t h : {2, 3, 10, 28}) {
+            for (std::size_t w = 2; w <= 67; w += w < 20 ? 1 : 7) {
+                SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w));
+                Rng rng(h * 101 + w);
+                ASSERT_TRUE(pools_agree(2, pool_input({2, 3, h, w}, rng)));
+            }
+        }
+        Rng rng(3);
+        ASSERT_TRUE(pools_agree(2, pool_input({16, 6, 28, 28}, rng, 0.0))) << "pool1";
+        ASSERT_TRUE(pools_agree(2, pool_input({16, 16, 10, 10}, rng, 0.0))) << "pool2";
+        ASSERT_TRUE(pools_agree(3, pool_input({2, 3, 9, 10}, rng))) << "3x3 window";
+    });
+}
+
+TEST(MaxPoolKernel, TiesSignedZerosAndInfinities)
+{
+    on_both_paths([] {
+        constexpr float kInf = std::numeric_limits<float>::infinity();
+        // Each window as (a b / c d), 16 in a row, rotated through every
+        // position so each case meets every lane of both widths.
+        const std::vector<std::array<float, 4>> kWindows = {{
+            {1, 1, 1, 1},                     // four-way tie: a
+            {0, 2, 2, 0},                     // b and c tie: b
+            {0, 0, 2, 2},                     // c and d tie: c
+            {-0.0f, 0, 0, -0.0f},             // +0 never beats -0: a
+            {0, -0.0f, -0.0f, 0},             // a
+            {-0.0f, -0.0f, 0, 0},             // a
+            {-kInf, -kInf, -kInf, -kInf},     // no max: plane index 0
+            {kInf, 3, kInf, 3},               // a
+            {-kInf, kInf, kInf, -kInf},       // b
+            {-kInf, -kInf, -kInf, -2},        // d
+            {-1, -1, -kInf, -1},              // a
+            {5, -kInf, 5, kInf},              // d
+            {-0.0f, -kInf, -kInf, -kInf},     // a
+            {-kInf, -kInf, 0, -0.0f},         // c
+            {7, 7, 8, 8},                     // c
+            {-3, -2, -2, -3},                 // b
+        }};
+        for (std::size_t shift = 0; shift < kWindows.size(); ++shift) {
+            Tensor x({1, 2, 2, 2 * kWindows.size()});
+            const std::size_t w = 2 * kWindows.size();
+            for (std::size_t plane = 0; plane < 2; ++plane) {
+                for (std::size_t i = 0; i < kWindows.size(); ++i) {
+                    const auto& win = kWindows[(i + shift + plane) % kWindows.size()];
+                    float* top = x.data().data() + plane * 2 * w + 2 * i;
+                    top[0] = win[0];
+                    top[1] = win[1];
+                    top[w] = win[2];
+                    top[w + 1] = win[3];
+                }
+            }
+            SCOPED_TRACE("shift " + std::to_string(shift));
+            ASSERT_TRUE(pools_agree(2, x));
+        }
+    });
+}
+
+TEST(MaxPoolKernel, NaNInEachWindowPosition)
+{
+    on_both_paths([] {
+        const float nan = std::nanf("");
+        for (std::size_t position = 0; position < 4; ++position) {
+            SCOPED_TRACE("NaN at window position " + std::to_string(position));
+            Rng rng(position);
+            Tensor x = pool_input({2, 3, 10, 18}, rng);
+            // Every third window gets a NaN at `position`; the first window
+            // also one at d, so it holds two unless position is d.
+            for (std::size_t p = 0; p < 6; ++p) {
+                for (std::size_t oy = 0; oy < 5; ++oy) {
+                    for (std::size_t ox = oy % 3; ox < 9; ox += 3) {
+                        x[p * 180 + (2 * oy + position / 2) * 18 + 2 * ox + position % 2] = nan;
+                    }
+                }
+            }
+            x[19] = nan;
+            ASSERT_TRUE(pools_agree(2, x));
+        }
+    });
 }
 
 /// Forwards every call to a layer owned by another network: same object,
@@ -319,9 +568,10 @@ private:
     Layer& inner_;
 };
 
-/// `donor` with each Conv2d / Linear replaced by a reference copy and
-/// every other layer borrowed.  Built from a second network of the same
-/// config, the twin starts identical to the first, dropout masks included.
+/// `donor` with each Conv2d / Linear / MaxPool2d replaced by a reference
+/// copy and every other layer borrowed.  Built from a second network of the
+/// same config, the twin starts identical to the first, dropout masks
+/// included.
 Sequential reference_twin(Sequential& donor)
 {
     Sequential twin;
@@ -331,6 +581,8 @@ Sequential reference_twin(Sequential& donor)
             twin.add(std::make_unique<reference::RefConv2d>(*conv));
         } else if (auto* linear = dynamic_cast<Linear*>(&layer)) {
             twin.add(std::make_unique<reference::RefLinear>(*linear));
+        } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
+            twin.add(std::make_unique<reference::RefMaxPool2d>(pool->window()));
         } else {
             twin.add(std::make_unique<Borrowed>(layer));
         }
@@ -383,17 +635,23 @@ void expect_supervised_training_agrees(std::size_t dim, std::size_t batch = 8)
 
 TEST(KernelPin, SupervisedLeNetTrainsBitIdenticallyAt32)
 {
-    expect_supervised_training_agrees(32);
+    on_both_paths([] {
+        expect_supervised_training_agrees(32);
+    });
 }
 
 TEST(KernelPin, SupervisedLeNetTrainsBitIdenticallyAt64)
 {
-    expect_supervised_training_agrees(64);
+    on_both_paths([] {
+        expect_supervised_training_agrees(64);
+    });
 }
 
 TEST(KernelPin, SupervisedLeNetTrainsBitIdenticallyAtBatch32)
 {
-    expect_supervised_training_agrees(32, 32);
+    on_both_paths([] {
+        expect_supervised_training_agrees(32, 32);
+    });
 }
 
 void expect_simclr_step_agrees(std::size_t batch)
@@ -423,12 +681,16 @@ void expect_simclr_step_agrees(std::size_t batch)
 
 TEST(KernelPin, SimClrNtXentStepIsBitIdentical)
 {
-    expect_simclr_step_agrees(8);
+    on_both_paths([] {
+        expect_simclr_step_agrees(8);
+    });
 }
 
 TEST(KernelPin, SimClrNtXentStepIsBitIdenticalAtBatch32)
 {
-    expect_simclr_step_agrees(32);
+    on_both_paths([] {
+        expect_simclr_step_agrees(32);
+    });
 }
 
 } // namespace
