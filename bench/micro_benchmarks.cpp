@@ -20,6 +20,7 @@
 #include "fptc/nn/layers.hpp"
 #include "fptc/nn/loss.hpp"
 #include "fptc/nn/models.hpp"
+#include "fptc/nn/optimizer.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/membudget.hpp"
@@ -184,8 +185,10 @@ BENCHMARK(BM_Conv2dForward)
     ->ArgsProduct({{1}, {6}, {32}, {16, 32}, {0, 1}})
     ->ArgsProduct({{6}, {16}, {14}, {16, 32}, {0, 1}});
 
+/// Args (C_in, C_out, H = W, batch, isa).
 void BM_Conv2dBackward(benchmark::State& state)
 {
+    const KernelIsa isa(state, 4);
     auto layer = conv_for(state);
     util::Rng rng(3);
     const auto input = conv_input(state, rng);
@@ -199,16 +202,17 @@ void BM_Conv2dBackward(benchmark::State& state)
 }
 // Dense randn gradients: every term is nonzero, which training never sees.
 BENCHMARK(BM_Conv2dBackward)
-    ->Args({1, 6, 32, 16})->Args({1, 6, 32, 32})
-    ->Args({6, 16, 14, 16})->Args({6, 16, 14, 32});
+    ->ArgsProduct({{1}, {6}, {32}, {16, 32}, {0, 1}})
+    ->ArgsProduct({{6}, {16}, {14}, {16, 32}, {0, 1}});
 
 /// Conv2d backward as training runs it: the output gradient comes back
 /// through ReLU and MaxPool2d(2) from a dense gradient on the pooled map,
 /// so at least 3 in 4 of its elements are exact zeros.  Args (C_in, C_out,
-/// H = W, batch, input gradient): conv1 computes no input gradient in a
-/// LeNet-5, conv2 does.
+/// H = W, batch, input gradient, isa): conv1 computes no input gradient in
+/// a LeNet-5, conv2 does.
 void BM_Conv2dBackwardReluPool(benchmark::State& state)
 {
+    const KernelIsa isa(state, 5);
     auto layer = conv_for(state);
     layer.set_input_gradient(state.range(4) != 0);
     util::Rng rng(3);
@@ -224,8 +228,8 @@ void BM_Conv2dBackwardReluPool(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(3));
 }
 BENCHMARK(BM_Conv2dBackwardReluPool)
-    ->Args({1, 6, 32, 16, 0})->Args({1, 6, 32, 32, 0})
-    ->Args({6, 16, 14, 16, 1})->Args({6, 16, 14, 32, 1});
+    ->ArgsProduct({{1}, {6}, {32}, {16, 32}, {0}, {0, 1}})
+    ->ArgsProduct({{6}, {16}, {14}, {16, 32}, {1}, {0, 1}});
 
 /// fc1 (400 -> 120); args (batch, isa).
 void BM_LinearForward(benchmark::State& state)
@@ -302,6 +306,31 @@ void BM_LeNetTrainStep(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_LeNetTrainStep);
+
+/// One Adam step over a 32x32 LeNet-5's parameters (61,281 weights) with
+/// gradients from one training batch; arg isa.
+void BM_AdamStep(benchmark::State& state)
+{
+    const KernelIsa isa(state, 0);
+    nn::ModelConfig config;
+    config.flowpic_dim = 32;
+    auto network = nn::make_supervised_network(config);
+    util::Rng rng(3);
+    const auto input = nn::Tensor::randn({32, 1, 32, 32}, rng, 0.5f);
+    std::vector<std::size_t> labels(32);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = i % 5;
+    }
+    const auto logits = network.forward(input, true);
+    (void)network.backward(nn::cross_entropy(logits, labels).grad);
+    nn::Adam optimizer(network.parameters(), 1e-3);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        optimizer.step();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_AdamStep)->Arg(0)->Arg(1);
 
 void BM_NtXent(benchmark::State& state)
 {

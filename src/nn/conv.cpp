@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -40,17 +39,7 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t ke
 
 namespace {
 
-/// Output geometry of one valid convolution.
-struct ConvShape {
-    std::size_t channels; ///< C_in
-    std::size_t h, w;
-    std::size_t kernel;
-    std::size_t stride;
-    std::size_t out_h, out_w;
-
-    [[nodiscard]] std::size_t taps() const noexcept { return channels * kernel * kernel; }
-    [[nodiscard]] std::size_t positions() const noexcept { return out_h * out_w; }
-};
+using detail::ConvShape;
 
 ConvShape conv_shape(std::size_t channels, std::size_t h, std::size_t w, std::size_t kernel,
                      std::size_t stride) noexcept
@@ -63,7 +52,7 @@ ConvShape conv_shape(std::size_t channels, std::size_t h, std::size_t w, std::si
 /// x[ic][oy * stride + ky][ox * stride + kx].
 void im2col(const float* x, const ConvShape& s, float* col) noexcept
 {
-    const std::size_t positions = s.positions();
+    const std::size_t positions = s.out_h * s.out_w;
     std::size_t tap = 0;
     for (std::size_t ic = 0; ic < s.channels; ++ic) {
         for (std::size_t ky = 0; ky < s.kernel; ++ky) {
@@ -81,106 +70,6 @@ void im2col(const float* x, const ConvShape& s, float* col) noexcept
                     for (; ox < s.out_w; ++ox) {
                         dst_row[ox] = src[ox * s.stride];
                     }
-                }
-            }
-        }
-    }
-}
-
-/// One nonzero element of an output-gradient plane: its value and the
-/// offset of its receptive field's top-left element, (oy·stride)·W +
-/// ox·stride, in a sample's input planes.  Kept two floats wide in the
-/// layer's scratch buffer.
-struct Nonzero {
-    std::uint32_t offset;
-    float g;
-};
-static_assert(sizeof(Nonzero) == 2 * sizeof(float));
-
-/// Writes the nonzero elements of output plane `gy` to `list` in ascending
-/// (oy, ox); returns how many.  Branchless: every element is written to the
-/// next free slot, which only a nonzero claims.  NaN counts as nonzero, as
-/// in the reference's `g == 0` test.
-std::size_t gather_nonzeros(const float* gy, const ConvShape& s, float* list) noexcept
-{
-    std::size_t count = 0;
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-        for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-            const Nonzero e{static_cast<std::uint32_t>((oy * s.w + ox) * s.stride),
-                            gy[oy * s.out_w + ox]};
-            std::memcpy(list + 2 * count, &e, sizeof e);
-            count += e.g != 0.0f ? 1 : 0;
-        }
-    }
-    return count;
-}
-
-inline Nonzero nonzero_at(const float* list, std::size_t j) noexcept
-{
-    Nonzero e;
-    std::memcpy(&e, list + 2 * j, sizeof e);
-    return e;
-}
-
-/// Weight-gradient rows for R consecutive kernel rows (ic, ky) of one oc,
-/// lanes [0, sizeof(V) / 4) of each: gk[r * k + lane] += g · x[offset +
-/// x_row[r] + lane] over the nonzeros in list order.  The R accumulators
-/// stay in registers for the whole walk.
-template <typename V, std::size_t R>
-void weight_rows(const float* list, std::size_t count, const float* x, const std::size_t* x_row,
-                 float* gk, std::size_t k) noexcept
-{
-    V acc[R];
-    for (std::size_t r = 0; r < R; ++r) {
-        acc[r] = load<V>(gk + r * k);
-    }
-    for (std::size_t j = 0; j < count; ++j) {
-        const Nonzero e = nonzero_at(list, j);
-        const float* xe = x + e.offset;
-        for (std::size_t r = 0; r < R; ++r) {
-            acc[r] += e.g * load<V>(xe + x_row[r]);
-        }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-        store(gk + r * k, acc[r]);
-    }
-}
-
-/// weight_rows for `rows` ≤ R kernel rows.
-template <typename V, std::size_t R = 8>
-void weight_rows_upto(std::size_t rows, const float* list, std::size_t count, const float* x,
-                      const std::size_t* x_row, float* gk, std::size_t k) noexcept
-{
-    if constexpr (R > 1) {
-        if (rows < R) {
-            weight_rows_upto<V, R - 1>(rows, list, count, x, x_row, gk, k);
-            return;
-        }
-    }
-    weight_rows<V, R>(list, count, x, x_row, gk, k);
-}
-
-/// Input gradient of one (n, oc): every nonzero, in list order, adds g
-/// times each kernel row (ic, ky) to the input row its receptive field
-/// covers.  K > 0 fixes the kernel size at compile time; K = 0 reads it
-/// from `s`.
-template <std::size_t K>
-void scatter_input_gradient(const float* list, std::size_t count, const float* kernel,
-                            float* gx, const ConvShape& s) noexcept
-{
-    const std::size_t k = K > 0 ? K : s.kernel;
-    for (std::size_t j = 0; j < count; ++j) {
-        const Nonzero e = nonzero_at(list, j);
-        const float* k_row = kernel;
-        for (std::size_t ic = 0; ic < s.channels; ++ic) {
-            float* dst = gx + e.offset + ic * s.h * s.w;
-            for (std::size_t ky = 0; ky < k; ++ky, dst += s.w, k_row += k) {
-                std::size_t lane = 0;
-                for (; lane + kLanes <= k; lane += kLanes) {
-                    store(dst + lane, load<v4f>(dst + lane) + e.g * load<v4f>(k_row + lane));
-                }
-                for (; lane < k; ++lane) {
-                    dst[lane] += e.g * k_row[lane];
                 }
             }
         }
@@ -219,18 +108,27 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/)
     }
     input_cache_ = input;
     const ConvShape s = conv_shape(in_channels_, h, w, kernel_size_, stride_);
-    const std::size_t taps = s.taps();
-    const std::size_t positions = s.positions();
+    const std::size_t taps = in_channels_ * kernel_size_ * kernel_size_;
+    const std::size_t positions = s.out_h * s.out_w;
     Tensor output({batch, out_channels_, s.out_h, s.out_w});
-    float* col = columns(taps * positions);
 
     const float* x = input.data().data();
     const float* kernel = weight_.value.data().data();
     const auto b = bias_.value.data();
     float* y = output.data().data();
 
+    // One input plane at stride 1 (conv1): every output straight from the
+    // input rows, its taps in the GEMM's order.  For conv2 the direct walk
+    // was 8% faster on AVX2 and 25% slower at the baseline, where a row of
+    // 10 outputs fills 10 of 16 lanes, so more planes keep the GEMM.
+    if (in_channels_ == 1 && stride_ == 1) {
+        detail::conv1_forward(batch, out_channels_, h, w, kernel_size_, x, kernel, b.data(), y);
+        return output;
+    }
+
     // Per sample: Y[oc][p] = bias[oc] + sum over taps in (ic, ky, kx) order,
     // as W [C_out × taps] · col [taps × positions] onto a bias-filled Y.
+    float* col = columns(taps * positions);
     for (std::size_t n = 0; n < batch; ++n) {
         im2col(x + n * in_channels_ * h * w, s, col);
         float* y_n = y + n * out_channels_ * positions;
@@ -254,10 +152,9 @@ Tensor Conv2d::backward(const Tensor& grad_output)
         grad_output.dim(3) != s.out_w) {
         throw std::invalid_argument("Conv2d::backward: bad grad shape " + grad_output.shape_string());
     }
-    const std::size_t k = kernel_size_;
-    const std::size_t positions = s.positions();
+    const std::size_t positions = s.out_h * s.out_w;
     const std::size_t sample = in_channels_ * h * w;
-    const std::size_t rows = in_channels_ * k; // kernel rows (ic, ky) per oc
+    const std::size_t weights = in_channels_ * kernel_size_ * kernel_size_; // per oc
     if (sample > std::numeric_limits<std::uint32_t>::max()) {
         throw std::invalid_argument("Conv2d::backward: input sample too large");
     }
@@ -267,58 +164,30 @@ Tensor Conv2d::backward(const Tensor& grad_output)
     const float* x = input_cache_.data().data();
     const float* kernel = weight_.value.data().data();
     float* gk = weight_.grad.data().data();
-    auto gb = bias_.grad.data();
+    float* gb = bias_.grad.data().data();
     const float* gy = grad_output.data().data();
     float* gx = grad_input.data().data();
 
     // The reference loop over (n, oc, oy, ox) skips g == 0, so each
     // gradient element's terms are the nonzero g in ascending (n, oc, oy,
-    // ox), each a rounded product then a rounded add.  Per (n, oc) this
-    // walks exactly those nonzeros, in that order, into the bias; into the
-    // weight rows, up to 8 rows' accumulators held in registers per walk,
-    // 4-lane vectors then scalar lanes so no lane runs past a kernel row;
-    // and, scattered as g times each kernel row, into the input gradient.
+    // ox), each a rounded product then a rounded add.  Per (n, oc) the
+    // kernels walk exactly those nonzeros, in that order, into the bias and
+    // weight rows (accumulators held in registers) and, scattered as g
+    // times each kernel row, into the input gradient.
     for (std::size_t n = 0; n < batch; ++n) {
         const float* x_n = x + n * sample;
         float* gx_n = gx + n * sample;
         for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-            const std::size_t count = gather_nonzeros(gy + (n * out_channels_ + oc) * positions, s,
-                                                      list);
+            const std::size_t count =
+                detail::gather_nonzeros(gy + (n * out_channels_ + oc) * positions, s, list);
             if (count == 0) {
                 continue;
             }
-            for (std::size_t j = 0; j < count; ++j) {
-                gb[oc] += nonzero_at(list, j).g;
-            }
-
-            float* gk_oc = gk + oc * rows * k;
-            for (std::size_t r0 = 0; r0 < rows; r0 += 8) {
-                const std::size_t group = std::min<std::size_t>(8, rows - r0);
-                std::size_t x_row[8];
-                for (std::size_t r = 0; r < group; ++r) {
-                    x_row[r] = ((r0 + r) / k * h + (r0 + r) % k) * w;
-                }
-                std::size_t lane = 0;
-                for (; lane + kLanes <= k; lane += kLanes) {
-                    weight_rows_upto<v4f>(group, list, count, x_n + lane, x_row,
-                                          gk_oc + r0 * k + lane, k);
-                }
-                for (; lane < k; ++lane) {
-                    weight_rows_upto<float>(group, list, count, x_n + lane, x_row,
-                                            gk_oc + r0 * k + lane, k);
-                }
-            }
-
-            if (!input_gradient_) {
-                continue;
-            }
-            const float* k_oc = kernel + oc * rows * k;
-            // LeNet-5's kernel size, fixed at compile time so the row loop
-            // unrolls (half the time of the run-time width).
-            if (k == 5) {
-                scatter_input_gradient<5>(list, count, k_oc, gx_n, s);
-            } else {
-                scatter_input_gradient<0>(list, count, k_oc, gx_n, s);
+            detail::conv_weight_grad(list, count, x_n, (batch - n) * sample, s,
+                                     gk + oc * weights, gb + oc);
+            if (input_gradient_) {
+                detail::conv_input_grad(list, count, kernel + oc * weights, gx_n,
+                                        (batch - n) * sample, s);
             }
         }
     }
@@ -363,19 +232,13 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/)
     const std::size_t in_plane = h * w;
     const std::size_t out_plane = out_h * out_w;
 
-    // A NaN wins over every number, the first NaN of a window over later
-    // ones, as in PyTorch.  NaN is rare, so one vectorizable scan decides
-    // whether any window needs a second look; the max loop stays as it was.
-    int unordered = 0;
-    for (const float v : x) {
-        unordered |= static_cast<int>(v != v);
-    }
-    const bool has_nan = unordered != 0;
-
-    // LeNet's 2x2 window without NaN: vector selects that give the scan's
-    // value and index (the kernel keeps plane offsets in 32-bit lanes).
-    if (window_ == 2 && !has_nan && in_plane <= std::numeric_limits<std::int32_t>::max()) {
-        detail::max_pool_2x2(batch * channels, h, w, x.data(), y.data(), argmax_.data());
+    // LeNet's 2x2 window: vector selects that give the scan's value and
+    // index (the kernel keeps plane offsets in 32-bit lanes).  A NaN wins
+    // over every number, the first NaN of a window over later ones, as in
+    // PyTorch; the selects cannot order one, so the kernel reports any it
+    // meets and the scan below redoes the tensor.
+    if (window_ == 2 && in_plane <= std::numeric_limits<std::int32_t>::max() &&
+        !detail::max_pool_2x2(batch * channels, h, w, x.data(), y.data(), argmax_.data())) {
         return output;
     }
 
@@ -396,8 +259,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/)
                         }
                     }
                 }
-                if (has_nan &&
-                    first_nan(x_plane, oy * window_ * w + ox * window_, window_, w, best_index)) {
+                if (first_nan(x_plane, oy * window_ * w + ox * window_, window_, w, best_index)) {
                     best = x_plane[best_index];
                 }
                 y_plane[oy * out_w + ox] = best;

@@ -1,14 +1,17 @@
 // Convolution and pooling layers.
 //
 // LeNet-5 (App. C listing 1) needs only valid (unpadded) convolutions with
-// square kernels and 2x2 max pooling.  Conv2d forward runs per sample as
-// one register-blocked GEMM over an im2col buffer, on 8-lane AVX2 vectors
-// where CPUID reports them and on the 4-lane x86-64 baseline elsewhere;
-// a 2x2 MaxPool2d without NaN takes a vector path of the same two widths,
-// and both widths give the same bits.  Backward walks, per (n, oc), only
-// the nonzero output-gradient elements -- after ReLU and MaxPool at least
-// 3 in 4 are exact zeros -- accumulating weight-gradient rows in registers
-// and scattering the input gradient.  The im2col matrix
+// square kernels and 2x2 max pooling.  Every kernel below runs on 8-lane
+// AVX2 vectors where CPUID reports them and on the 4-lane x86-64 baseline
+// elsewhere, and both widths give the same bits.  Conv2d forward with one
+// input plane at stride 1 (conv1) computes each output row straight from
+// the input rows; any other shape runs per sample as one register-blocked
+// GEMM over an im2col buffer.  A 2x2 MaxPool2d takes a vector path that
+// reports a NaN it cannot order, and only then scans.  Backward walks,
+// per (n, oc), only the nonzero output-gradient elements -- after ReLU and
+// MaxPool at least 3 in 4 are exact zeros -- accumulating weight-gradient
+// rows in registers, one vector per kernel row, and scattering the input
+// gradient with the lanes past each row masked off.  The im2col matrix
 // and backward's nonzero list share the layer's one scratch buffer, reused
 // across calls and charged to the memory budget.
 // Every output and gradient element receives its terms in the order of the

@@ -1,5 +1,7 @@
 #include "fptc/nn/optimizer.hpp"
 
+#include "gemm.hpp"
+
 #include <cmath>
 #include <stdexcept>
 
@@ -78,16 +80,9 @@ void Adam::step()
     const auto b2 = static_cast<float>(beta2_);
     for (std::size_t i = 0; i < parameters_.size(); ++i) {
         auto& p = *parameters_[i];
-        auto values = p.value.data();
-        const auto grads = p.grad.data();
-        auto m = first_moment_[i].data();
-        auto v = second_moment_[i].data();
-        for (std::size_t j = 0; j < values.size(); ++j) {
-            m[j] = b1 * m[j] + (1.0f - b1) * grads[j];
-            v[j] = b2 * v[j] + (1.0f - b2) * grads[j] * grads[j];
-            values[j] -= static_cast<float>(alpha * static_cast<double>(m[j]) /
-                                            (std::sqrt(static_cast<double>(v[j])) + epsilon_));
-        }
+        detail::adam_update(p.value.size(), p.value.data().data(), p.grad.data().data(),
+                            first_moment_[i].data().data(), second_moment_[i].data().data(), b1,
+                            b2, alpha, epsilon_);
     }
 }
 

@@ -1,5 +1,5 @@
-// The loop bodies below are the original Conv2d / Linear / MaxPool2d loops
-// unchanged;
+// The loop bodies below are the original Conv2d / Linear / MaxPool2d /
+// Adam loops unchanged;
 // locals carry the original member names (in_channels_, stride_, ...) so
 // they read verbatim.
 #include "nn_reference.hpp"
@@ -194,6 +194,17 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, std::
             }
             c[i * ldc + j] = acc;
         }
+    }
+}
+
+void adam_update(std::size_t n, float* values, const float* grads, float* m, float* v, float b1,
+                 float b2, double alpha, double epsilon_)
+{
+    for (std::size_t j = 0; j < n; ++j) {
+        m[j] = b1 * m[j] + (1.0f - b1) * grads[j];
+        v[j] = b2 * v[j] + (1.0f - b2) * grads[j] * grads[j];
+        values[j] -= static_cast<float>(alpha * static_cast<double>(m[j]) /
+                                        (std::sqrt(static_cast<double>(v[j])) + epsilon_));
     }
 }
 

@@ -1,9 +1,9 @@
 // Test-only scalar oracle for the nn kernels.
 //
-// These are the original direct loops of Conv2d, Linear and MaxPool2d,
-// kept verbatim as free functions so tests can check the optimized layers
-// in src/nn against them bit for bit, plus the plain triple loop the GEMM
-// kernel must reproduce.  RefConv2d / RefLinear / RefMaxPool2d wrap them as
+// These are the original direct loops of Conv2d, Linear and MaxPool2d and
+// Adam's update loop, kept verbatim as free functions so tests can check
+// the optimized layers and kernels in src/nn against them bit for bit,
+// plus the plain triple loop the GEMM kernel must reproduce.  RefConv2d / RefLinear / RefMaxPool2d wrap them as
 // Layers with the same parameters as an optimized layer, so a whole network
 // can be twinned (tests/test_nn_kernels.cpp).
 #pragma once
@@ -37,6 +37,11 @@ namespace fptc::nn::reference {
 /// element `acc = c; for (p) acc += a[p] * b[p];`.
 void gemm_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
               const float* b, std::size_t ldb, float* c, std::size_t ldc);
+
+/// Adam's update of n weights, the loop Adam::step ran over each
+/// parameter tensor: moments in float, the step in double.
+void adam_update(std::size_t n, float* values, const float* grads, float* m, float* v, float b1,
+                 float b2, double alpha, double epsilon_);
 
 /// Max pooling with window == stride over input [N, C, H, W]; `argmax`
 /// receives each output's flat source index in the input.

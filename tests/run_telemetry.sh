@@ -12,7 +12,8 @@
 #   * a bad FPTC_TRACE sink fails fast (EnvError before any unit runs),
 #   * optionally (second argument = micro_benchmarks binary): the
 #     disabled-path span overhead stays within 2% (+2 ns slack) of an
-#     identical span-free workload.
+#     identical span-free workload, the fastest of 20 short repetitions of
+#     each, run interleaved in random order so host load hits both alike.
 #
 # Usage, from the repo root (binary defaults to build/bench/table4_augmentations):
 #
@@ -126,10 +127,11 @@ if [[ -n "$MICRO" ]]; then
         echo "run_telemetry: FAIL: micro benchmark binary '$MICRO' not found" >&2
         exit 1
     fi
-    echo "run_telemetry: disabled-path overhead gate (3 repetitions, min ns/op)..."
+    echo "run_telemetry: disabled-path overhead gate (20 interleaved repetitions, min ns/op)..."
     env FPTC_ARTIFACTS_DIR="$WORK" "$MICRO" \
         --benchmark_filter='BM_SpanOverheadBaseline|BM_TelemetryDisabledSpan' \
-        --benchmark_min_time=0.2 --benchmark_repetitions=3 \
+        --benchmark_enable_random_interleaving=true \
+        --benchmark_min_time=0.02 --benchmark_repetitions=20 \
         >"$WORK/micro_stdout.txt" 2>&1
     if [[ ! -s "$WORK/BENCH_micro.json" ]]; then
         echo "run_telemetry: FAIL: micro_benchmarks wrote no BENCH_micro.json" >&2

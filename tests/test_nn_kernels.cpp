@@ -1,10 +1,13 @@
-// Bit-exactness of the optimized GEMM, Conv2d, Linear and MaxPool2d
-// against the scalar reference loops (tests/nn_reference.cpp).  Outputs and
-// weight, bias and input gradients must match byte for byte: the GEMM over
-// shapes that reach every column and row tail, each layer over a sweep of
-// shapes and of output gradients (dense, mostly or all exact zeros, real
-// ReLU -> MaxPool masks) or pooling windows (ties, signed zeros,
-// infinities, NaN), and whole LeNet-5 networks trained for a few steps.
+// Bit-exactness of the optimized GEMM, Conv2d, Linear, MaxPool2d and Adam
+// kernels against the scalar reference loops (tests/nn_reference.cpp).
+// Outputs, weight, bias and input gradients and Adam's weights and moments
+// must match byte for byte: the GEMM over shapes that reach every column
+// and row tail, each layer over a sweep of shapes (kernel rows narrower
+// than, as wide as and wider than both vector widths; last windows that
+// end at the end of the batch) and of output gradients (dense, mostly or
+// all exact zeros, real ReLU -> MaxPool masks) or pooling windows (ties,
+// signed zeros, infinities, NaN), Adam over every tail length and special
+// gradient value, and whole LeNet-5 networks trained for a few steps.
 // Every such test runs twice: on the baseline kernels, forced, and on the
 // AVX2 ones, a half skipped on CPUs without AVX2.
 #include "nn_reference.hpp"
@@ -228,7 +231,7 @@ void expect_conv_agrees(const ConvCase& c, GradientMaker make_gradient = half_ze
 constexpr std::array<std::size_t, 3> kInChannels = {1, 3, 6};
 constexpr std::array<std::size_t, 3> kOutChannels = {1, 6, 16};
 constexpr std::array<std::size_t, 6> kSizes = {5, 14, 16, 17, 32, 64};
-constexpr std::array<std::size_t, 3> kKernels = {2, 3, 5};
+constexpr std::array<std::size_t, 8> kKernels = {1, 2, 3, 4, 5, 7, 8, 9};
 constexpr std::array<std::size_t, 2> kStrides = {1, 2};
 
 TEST(Conv2dKernel, MatchesReferenceForEveryShapeAtBatchOne)
@@ -236,6 +239,9 @@ TEST(Conv2dKernel, MatchesReferenceForEveryShapeAtBatchOne)
     on_both_paths([] {
         for (const auto hw : kSizes) {
             for (const auto kernel : kKernels) {
+                if (kernel > hw) {
+                    continue;
+                }
                 for (const auto stride : kStrides) {
                     for (const auto in : kInChannels) {
                         for (const auto out : kOutChannels) {
@@ -261,6 +267,9 @@ TEST(Conv2dKernel, MatchesReferenceAtBatch16And32)
         for (const std::size_t batch : {16, 32}) {
             for (const auto hw : kSizes) {
                 for (const auto kernel : kKernels) {
+                    if (kernel > hw) {
+                        continue;
+                    }
                     for (const auto stride : kStrides) {
                         const std::size_t pair = next++;
                         const std::size_t in = hw >= 32 ? 1 : kInChannels[pair / 3 % 3];
@@ -348,6 +357,44 @@ TEST(Conv2dKernel, WithoutInputGradientKeepsParameterGradients)
     });
 }
 
+/// Mostly exact zeros, but the last `tail` elements of every plane
+/// nonzero, so the last window of the last sample sends terms.
+Tensor last_windows_gradient(const Tensor& y, Rng& rng)
+{
+    Tensor t = mostly_zero_gradient(y, rng);
+    const std::size_t plane = y.dim(2) * y.dim(3);
+    const std::size_t tail = plane < 3 ? plane : 3;
+    for (std::size_t p = 0; p < y.size() / plane; ++p) {
+        for (std::size_t i = plane - tail; i < plane; ++i) {
+            t[p * plane + i] = static_cast<float>(rng.normal()) + 2.0f;
+        }
+    }
+    return t;
+}
+
+TEST(Conv2dKernel, LastWindowEndsAtTheEndOfTheBatch)
+{
+    // (hw − k) divisible by the stride puts the last window's last element
+    // on the last float of the input; a vector of the kernel row's width
+    // rounded up would read past it.  Run under AddressSanitizer
+    // (asan-ubsan preset) this catches any read or write past the batch.
+    on_both_paths([] {
+        for (const auto kernel : kKernels) {
+            for (const std::size_t stride : {1, 2}) {
+                for (const std::size_t in : {1, 3}) {
+                    const std::size_t hw = kernel + 2 * stride;
+                    expect_conv_agrees({in, 2, hw, kernel, stride, 3}, last_windows_gradient);
+                    expect_conv_agrees({in, 2, hw, kernel, stride, 3}, last_windows_gradient,
+                                       /*input_gradient=*/false);
+                    if (HasFatalFailure()) {
+                        return;
+                    }
+                }
+            }
+        }
+    });
+}
+
 TEST(LinearKernel, MatchesReference)
 {
     on_both_paths([] {
@@ -413,6 +460,66 @@ TEST(GemmKernel, MatchesReferenceOnEveryTail)
                     ASSERT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)),
                               0);
                 }
+            }
+        }
+    });
+}
+
+/// Adam gradients: normal values with ±0, subnormals, values near
+/// FLT_MAX (whose squares overflow), ±inf and NaN mixed in.  The NaN is
+/// x86's default NaN (−qNaN, 0xFFC00000), the one every invalid operation
+/// (inf − inf, 0 · inf) returns, so all NaNs in play share one pattern:
+/// where two different NaNs meet in an add, which one comes out depends on
+/// the order the compiler gave the operands, which C++ leaves open (a
+/// −O0 AVX2 build returned the other one than the −O0 reference loop).
+std::vector<float> adam_gradient(std::size_t n, Rng& rng)
+{
+    constexpr float kMax = std::numeric_limits<float>::max();
+    constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+    const std::array<float, 10> kSpecial = {0.0f,         -0.0f,  kTiny * 3,
+                                            -kTiny * 700, kMax,   -kMax * 0.75f,
+                                            std::numeric_limits<float>::infinity(),
+                                            -std::numeric_limits<float>::infinity(),
+                                            -std::numeric_limits<float>::quiet_NaN(), 1e-30f};
+    std::vector<float> g(n);
+    for (auto& v : g) {
+        v = rng.uniform() < 0.3 ? kSpecial[static_cast<std::size_t>(rng.uniform_int(0, 9))]
+                                : static_cast<float>(rng.normal());
+    }
+    return g;
+}
+
+TEST(AdamKernel, MatchesReferenceOnEveryTailAndSpecialValue)
+{
+    // Lengths below, at and past both vector widths, and LeNet-5's 61,281
+    // weights; eight steps of fresh gradients, so non-finite moments meet
+    // later gradients of every kind.
+    on_both_paths([] {
+        for (const std::size_t n : {1, 3, 7, 8, 9, 61281}) {
+            SCOPED_TRACE("n=" + std::to_string(n));
+            Rng rng(n);
+            std::vector<float> value(n);
+            for (auto& v : value) {
+                v = static_cast<float>(rng.normal(0.0, 0.1));
+            }
+            std::vector<float> m(n, 0.0f);
+            std::vector<float> v(n, 0.0f);
+            auto ref_value = value;
+            auto ref_m = m;
+            auto ref_v = v;
+            for (int step = 1; step <= 8; ++step) {
+                SCOPED_TRACE("step " + std::to_string(step));
+                const auto grad = adam_gradient(n, rng);
+                const double alpha =
+                    1e-3 * std::sqrt(1.0 - std::pow(0.999, step)) / (1.0 - std::pow(0.9, step));
+                detail::adam_update(n, value.data(), grad.data(), m.data(), v.data(), 0.9f,
+                                    0.999f, alpha, 1e-8);
+                reference::adam_update(n, ref_value.data(), grad.data(), ref_m.data(),
+                                       ref_v.data(), 0.9f, 0.999f, alpha, 1e-8);
+                ASSERT_EQ(std::memcmp(m.data(), ref_m.data(), n * sizeof(float)), 0) << "m";
+                ASSERT_EQ(std::memcmp(v.data(), ref_v.data(), n * sizeof(float)), 0) << "v";
+                ASSERT_EQ(std::memcmp(value.data(), ref_value.data(), n * sizeof(float)), 0)
+                    << "value";
             }
         }
     });
