@@ -1,6 +1,7 @@
 // Tests of the training loops: supervised early stopping, evaluation,
 // SimCLR pre-training mechanics, the frozen-trunk fine-tuning path and the
 // divergence guard (NaN-loss detection, rollback, bounded retries).
+#include "fptc/core/byol.hpp"
 #include "fptc/core/campaign.hpp"
 #include "fptc/core/guard.hpp"
 #include "fptc/core/simclr.hpp"
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 namespace {
@@ -281,6 +283,169 @@ TEST(Guard, RetrySeedsAreDistinct)
     const auto second = guard.retry_seed(7);
     EXPECT_NE(first, second);
     EXPECT_NE(first, 7u);
+}
+
+// The rollback tests below pin what each training method returns when
+// FaultPlan::nan_loss_every forces NaN losses: the number of rollbacks and
+// detected faults, the epochs run and the bits of the final loss.  Each test
+// runs one training loop after configure(), so the k-th step that faults is
+// the loop's own k-th step.
+
+/// Bits of a double, so a pinned loss compares exactly.
+std::uint64_t bits_of(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+/// 48 unlabeled flows spread over every class of the synthetic pretraining
+/// partition: 6 batches of 8 per epoch.
+std::vector<flow::Flow> rollback_pool()
+{
+    trafficgen::UcdavisOptions options;
+    options.samples_scale = 0.05;
+    const auto dataset =
+        trafficgen::make_ucdavis19(trafficgen::UcdavisPartition::pretraining, options);
+    std::vector<flow::Flow> pool;
+    const std::size_t stride = dataset.flows.size() / 48;
+    for (std::size_t i = 0; pool.size() < 48; i += stride) {
+        pool.push_back(dataset.flows[i]);
+    }
+    return pool;
+}
+
+/// Every value of every parameter, in order.
+std::vector<float> parameter_values(const std::vector<nn::Parameter*>& parameters)
+{
+    std::vector<float> values;
+    for (const auto* p : parameters) {
+        const auto data = p->value.data();
+        values.insert(values.end(), data.begin(), data.end());
+    }
+    return values;
+}
+
+/// Contrastive pre-training of a fresh network on rollback_pool with a NaN
+/// loss every 7th step: each epoch's 6 steps either all run clean or the
+/// epoch rolls back once and its retry runs clean.
+SimClrResult contrastive_under_faults(bool supervised)
+{
+    util::FaultPlan plan;
+    plan.nan_loss_every = 7;
+    util::fault_injector().configure(plan);
+    const auto pool = rollback_pool();
+    nn::ModelConfig model_config;
+    model_config.with_dropout = false;
+    auto network = nn::make_simclr_network(model_config);
+    const augment::ViewPairGenerator views;
+    SimClrConfig config;
+    config.batch_samples = 8;
+    config.max_epochs = 3;
+    config.patience = 3;
+    const auto result = supervised ? pretrain_supcon(network, pool, views, config)
+                                   : pretrain_simclr(network, pool, views, config);
+    util::fault_injector().configure(util::FaultPlan{});
+    return result;
+}
+
+TEST(Guard, TrainHeadRollsBackUnderInjectedNanLosses)
+{
+    util::FaultPlan plan;
+    plan.nan_loss_every = 3;
+    util::fault_injector().configure(plan);
+
+    // 40 rows, 2 batches per epoch: every other epoch attempt faults once.
+    util::Rng rng(5);
+    EmbeddedSet train;
+    train.features = nn::Tensor({40, nn::kRepresentationDim});
+    for (std::size_t i = 0; i < 40; ++i) {
+        const std::size_t label = i % 2;
+        train.labels.push_back(label);
+        for (std::size_t d = 0; d < nn::kRepresentationDim; ++d) {
+            train.features[i * nn::kRepresentationDim + d] =
+                static_cast<float>(rng.uniform()) + (d == 0 && label == 1 ? 1.0f : 0.0f);
+        }
+    }
+    nn::ModelConfig config;
+    config.num_classes = 2;
+    auto head = nn::make_finetune_head(config);
+    const auto result = train_head(head, train, finetune_config(1));
+    util::fault_injector().configure(util::FaultPlan{});
+
+    EXPECT_EQ(result.retries, 25);
+    EXPECT_EQ(result.faults_detected, 25);
+    EXPECT_EQ(result.epochs_run, 26);
+    EXPECT_EQ(bits_of(result.final_train_loss), 4598909434878253898u);
+}
+
+TEST(Guard, SimClrRollsBackUnderInjectedNanLosses)
+{
+    const auto result = contrastive_under_faults(/*supervised=*/false);
+    EXPECT_EQ(result.retries, 2);
+    EXPECT_EQ(result.faults_detected, 2);
+    EXPECT_EQ(result.epochs_run, 3);
+    EXPECT_EQ(bits_of(result.final_loss), 4609059011081232552u);
+}
+
+TEST(Guard, SupConRollsBackUnderInjectedNanLosses)
+{
+    const auto result = contrastive_under_faults(/*supervised=*/true);
+    EXPECT_EQ(result.retries, 2);
+    EXPECT_EQ(result.faults_detected, 2);
+    EXPECT_EQ(result.epochs_run, 3);
+    EXPECT_EQ(bits_of(result.final_loss), 4610233913491318012u);
+}
+
+TEST(Guard, ByolRollsBackUnderInjectedNanLosses)
+{
+    util::FaultPlan plan;
+    plan.nan_loss_every = 7;
+    util::fault_injector().configure(plan);
+    const auto pool = rollback_pool();
+    nn::ModelConfig model_config;
+    model_config.with_dropout = false;
+    auto network = make_byol_network(model_config);
+    const augment::ViewPairGenerator views;
+    ByolConfig config;
+    config.batch_samples = 8;
+    config.max_epochs = 3;
+    config.patience = 3;
+    const auto result = pretrain_byol(network, pool, views, config);
+    util::fault_injector().configure(util::FaultPlan{});
+
+    EXPECT_EQ(result.retries, 2);
+    EXPECT_EQ(result.faults_detected, 2);
+    EXPECT_EQ(result.epochs_run, 3);
+    EXPECT_EQ(bits_of(result.final_loss), 4604961253505080460u);
+}
+
+TEST(Guard, ByolTargetRollsBackWithTheOnlineNetwork)
+{
+    // Steps 1 and 2 update the online network and, by EMA, the target; step
+    // 3 faults and, with no retry budget, the run ends rolled back to the
+    // pre-training state: the target must be restored with the online side.
+    util::FaultPlan plan;
+    plan.nan_loss_every = 3;
+    util::fault_injector().configure(plan);
+    const auto pool = rollback_pool();
+    nn::ModelConfig model_config;
+    model_config.with_dropout = false;
+    auto network = make_byol_network(model_config);
+    const auto online_before = parameter_values(network.online.parameters());
+    const auto target_before = parameter_values(network.target.parameters());
+    const auto predictor_before = parameter_values(network.predictor.parameters());
+    const augment::ViewPairGenerator views;
+    ByolConfig config;
+    config.batch_samples = 8;
+    config.max_epochs = 1;
+    config.guard.max_retries = 0;
+    EXPECT_THROW((void)pretrain_byol(network, pool, views, config), DivergenceError);
+    const auto faults = util::fault_injector().counters().nan_losses;
+    util::fault_injector().configure(util::FaultPlan{});
+
+    EXPECT_EQ(faults, 1u);
+    EXPECT_EQ(parameter_values(network.online.parameters()), online_before);
+    EXPECT_EQ(parameter_values(network.target.parameters()), target_before);
+    EXPECT_EQ(parameter_values(network.predictor.parameters()), predictor_before);
 }
 
 TEST(SimClr, PretrainValidation)
