@@ -1,8 +1,9 @@
 #include "fptc/core/byol.hpp"
 
+#include "loop.hpp"
+
 #include "fptc/nn/layers.hpp"
 #include "fptc/nn/loss.hpp"
-#include "fptc/nn/optimizer.hpp"
 #include "fptc/util/rng.hpp"
 #include "fptc/util/telemetry.hpp"
 
@@ -115,22 +116,12 @@ void normalize_rows(const nn::Tensor& input, nn::Tensor& normalized, std::vector
     return result;
 }
 
-/// Rasterize one view into a row of the batch tensor (max-normalized).
+/// Write `view`'s input image into row `row` of a batch tensor.
 void write_view(nn::Tensor& batch, std::size_t row, const flowpic::Flowpic& view)
 {
-    auto image = pool_to_effective(view);
-    float max_value = 0.0f;
-    for (const float v : image) {
-        max_value = std::max(max_value, v);
-    }
-    if (max_value > 0.0f) {
-        for (auto& v : image) {
-            v /= max_value;
-        }
-    }
-    auto data = batch.data();
+    const auto image = view_image(view);
     std::copy(image.begin(), image.end(),
-              data.begin() + static_cast<std::ptrdiff_t>(row * image.size()));
+              batch.data().begin() + static_cast<std::ptrdiff_t>(row * image.size()));
 }
 
 } // namespace
@@ -159,139 +150,88 @@ ByolResult pretrain_byol(ByolNetwork& network, std::span<const flow::Flow> flows
     if (flows.size() < 2) {
         throw std::invalid_argument("pretrain_byol: need at least 2 flows");
     }
-    util::Rng rng(config.seed);
-
-    auto trainable = network.online.parameters();
-    const auto predictor_params = network.predictor.parameters();
-    trainable.insert(trainable.end(), predictor_params.begin(), predictor_params.end());
-    auto optimizer = std::make_unique<nn::Adam>(trainable, config.learning_rate);
-
-    // The guard snapshots the target network too: its EMA state must roll
-    // back together with the online weights it trails.
-    auto guarded = trainable;
-    const auto target_params = network.target.parameters();
-    guarded.insert(guarded.end(), target_params.begin(), target_params.end());
-    DivergenceGuard guard(guarded, config.guard);
-
     const std::size_t dim = nn::effective_input_dim(views.config().resolution);
-    std::vector<std::size_t> order(flows.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-
-    ByolResult result;
     double best_loss = std::numeric_limits<double>::infinity();
-    int epochs_since_improvement = 0;
-
-    for (int epoch = 0; epoch < config.max_epochs;) {
-        FPTC_TRACE_SPAN("epoch");
-        rng.shuffle(order);
-        double epoch_loss = 0.0;
-        std::size_t batches = 0;
-        bool diverged = false;
-        for (std::size_t start = 0; start + 1 < order.size(); start += config.batch_samples) {
-            config.hooks.poll();
-            const std::size_t end = std::min(start + config.batch_samples, order.size());
-            const std::size_t batch = end - start;
-            nn::Tensor view_a({batch, 1, dim, dim});
-            nn::Tensor view_b({batch, 1, dim, dim});
-            {
-                FPTC_TRACE_SPAN("datagen");
-                for (std::size_t i = 0; i < batch; ++i) {
-                    auto [a, b] = [&] {
-                        FPTC_TRACE_SPAN("augment");
-                        return views.view_pair(flows[order[start + i]], rng);
-                    }();
-                    FPTC_TRACE_SPAN("flowpic");
-                    write_view(view_a, i, a);
-                    write_view(view_b, i, b);
-                }
+    GuardedLoop loop{
+        .name = "pretrain_byol",
+        .samples = flows.size(),
+        .batch_size = config.batch_samples,
+        .min_batch = 2,
+        .max_epochs = config.max_epochs,
+        .patience = config.patience,
+        .seed = config.seed,
+        .learning_rate = config.learning_rate,
+        .trainable = network.online.parameters(),
+        // The target's EMA state rolls back with the online weights it trails.
+        .also_guarded = network.target.parameters(),
+        .guard = config.guard,
+        .hooks = config.hooks,
+    };
+    const auto predictor_params = network.predictor.parameters();
+    loop.trainable.insert(loop.trainable.end(), predictor_params.begin(), predictor_params.end());
+    loop.step = [&](std::span<const std::size_t> batch, util::Rng& rng) {
+        nn::Tensor view_a({batch.size(), 1, dim, dim});
+        nn::Tensor view_b({batch.size(), 1, dim, dim});
+        {
+            FPTC_TRACE_SPAN("datagen");
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                auto [a, b] = [&] {
+                    FPTC_TRACE_SPAN("augment");
+                    return views.view_pair(flows[batch[i]], rng);
+                }();
+                FPTC_TRACE_SPAN("flowpic");
+                write_view(view_a, i, a);
+                write_view(view_b, i, b);
             }
+        }
 
-            nn::Tensor target_a;
-            nn::Tensor target_b;
-            nn::Tensor p_a;
-            nn::Tensor p_b;
-            {
+        nn::Tensor target_a;
+        nn::Tensor target_b;
+        {
+            FPTC_TRACE_SPAN("forward");
+            // Targets first (stop-gradient: only forward passes).
+            target_b = network.target.forward(view_b, /*training=*/false);
+            target_a = network.target.forward(view_a, /*training=*/false);
+        }
+
+        network.online.zero_grad();
+        network.predictor.zero_grad();
+
+        // Direction a -> b, then b -> a (gradients accumulate).
+        const auto direction = [&](const nn::Tensor& view, const nn::Tensor& target) {
+            const auto z = [&] {
                 FPTC_TRACE_SPAN("forward");
-                // Targets first (stop-gradient: only forward passes).
-                target_b = network.target.forward(view_b, /*training=*/false);
-                target_a = network.target.forward(view_a, /*training=*/false);
-            }
-
-            network.online.zero_grad();
-            network.predictor.zero_grad();
-
-            // Direction a -> b.
-            const auto z_a = [&] {
-                FPTC_TRACE_SPAN("forward");
-                return network.online.forward(view_a, /*training=*/true);
+                return network.online.forward(view, /*training=*/true);
             }();
-            p_a = network.predictor.forward(z_a, /*training=*/true);
-            const auto loss_ab = [&] {
+            const auto p = network.predictor.forward(z, /*training=*/true);
+            const auto loss = [&] {
                 FPTC_TRACE_SPAN("loss");
-                return byol_regression(p_a, target_b);
+                return byol_regression(p, target);
             }();
-            {
-                FPTC_TRACE_SPAN("backward");
-                network.online.backward(network.predictor.backward(loss_ab.grad));
-            }
-
-            // Direction b -> a (gradients accumulate).
-            const auto z_b = [&] {
-                FPTC_TRACE_SPAN("forward");
-                return network.online.forward(view_b, /*training=*/true);
-            }();
-            p_b = network.predictor.forward(z_b, /*training=*/true);
-            const auto loss_ba = [&] {
-                FPTC_TRACE_SPAN("loss");
-                return byol_regression(p_b, target_a);
-            }();
-            {
-                FPTC_TRACE_SPAN("backward");
-                network.online.backward(network.predictor.backward(loss_ba.grad));
-            }
-
-            if (guard.step_diverged(0.5 * (loss_ab.loss + loss_ba.loss))) {
-                diverged = true;
-                break;
-            }
-            {
-                FPTC_TRACE_SPAN("optimizer");
-                optimizer->step();
-                ema_update(network.online, network.target, config.ema_decay);
-            }
-
-            epoch_loss += 0.5 * (loss_ab.loss + loss_ba.loss);
-            ++batches;
+            FPTC_TRACE_SPAN("backward");
+            network.online.backward(network.predictor.backward(loss.grad));
+            return loss.loss;
+        };
+        const double loss_ab = direction(view_a, target_b);
+        const double loss_ba = direction(view_b, target_a);
+        const double loss = 0.5 * (loss_ab + loss_ba);
+        return StepResult{loss, loss};
+    };
+    loop.after_update = [&] { ema_update(network.online, network.target, config.ema_decay); };
+    loop.improved = [&](double loss, double) {
+        if (loss < best_loss - config.min_delta) {
+            best_loss = loss;
+            return true;
         }
-        if (diverged) {
-            if (!guard.rollback()) {
-                throw DivergenceError("pretrain_byol: diverged " +
-                                      std::to_string(guard.retries()) +
-                                      " time(s); retry budget exhausted");
-            }
-            optimizer = std::make_unique<nn::Adam>(trainable, config.learning_rate);
-            rng = util::Rng(guard.retry_seed(config.seed));
-            continue;
-        }
-        if (batches == 0) {
-            break;
-        }
-        guard.commit();
-        result.final_loss = epoch_loss / static_cast<double>(batches);
-        result.epochs_run = epoch + 1;
-        if (result.final_loss < best_loss - config.min_delta) {
-            best_loss = result.final_loss;
-            epochs_since_improvement = 0;
-        } else if (++epochs_since_improvement >= config.patience) {
-            break;
-        }
-        ++epoch;
-    }
-    result.retries = guard.retries();
-    result.faults_detected = guard.faults_detected();
-    return result;
+        return false;
+    };
+    const auto outcome = run_guarded(loop);
+    return ByolResult{
+        .epochs_run = outcome.epochs_run,
+        .final_loss = outcome.final_train_loss,
+        .retries = outcome.retries,
+        .faults_detected = outcome.faults_detected,
+    };
 }
 
 SimClrRunResult run_ucdavis_byol(const UcdavisData& data, std::uint64_t split_seed,
@@ -299,10 +239,11 @@ SimClrRunResult run_ucdavis_byol(const UcdavisData& data, std::uint64_t split_se
                                  const SimClrOptions& options)
 {
     const auto split = flow::fixed_per_class_split(data.pretraining, options.per_class, split_seed);
-    std::vector<flow::Flow> pool;
-    pool.reserve(split.train.size());
+    flow::Dataset pool;
+    pool.class_names = data.pretraining.class_names;
+    pool.flows.reserve(split.train.size());
     for (const auto i : split.train) {
-        pool.push_back(data.pretraining.flows[i]);
+        pool.flows.push_back(data.pretraining.flows[i]);
     }
 
     nn::ModelConfig model_config;
@@ -319,46 +260,14 @@ SimClrRunResult run_ucdavis_byol(const UcdavisData& data, std::uint64_t split_se
     pretrain_config.max_epochs = options.pretrain_max_epochs;
     pretrain_config.seed = util::mix_seed(pretrain_seed, 0xB402);
     pretrain_config.hooks = options.hooks;
-    const auto pretrain_result = pretrain_byol(network, pool, views, pretrain_config);
+    const auto pretrain = pretrain_byol(network, pool.flows, views, pretrain_config);
 
-    // 10-shot labeled subset of the pool, as in run_ucdavis_simclr.
-    util::Rng label_rng(util::mix_seed(finetune_seed, 0xF1E7));
-    flow::Dataset pool_dataset;
-    pool_dataset.class_names = data.pretraining.class_names;
-    pool_dataset.flows = pool;
-    std::vector<flow::Flow> labeled;
-    for (std::size_t label = 0; label < pool_dataset.num_classes(); ++label) {
-        auto indices = pool_dataset.indices_of_class(label);
-        label_rng.shuffle(indices);
-        const std::size_t take = std::min(options.finetune_per_class, indices.size());
-        for (std::size_t i = 0; i < take; ++i) {
-            labeled.push_back(pool_dataset.flows[indices[i]]);
-        }
-    }
-
-    const auto train_set = rasterize(labeled, options.flowpic);
-    const auto script_set = rasterize(data.script.flows, options.flowpic);
-    const auto human_set = rasterize(data.human.flows, options.flowpic);
-
-    nn::ModelConfig head_config = model_config;
-    head_config.seed = util::mix_seed(finetune_seed, 0x4EAD);
-    auto head = nn::make_finetune_head(head_config);
-    auto ft_config = finetune_config(util::mix_seed(finetune_seed, 0x7A1));
-    ft_config.hooks = options.hooks;
-
-    const auto train_embedded = embed_set(network.online, train_set);
-    const auto head_result = train_head(head, train_embedded, ft_config);
-
-    SimClrRunResult result{
-        .script_confusion =
-            evaluate_head(head, embed_set(network.online, script_set), data.num_classes()),
-        .human_confusion =
-            evaluate_head(head, embed_set(network.online, human_set), data.num_classes()),
-        .pretrain_epochs = pretrain_result.epochs_run,
-        .top5_accuracy = 0.0, // BYOL has no contrastive accuracy (no negatives)
-        .retries = pretrain_result.retries + head_result.retries,
-        .faults_detected = pretrain_result.faults_detected + head_result.faults_detected,
-    };
+    auto result =
+        finetune_few_shot(network.online, pool, data, model_config, finetune_seed, options);
+    result.pretrain_epochs = pretrain.epochs_run;
+    result.top5_accuracy = 0.0; // BYOL has no contrastive accuracy (no negatives)
+    result.retries += pretrain.retries;
+    result.faults_detected += pretrain.faults_detected;
     return result;
 }
 

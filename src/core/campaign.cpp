@@ -1,10 +1,13 @@
 #include "fptc/core/campaign.hpp"
 
+#include "loop.hpp"
+
 #include "fptc/util/log.hpp"
 #include "fptc/util/rng.hpp"
 #include "fptc/util/telemetry.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -24,13 +27,13 @@ UcdavisData load_ucdavis(double samples_scale, std::uint64_t seed)
 
 namespace {
 
-/// Select per-class labeled subsets from flow indices.
+/// Up to `per_class` flows of each class of `dataset`, each class's pick
+/// shuffled by `rng` in class order.
 [[nodiscard]] std::vector<flow::Flow> take_per_class(const flow::Dataset& dataset,
-                                                     const std::vector<std::size_t>& indices,
                                                      std::size_t per_class, util::Rng& rng)
 {
     std::vector<std::vector<std::size_t>> by_class(dataset.num_classes());
-    for (const auto i : indices) {
+    for (std::size_t i = 0; i < dataset.flows.size(); ++i) {
         by_class[dataset.flows[i].label].push_back(i);
     }
     std::vector<flow::Flow> result;
@@ -158,25 +161,55 @@ SupervisedRunResult run_ucdavis_supervised(const UcdavisData& data,
     auto [network, training] =
         train_lenet(train_set, val_set, data.num_classes(), options, train_seed);
 
-    SupervisedRunResult result{
-        .script_confusion = stats::ConfusionMatrix(data.num_classes()),
-        .human_confusion = stats::ConfusionMatrix(data.num_classes()),
-        .leftover_confusion = stats::ConfusionMatrix(data.num_classes()),
+    const auto score = [&](std::span<const flow::Flow> flows) {
+        return evaluate(network, rasterize_for(options, flows), data.num_classes());
+    };
+    return SupervisedRunResult{
+        .script_confusion = score(data.script.flows),
+        .human_confusion = score(data.human.flows),
+        .leftover_confusion = score(leftover_flows),
         .epochs_run = training.epochs_run,
         .retries = training.retries,
         .faults_detected = training.faults_detected,
     };
-    result.script_confusion =
-        evaluate(network, rasterize_for(options, data.script.flows), data.num_classes());
-    result.human_confusion =
-        evaluate(network, rasterize_for(options, data.human.flows), data.num_classes());
-    result.leftover_confusion =
-        evaluate(network, rasterize_for(options, leftover_flows), data.num_classes());
-    return result;
 }
 
 namespace {
 
+/// Pre-train a SimCLR network on `pool` (SimCLR, or SupCon when
+/// `supervised`), then fine-tune a few-shot head from the same pool.
+[[nodiscard]] SimClrRunResult pretrain_and_finetune(const UcdavisData& data,
+                                                    const flow::Dataset& pool,
+                                                    std::uint64_t pretrain_seed,
+                                                    std::uint64_t finetune_seed,
+                                                    const SimClrOptions& options, bool supervised)
+{
+    nn::ModelConfig model_config;
+    model_config.flowpic_dim = options.flowpic.resolution;
+    model_config.num_classes = data.num_classes();
+    model_config.with_dropout = options.with_dropout;
+    model_config.projection_dim = options.projection_dim;
+    model_config.seed = util::mix_seed(pretrain_seed, 0x51C);
+    auto network = nn::make_simclr_network(model_config);
+    const augment::ViewPairGenerator views(options.first, options.second, options.flowpic);
+
+    SimClrConfig pretrain_config;
+    pretrain_config.batch_samples = options.batch_samples;
+    pretrain_config.max_epochs = options.pretrain_max_epochs;
+    pretrain_config.seed = util::mix_seed(pretrain_seed, 0x517);
+    pretrain_config.hooks = options.hooks;
+    const auto pretrain = supervised ? pretrain_supcon(network, pool.flows, views, pretrain_config)
+                                     : pretrain_simclr(network, pool.flows, views, pretrain_config);
+
+    auto result = finetune_few_shot(network, pool, data, model_config, finetune_seed, options);
+    result.pretrain_epochs = pretrain.epochs_run;
+    result.top5_accuracy = pretrain.best_top5_accuracy;
+    result.retries += pretrain.retries;
+    result.faults_detected += pretrain.faults_detected;
+    return result;
+}
+
+/// Contrastive run of the Table 5/6 protocol on a 100-per-class pool.
 [[nodiscard]] SimClrRunResult run_ucdavis_contrastive(const UcdavisData& data,
                                                       std::uint64_t split_seed,
                                                       std::uint64_t pretrain_seed,
@@ -186,61 +219,10 @@ namespace {
 {
     const auto split =
         flow::fixed_per_class_split(data.pretraining, options.per_class, split_seed);
-    const auto pool_flows = materialize(data.pretraining, split.train);
-
-    nn::ModelConfig model_config;
-    model_config.flowpic_dim = options.flowpic.resolution;
-    model_config.num_classes = data.num_classes();
-    model_config.with_dropout = options.with_dropout;
-    model_config.projection_dim = options.projection_dim;
-    model_config.seed = util::mix_seed(pretrain_seed, 0x51C);
-
-    auto network = nn::make_simclr_network(model_config);
-    const augment::ViewPairGenerator views(options.first, options.second, options.flowpic);
-
-    SimClrConfig pretrain_config;
-    pretrain_config.batch_samples = options.batch_samples;
-    pretrain_config.max_epochs = options.pretrain_max_epochs;
-    pretrain_config.seed = util::mix_seed(pretrain_seed, 0x517);
-    pretrain_config.hooks = options.hooks;
-    const auto pretrain_result =
-        supervised ? pretrain_supcon(network, pool_flows, views, pretrain_config)
-                   : pretrain_simclr(network, pool_flows, views, pretrain_config);
-
-    // Labeled few-shot subset from the same pool.
-    util::Rng label_rng(util::mix_seed(finetune_seed, 0xF1E7));
-    std::vector<std::size_t> pool_indices(pool_flows.size());
-    for (std::size_t i = 0; i < pool_indices.size(); ++i) {
-        pool_indices[i] = i;
-    }
-    flow::Dataset pool_dataset;
-    pool_dataset.class_names = data.pretraining.class_names;
-    pool_dataset.flows = pool_flows;
-    const auto labeled = take_per_class(pool_dataset, pool_indices,
-                                        options.finetune_per_class, label_rng);
-
-    const auto train_set = rasterize(labeled, options.flowpic);
-    const auto script_set = rasterize(data.script.flows, options.flowpic);
-    const auto human_set = rasterize(data.human.flows, options.flowpic);
-
-    nn::ModelConfig head_config = model_config;
-    head_config.seed = util::mix_seed(finetune_seed, 0x4EAD);
-    auto head = nn::make_finetune_head(head_config);
-    auto ft_config = finetune_config(util::mix_seed(finetune_seed, 0x7A1));
-    ft_config.hooks = options.hooks;
-
-    const auto train_embedded = embed_set(network, train_set);
-    const auto head_result = train_head(head, train_embedded, ft_config);
-
-    SimClrRunResult result{
-        .script_confusion = evaluate_head(head, embed_set(network, script_set), data.num_classes()),
-        .human_confusion = evaluate_head(head, embed_set(network, human_set), data.num_classes()),
-        .pretrain_epochs = pretrain_result.epochs_run,
-        .top5_accuracy = pretrain_result.best_top5_accuracy,
-        .retries = pretrain_result.retries + head_result.retries,
-        .faults_detected = pretrain_result.faults_detected + head_result.faults_detected,
-    };
-    return result;
+    flow::Dataset pool;
+    pool.class_names = data.pretraining.class_names;
+    pool.flows = materialize(data.pretraining, split.train);
+    return pretrain_and_finetune(data, pool, pretrain_seed, finetune_seed, options, supervised);
 }
 
 } // namespace
@@ -267,9 +249,7 @@ SupervisedRunResult run_ucdavis_enlarged_supervised(const UcdavisData& data,
                                                     const SupervisedOptions& options)
 {
     std::vector<std::size_t> all(data.pretraining.flows.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        all[i] = i;
-    }
+    std::iota(all.begin(), all.end(), std::size_t{0});
     const auto tv = flow::train_validation_split(all, 0.8, seed);
     const auto train_flows = materialize(data.pretraining, tv.train);
     const auto val_flows = materialize(data.pretraining, tv.validation);
@@ -280,7 +260,7 @@ SupervisedRunResult run_ucdavis_enlarged_supervised(const UcdavisData& data,
 
     auto [network, training] = train_lenet(train_set, val_set, data.num_classes(), options, seed);
 
-    SupervisedRunResult result{
+    return SupervisedRunResult{
         .script_confusion =
             evaluate(network, rasterize_for(options, data.script.flows), data.num_classes()),
         .human_confusion =
@@ -290,60 +270,40 @@ SupervisedRunResult run_ucdavis_enlarged_supervised(const UcdavisData& data,
         .retries = training.retries,
         .faults_detected = training.faults_detected,
     };
-    return result;
 }
 
 SimClrRunResult run_ucdavis_enlarged_simclr(const UcdavisData& data, std::uint64_t seed,
                                             const SimClrOptions& options)
 {
-    nn::ModelConfig model_config;
-    model_config.flowpic_dim = options.flowpic.resolution;
-    model_config.num_classes = data.num_classes();
-    model_config.with_dropout = options.with_dropout;
-    model_config.projection_dim = options.projection_dim;
-    model_config.seed = util::mix_seed(seed, 0x51C);
+    return pretrain_and_finetune(data, data.pretraining, seed, seed, options,
+                                 /*supervised=*/false);
+}
 
-    auto network = nn::make_simclr_network(model_config);
-    const augment::ViewPairGenerator views(options.first, options.second, options.flowpic);
+SimClrRunResult finetune_few_shot(nn::SimClrNetwork& trunk, const flow::Dataset& pool,
+                                  const UcdavisData& data, const nn::ModelConfig& model_config,
+                                  std::uint64_t finetune_seed, const SimClrOptions& options)
+{
+    util::Rng label_rng(util::mix_seed(finetune_seed, 0xF1E7));
+    const auto labeled = take_per_class(pool, options.finetune_per_class, label_rng);
 
-    SimClrConfig pretrain_config;
-    pretrain_config.batch_samples = options.batch_samples;
-    pretrain_config.max_epochs = options.pretrain_max_epochs;
-    pretrain_config.seed = util::mix_seed(seed, 0x517);
-    pretrain_config.hooks = options.hooks;
-    const auto pretrain_result =
-        pretrain_simclr(network, data.pretraining.flows, views, pretrain_config);
-
-    util::Rng label_rng(util::mix_seed(seed, 0xF1E7));
-    std::vector<std::size_t> all(data.pretraining.flows.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        all[i] = i;
-    }
-    const auto labeled =
-        take_per_class(data.pretraining, all, options.finetune_per_class, label_rng);
-
-    const auto train_set = rasterize(labeled, options.flowpic);
     nn::ModelConfig head_config = model_config;
-    head_config.seed = util::mix_seed(seed, 0x4EAD);
+    head_config.seed = util::mix_seed(finetune_seed, 0x4EAD);
     auto head = nn::make_finetune_head(head_config);
-    auto ft_config = finetune_config(util::mix_seed(seed, 0x7A1));
+    auto ft_config = finetune_config(util::mix_seed(finetune_seed, 0x7A1));
     ft_config.hooks = options.hooks;
-    const auto train_embedded = embed_set(network, train_set);
-    const auto head_result = train_head(head, train_embedded, ft_config);
+    const auto head_result =
+        train_head(head, embed_set(trunk, rasterize(labeled, options.flowpic)), ft_config);
 
-    SimClrRunResult result{
-        .script_confusion = evaluate_head(
-            head, embed_set(network, rasterize(data.script.flows, options.flowpic)),
-            data.num_classes()),
-        .human_confusion = evaluate_head(
-            head, embed_set(network, rasterize(data.human.flows, options.flowpic)),
-            data.num_classes()),
-        .pretrain_epochs = pretrain_result.epochs_run,
-        .top5_accuracy = pretrain_result.best_top5_accuracy,
-        .retries = pretrain_result.retries + head_result.retries,
-        .faults_detected = pretrain_result.faults_detected + head_result.faults_detected,
+    const auto score = [&](const flow::Dataset& partition) {
+        return evaluate_head(head, embed_set(trunk, rasterize(partition.flows, options.flowpic)),
+                             data.num_classes());
     };
-    return result;
+    return SimClrRunResult{
+        .script_confusion = score(data.script),
+        .human_confusion = score(data.human),
+        .retries = head_result.retries,
+        .faults_detected = head_result.faults_detected,
+    };
 }
 
 ReplicationRunResult run_replication_supervised(const flow::Dataset& dataset,
@@ -363,14 +323,13 @@ ReplicationRunResult run_replication_supervised(const flow::Dataset& dataset,
     auto [network, training] =
         train_lenet(train_set, val_set, dataset.num_classes(), options, train_seed);
 
-    ReplicationRunResult result{
+    return ReplicationRunResult{
         .test_confusion =
             evaluate(network, rasterize_for(options, test_flows), dataset.num_classes()),
         .epochs_run = training.epochs_run,
         .retries = training.retries,
         .faults_detected = training.faults_detected,
     };
-    return result;
 }
 
 } // namespace fptc::core

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -25,10 +26,16 @@ nn::Tensor SampleSet::batch(std::span<const std::size_t> indices) const
     return out;
 }
 
+nn::Tensor SampleSet::batch(std::size_t begin, std::size_t end) const
+{
+    std::vector<std::size_t> indices(end - begin);
+    std::iota(indices.begin(), indices.end(), begin);
+    return batch(indices);
+}
+
 nn::Tensor SampleSet::tensor_of(std::size_t index) const
 {
-    const std::size_t idx[1] = {index};
-    return batch(idx);
+    return batch(index, index + 1);
 }
 
 void SampleSet::append(const SampleSet& other)
@@ -110,10 +117,10 @@ void normalize_image(std::vector<float>& image)
     }
 }
 
-void push_sample(SampleSet& set, flowpic::Flowpic pic, std::size_t label)
+/// Push one normalized sample image, or quarantine it when it breaks the
+/// insertion-time contract.
+void push_image(SampleSet& set, std::vector<float> image, std::size_t label)
 {
-    auto image = pool_to_effective(pic);
-    normalize_image(image);
     if (!image_defect(image, set.channels * set.dim * set.dim).empty()) {
         ++set.quarantined;
         util::metrics().counter("fptc_data_quarantined_total").add(1);
@@ -129,21 +136,21 @@ void push_sample(SampleSet& set, flowpic::Flowpic pic, std::size_t label)
 void push_directional_sample(SampleSet& set, const flowpic::Flowpic& up,
                              const flowpic::Flowpic& down, std::size_t label)
 {
-    auto up_plane = pool_to_effective(up);
+    auto planes = pool_to_effective(up);
     const auto down_plane = pool_to_effective(down);
-    up_plane.insert(up_plane.end(), down_plane.begin(), down_plane.end());
-    normalize_image(up_plane);
-    if (!image_defect(up_plane, set.channels * set.dim * set.dim).empty()) {
-        ++set.quarantined;
-        util::metrics().counter("fptc_data_quarantined_total").add(1);
-        return;
-    }
-    set.storage.grow(up_plane.size() * sizeof(float));
-    set.images.push_back(std::move(up_plane));
-    set.labels.push_back(label);
+    planes.insert(planes.end(), down_plane.begin(), down_plane.end());
+    normalize_image(planes);
+    push_image(set, std::move(planes), label);
 }
 
 } // namespace
+
+std::vector<float> view_image(const flowpic::Flowpic& pic)
+{
+    auto image = pool_to_effective(pic);
+    normalize_image(image);
+    return image;
+}
 
 SampleValidationReport validate_samples(SampleSet& set)
 {
@@ -203,7 +210,7 @@ SampleSet rasterize(std::span<const flow::Flow> flows, const flowpic::FlowpicCon
     set.labels.reserve(flows.size());
     for (const auto& flow : flows) {
         FPTC_TRACE_SPAN("flowpic");
-        push_sample(set, flowpic::Flowpic::from_flow(flow, config), flow.label);
+        push_image(set, view_image(flowpic::Flowpic::from_flow(flow, config)), flow.label);
     }
     return set;
 }
@@ -226,7 +233,8 @@ SampleSet augment_set(std::span<const flow::Flow> flows, augment::AugmentationKi
     for (const auto& flow : flows) {
         for (int c = 0; c < copies; ++c) {
             FPTC_TRACE_SPAN("augment");
-            push_sample(set, augmentation->augmented_flowpic(flow, config, rng), flow.label);
+            push_image(set, view_image(augmentation->augmented_flowpic(flow, config, rng)),
+                       flow.label);
         }
     }
     return set;

@@ -48,6 +48,9 @@ struct SampleSet {
     /// Assemble a batch tensor [B, channels, dim, dim] from sample indices.
     [[nodiscard]] nn::Tensor batch(std::span<const std::size_t> indices) const;
 
+    /// Batch of the consecutive samples [begin, end).
+    [[nodiscard]] nn::Tensor batch(std::size_t begin, std::size_t end) const;
+
     /// Single-sample tensor [1, channels, dim, dim].
     [[nodiscard]] nn::Tensor tensor_of(std::size_t index) const;
 
@@ -87,6 +90,11 @@ SampleValidationReport validate_samples(SampleSet& set);
 /// Max-pool a flowpic to the network's effective input resolution (identity
 /// below the 256 threshold).  Exposed for tests and the Fig. 4 bench.
 [[nodiscard]] std::vector<float> pool_to_effective(const flowpic::Flowpic& pic);
+
+/// A flowpic as one network input image: pool_to_effective, then
+/// max-normalized to [0, 1] (what every SampleSet image and every
+/// contrastive view goes through).
+[[nodiscard]] std::vector<float> view_image(const flowpic::Flowpic& pic);
 
 /// Rasterize flows into 2-channel *directional* flowpics (channel 0 =
 /// upstream, channel 1 = downstream) — the reformulation the paper's

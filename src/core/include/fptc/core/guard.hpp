@@ -14,9 +14,9 @@
 //                  *consecutive* failures (faults that still allow epochs
 //                  to complete never exhaust the budget).
 //
-// Used by train_supervised / train_head (trainer.cpp, simclr.cpp),
-// pretrain_simclr / pretrain_supcon (simclr.cpp) and pretrain_byol
-// (byol.cpp).
+// One loop drives it: core::run_guarded (src/core/loop.cpp), through which
+// train_supervised, train_head, pretrain_simclr, pretrain_supcon and
+// pretrain_byol all train.
 #pragma once
 
 #include "fptc/nn/layer.hpp"
@@ -29,7 +29,7 @@
 namespace fptc::core {
 
 /// Divergence-detection thresholds and retry budget (shared defaults for
-/// all training loops).
+/// every training method).
 struct GuardConfig {
     int max_retries = 3;           ///< consecutive rollbacks before giving up
     double loss_limit = 1e6;       ///< |loss| above this counts as divergence

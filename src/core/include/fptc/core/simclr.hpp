@@ -78,15 +78,6 @@ struct EmbeddedSet {
 [[nodiscard]] stats::ConfusionMatrix evaluate_head(nn::Sequential& head, const EmbeddedSet& samples,
                                                    std::size_t num_classes);
 
-/// Convenience: embed train/test through the frozen trunk, fine-tune the
-/// head and return the test confusion matrix.
-[[nodiscard]] stats::ConfusionMatrix finetune_and_evaluate(nn::SimClrNetwork& network,
-                                                           nn::Sequential& head,
-                                                           const SampleSet& train,
-                                                           const SampleSet& test,
-                                                           std::size_t num_classes,
-                                                           const TrainConfig& config);
-
 /// The paper's fine-tuning TrainConfig (LR 0.01, patience 5 on train loss).
 [[nodiscard]] TrainConfig finetune_config(std::uint64_t seed);
 

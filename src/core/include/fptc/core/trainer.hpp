@@ -17,8 +17,8 @@
 
 namespace fptc::core {
 
-/// Supervision hooks threaded through every training loop (supervised,
-/// SimCLR, SupCon, BYOL).  The campaign executor wires its per-unit
+/// Supervision hooks of a training run, polled once per batch by the one
+/// guarded loop (supervised, SimCLR, SupCon, BYOL).  The campaign executor wires its per-unit
 /// CancelToken in here so a watchdog deadline or campaign-wide cancellation
 /// unwinds the loop at the next batch boundary — before any result is
 /// committed, so a cancelled unit leaves no partial journal record.

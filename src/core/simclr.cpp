@@ -1,194 +1,15 @@
 #include "fptc/core/simclr.hpp"
 
+#include "loop.hpp"
+
 #include "fptc/nn/loss.hpp"
-#include "fptc/nn/optimizer.hpp"
 #include "fptc/util/telemetry.hpp"
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace fptc::core {
-
-namespace {
-
-/// Shared pre-training loop for SimCLR (self-supervised, NT-Xent) and SupCon
-/// (supervised, multi-positive).  The only difference is the loss applied to
-/// the projected double batch.
-[[nodiscard]] SimClrResult pretrain_contrastive(nn::SimClrNetwork& network,
-                                                std::span<const flow::Flow> flows,
-                                                const augment::ViewPairGenerator& views,
-                                                const SimClrConfig& config, bool supervised)
-{
-    if (flows.size() < 2) {
-        throw std::invalid_argument("pretrain_contrastive: need at least 2 flows");
-    }
-    util::Rng rng(config.seed);
-    auto optimizer = std::make_unique<nn::Adam>(network.parameters(), config.learning_rate);
-    DivergenceGuard guard(network.parameters(), config.guard);
-
-    const std::size_t dim = nn::effective_input_dim(views.config().resolution);
-    const std::size_t plane = dim * dim;
-
-    std::vector<std::size_t> order(flows.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-
-    SimClrResult result;
-    double best_top5 = 0.0;
-    int epochs_since_improvement = 0;
-
-    for (int epoch = 0; epoch < config.max_epochs;) {
-        FPTC_TRACE_SPAN("epoch");
-        rng.shuffle(order);
-        double epoch_loss = 0.0;
-        double epoch_top5 = 0.0;
-        std::size_t batches = 0;
-        bool diverged = false;
-
-        for (std::size_t start = 0; start + 1 < order.size(); start += config.batch_samples) {
-            config.hooks.poll();
-            const std::size_t end = std::min(start + config.batch_samples, order.size());
-            const std::size_t batch_size = end - start;
-            if (batch_size < 2) {
-                break; // NT-Xent needs at least 2 samples (4 views)
-            }
-            // Interleaved double batch: rows (2i, 2i+1) are the two views.
-            nn::Tensor inputs({2 * batch_size, 1, dim, dim});
-            std::vector<std::size_t> view_labels(2 * batch_size, 0);
-            auto data = inputs.data();
-            {
-                FPTC_TRACE_SPAN("datagen");
-                for (std::size_t i = 0; i < batch_size; ++i) {
-                    view_labels[2 * i] = view_labels[2 * i + 1] = flows[order[start + i]].label;
-                    auto [view_a, view_b] = [&] {
-                        FPTC_TRACE_SPAN("augment");
-                        return views.view_pair(flows[order[start + i]], rng);
-                    }();
-                    FPTC_TRACE_SPAN("flowpic");
-                    auto image_a = pool_to_effective(view_a);
-                    auto image_b = pool_to_effective(view_b);
-                    const auto normalize = [](std::vector<float>& image) {
-                        float max_value = 0.0f;
-                        for (const float v : image) {
-                            max_value = std::max(max_value, v);
-                        }
-                        if (max_value > 0.0f) {
-                            for (auto& v : image) {
-                                v /= max_value;
-                            }
-                        }
-                    };
-                    normalize(image_a);
-                    normalize(image_b);
-                    std::copy(image_a.begin(), image_a.end(),
-                              data.begin() + static_cast<std::ptrdiff_t>((2 * i) * plane));
-                    std::copy(image_b.begin(), image_b.end(),
-                              data.begin() + static_cast<std::ptrdiff_t>((2 * i + 1) * plane));
-                }
-            }
-
-            const auto projections = [&] {
-                FPTC_TRACE_SPAN("forward");
-                return network.forward(inputs, /*training=*/true);
-            }();
-            const auto loss = [&] {
-                FPTC_TRACE_SPAN("loss");
-                return supervised ? nn::sup_con(projections, view_labels, config.temperature)
-                                  : nn::nt_xent(projections, config.temperature);
-            }();
-            {
-                FPTC_TRACE_SPAN("backward");
-                network.zero_grad();
-                network.backward(loss.grad);
-            }
-            if (guard.step_diverged(loss.loss)) {
-                diverged = true;
-                break;
-            }
-            {
-                FPTC_TRACE_SPAN("optimizer");
-                optimizer->step();
-            }
-
-            epoch_loss += loss.loss;
-            epoch_top5 += nn::contrastive_top_k_accuracy(projections, 5);
-            ++batches;
-        }
-        if (diverged) {
-            if (!guard.rollback()) {
-                throw DivergenceError("pretrain_contrastive: diverged " +
-                                      std::to_string(guard.retries()) +
-                                      " time(s); retry budget exhausted");
-            }
-            optimizer = std::make_unique<nn::Adam>(network.parameters(), config.learning_rate);
-            rng = util::Rng(guard.retry_seed(config.seed));
-            continue;
-        }
-        if (batches == 0) {
-            break;
-        }
-        guard.commit();
-        result.final_loss = epoch_loss / static_cast<double>(batches);
-        const double top5 = epoch_top5 / static_cast<double>(batches);
-        result.epochs_run = epoch + 1;
-
-        if (top5 > best_top5 + 1e-4) {
-            best_top5 = top5;
-            epochs_since_improvement = 0;
-        } else {
-            ++epochs_since_improvement;
-            if (epochs_since_improvement >= config.patience) {
-                break;
-            }
-        }
-        ++epoch;
-    }
-    result.best_top5_accuracy = best_top5;
-    result.retries = guard.retries();
-    result.faults_detected = guard.faults_detected();
-    return result;
-}
-
-} // namespace
-
-SimClrResult pretrain_simclr(nn::SimClrNetwork& network, std::span<const flow::Flow> flows,
-                             const augment::ViewPairGenerator& views, const SimClrConfig& config)
-{
-    return pretrain_contrastive(network, flows, views, config, /*supervised=*/false);
-}
-
-SimClrResult pretrain_supcon(nn::SimClrNetwork& network, std::span<const flow::Flow> flows,
-                             const augment::ViewPairGenerator& views, const SimClrConfig& config)
-{
-    return pretrain_contrastive(network, flows, views, config, /*supervised=*/true);
-}
-
-EmbeddedSet embed_set(nn::SimClrNetwork& network, const SampleSet& samples)
-{
-    EmbeddedSet embedded;
-    embedded.labels = samples.labels;
-    if (samples.size() == 0) {
-        embedded.features = nn::Tensor({0, nn::kRepresentationDim});
-        return embedded;
-    }
-    embedded.features = nn::Tensor({samples.size(), nn::kRepresentationDim});
-    auto out = embedded.features.data();
-    constexpr std::size_t kBatch = 64;
-    std::vector<std::size_t> indices;
-    for (std::size_t start = 0; start < samples.size(); start += kBatch) {
-        const std::size_t end = std::min(start + kBatch, samples.size());
-        indices.resize(end - start);
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-            indices[i] = start + i;
-        }
-        const auto h = network.embed(samples.batch(indices));
-        const auto h_data = h.data();
-        std::copy(h_data.begin(), h_data.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(start * nn::kRepresentationDim));
-    }
-    return embedded;
-}
 
 namespace {
 
@@ -206,103 +27,132 @@ namespace {
     return out;
 }
 
+/// SimCLR (self-supervised, NT-Xent) and SupCon (supervised, multi-positive)
+/// pre-training differ only in the loss applied to the projected double batch.
+[[nodiscard]] SimClrResult pretrain_contrastive(const char* name, nn::SimClrNetwork& network,
+                                                std::span<const flow::Flow> flows,
+                                                const augment::ViewPairGenerator& views,
+                                                const SimClrConfig& config, bool supervised)
+{
+    if (flows.size() < 2) {
+        throw std::invalid_argument(std::string(name) + ": need at least 2 flows");
+    }
+    const std::size_t dim = nn::effective_input_dim(views.config().resolution);
+    const std::size_t plane = dim * dim;
+    double best_top5 = 0.0;
+    GuardedLoop loop{
+        .name = name,
+        .samples = flows.size(),
+        .batch_size = config.batch_samples,
+        .min_batch = 2, // NT-Xent needs at least 2 samples (4 views)
+        .max_epochs = config.max_epochs,
+        .patience = config.patience,
+        .seed = config.seed,
+        .learning_rate = config.learning_rate,
+        .trainable = network.parameters(),
+        .guard = config.guard,
+        .hooks = config.hooks,
+    };
+    loop.step = [&](std::span<const std::size_t> batch, util::Rng& rng) {
+        // Interleaved double batch: rows (2i, 2i+1) are the two views.
+        nn::Tensor inputs({2 * batch.size(), 1, dim, dim});
+        std::vector<std::size_t> view_labels(2 * batch.size(), 0);
+        auto data = inputs.data();
+        {
+            FPTC_TRACE_SPAN("datagen");
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                const auto& flow = flows[batch[i]];
+                view_labels[2 * i] = view_labels[2 * i + 1] = flow.label;
+                auto [view_a, view_b] = [&] {
+                    FPTC_TRACE_SPAN("augment");
+                    return views.view_pair(flow, rng);
+                }();
+                FPTC_TRACE_SPAN("flowpic");
+                const auto image_a = view_image(view_a);
+                const auto image_b = view_image(view_b);
+                std::copy(image_a.begin(), image_a.end(),
+                          data.begin() + static_cast<std::ptrdiff_t>((2 * i) * plane));
+                std::copy(image_b.begin(), image_b.end(),
+                          data.begin() + static_cast<std::ptrdiff_t>((2 * i + 1) * plane));
+            }
+        }
+        const auto projections = [&] {
+            FPTC_TRACE_SPAN("forward");
+            return network.forward(inputs, /*training=*/true);
+        }();
+        const auto loss = [&] {
+            FPTC_TRACE_SPAN("loss");
+            return supervised ? nn::sup_con(projections, view_labels, config.temperature)
+                              : nn::nt_xent(projections, config.temperature);
+        }();
+        {
+            FPTC_TRACE_SPAN("backward");
+            network.zero_grad();
+            network.backward(loss.grad);
+        }
+        return StepResult{loss.loss, nn::contrastive_top_k_accuracy(projections, 5)};
+    };
+    loop.improved = [&](double, double top5) {
+        if (top5 > best_top5 + 1e-4) {
+            best_top5 = top5;
+            return true;
+        }
+        return false;
+    };
+    const auto outcome = run_guarded(loop);
+    return SimClrResult{
+        .epochs_run = outcome.epochs_run,
+        .best_top5_accuracy = best_top5,
+        .final_loss = outcome.final_train_loss,
+        .retries = outcome.retries,
+        .faults_detected = outcome.faults_detected,
+    };
+}
+
 } // namespace
+
+SimClrResult pretrain_simclr(nn::SimClrNetwork& network, std::span<const flow::Flow> flows,
+                             const augment::ViewPairGenerator& views, const SimClrConfig& config)
+{
+    return pretrain_contrastive("pretrain_simclr", network, flows, views, config,
+                                /*supervised=*/false);
+}
+
+SimClrResult pretrain_supcon(nn::SimClrNetwork& network, std::span<const flow::Flow> flows,
+                             const augment::ViewPairGenerator& views, const SimClrConfig& config)
+{
+    return pretrain_contrastive("pretrain_supcon", network, flows, views, config,
+                                /*supervised=*/true);
+}
+
+EmbeddedSet embed_set(nn::SimClrNetwork& network, const SampleSet& samples)
+{
+    EmbeddedSet embedded;
+    embedded.labels = samples.labels;
+    if (samples.size() == 0) {
+        embedded.features = nn::Tensor({0, nn::kRepresentationDim});
+        return embedded;
+    }
+    embedded.features = nn::Tensor({samples.size(), nn::kRepresentationDim});
+    auto out = embedded.features.data();
+    constexpr std::size_t kBatch = 64;
+    for (std::size_t start = 0; start < samples.size(); start += kBatch) {
+        const std::size_t end = std::min(start + kBatch, samples.size());
+        const auto h = network.embed(samples.batch(start, end));
+        const auto h_data = h.data();
+        std::copy(h_data.begin(), h_data.end(),
+                  out.begin() + static_cast<std::ptrdiff_t>(start * nn::kRepresentationDim));
+    }
+    return embedded;
+}
 
 TrainResult train_head(nn::Sequential& head, const EmbeddedSet& train, const TrainConfig& config)
 {
-    if (train.size() == 0) {
-        throw std::invalid_argument("train_head: empty training set");
-    }
-    util::Rng rng(config.seed);
-    const auto make_optimizer = [&]() -> std::unique_ptr<nn::Optimizer> {
-        if (config.use_adam) {
-            return std::make_unique<nn::Adam>(head.parameters(), config.learning_rate);
-        }
-        return std::make_unique<nn::Sgd>(head.parameters(), config.learning_rate);
-    };
-    auto optimizer = make_optimizer();
-    DivergenceGuard guard(head.parameters(), config.guard);
-
-    std::vector<std::size_t> order(train.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-
-    TrainResult result;
-    double best = std::numeric_limits<double>::infinity();
-    int epochs_since_improvement = 0;
-    for (int epoch = 0; epoch < config.max_epochs;) {
-        FPTC_TRACE_SPAN("epoch");
-        rng.shuffle(order);
-        double epoch_loss = 0.0;
-        std::size_t batches = 0;
-        bool diverged = false;
-        for (std::size_t start = 0; start < order.size(); start += config.batch_size) {
-            config.hooks.poll();
-            const std::size_t end = std::min(start + config.batch_size, order.size());
-            const std::span<const std::size_t> batch_indices(order.data() + start, end - start);
-            const auto inputs = [&] {
-                FPTC_TRACE_SPAN("datagen");
-                return rows_of(train.features, batch_indices);
-            }();
-            std::vector<std::size_t> batch_labels(batch_indices.size());
-            for (std::size_t i = 0; i < batch_indices.size(); ++i) {
-                batch_labels[i] = train.labels[batch_indices[i]];
-            }
-            const auto logits = [&] {
-                FPTC_TRACE_SPAN("forward");
-                return head.forward(inputs, /*training=*/true);
-            }();
-            const auto loss = [&] {
-                FPTC_TRACE_SPAN("loss");
-                return nn::cross_entropy(logits, batch_labels);
-            }();
-            {
-                FPTC_TRACE_SPAN("backward");
-                head.zero_grad();
-                (void)head.backward(loss.grad);
-            }
-            if (guard.step_diverged(loss.loss)) {
-                diverged = true;
-                break;
-            }
-            {
-                FPTC_TRACE_SPAN("optimizer");
-                optimizer->step();
-            }
-            epoch_loss += loss.loss;
-            ++batches;
-        }
-        if (diverged) {
-            if (!guard.rollback()) {
-                throw DivergenceError("train_head: diverged " + std::to_string(guard.retries()) +
-                                      " time(s); retry budget exhausted");
-            }
-            optimizer = make_optimizer();
-            rng = util::Rng(guard.retry_seed(config.seed));
-            continue;
-        }
-        guard.commit();
-        result.final_train_loss = epoch_loss / static_cast<double>(batches);
-        result.epochs_run = epoch + 1;
-        result.validation_history.push_back(result.final_train_loss);
-
-        // The paper fine-tunes with early stopping on the *train* loss.
-        if (result.final_train_loss < best - config.min_delta) {
-            best = result.final_train_loss;
-            epochs_since_improvement = 0;
-        } else {
-            ++epochs_since_improvement;
-            if (epochs_since_improvement >= config.patience) {
-                break;
-            }
-        }
-        ++epoch;
-    }
-    result.best_validation_loss = best;
-    result.retries = guard.retries();
-    result.faults_detected = guard.faults_detected();
-    return result;
+    // The paper fine-tunes with early stopping on the *train* loss.
+    return train_cross_entropy(
+        "train_head", head, train.labels,
+        [&](std::span<const std::size_t> batch) { return rows_of(train.features, batch); },
+        [](double train_loss) { return train_loss; }, config);
 }
 
 stats::ConfusionMatrix evaluate_head(nn::Sequential& head, const EmbeddedSet& samples,
@@ -312,26 +162,11 @@ stats::ConfusionMatrix evaluate_head(nn::Sequential& head, const EmbeddedSet& sa
     if (samples.size() == 0) {
         return confusion;
     }
-    std::vector<std::size_t> indices(samples.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        indices[i] = i;
-    }
-    const auto logits = head.forward(rows_of(samples.features, indices), /*training=*/false);
-    const auto predictions = nn::argmax_rows(logits);
-    for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto predictions = nn::argmax_rows(head.forward(samples.features, /*training=*/false));
+    for (std::size_t i = 0; i < samples.size(); ++i) {
         confusion.add(samples.labels[i], predictions[i]);
     }
     return confusion;
-}
-
-stats::ConfusionMatrix finetune_and_evaluate(nn::SimClrNetwork& network, nn::Sequential& head,
-                                             const SampleSet& train, const SampleSet& test,
-                                             std::size_t num_classes, const TrainConfig& config)
-{
-    const auto train_embedded = embed_set(network, train);
-    const auto test_embedded = embed_set(network, test);
-    (void)train_head(head, train_embedded, config);
-    return evaluate_head(head, test_embedded, num_classes);
 }
 
 TrainConfig finetune_config(std::uint64_t seed)

@@ -1,137 +1,102 @@
 #include "fptc/core/trainer.hpp"
 
+#include "loop.hpp"
+
 #include "fptc/nn/loss.hpp"
-#include "fptc/nn/optimizer.hpp"
-#include "fptc/util/rng.hpp"
 #include "fptc/util/telemetry.hpp"
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace fptc::core {
+
+TrainResult train_cross_entropy(
+    const char* name, nn::Sequential& network, std::span<const std::size_t> labels,
+    const std::function<nn::Tensor(std::span<const std::size_t>)>& inputs,
+    const std::function<double(double)>& monitor, const TrainConfig& config)
+{
+    if (labels.empty()) {
+        throw std::invalid_argument(std::string(name) + ": empty training set");
+    }
+    double best_monitored = std::numeric_limits<double>::infinity();
+    std::vector<double> history;
+    GuardedLoop loop{
+        .name = name,
+        .samples = labels.size(),
+        .batch_size = config.batch_size,
+        .max_epochs = config.max_epochs,
+        .patience = config.patience,
+        .seed = config.seed,
+        .learning_rate = config.learning_rate,
+        .use_adam = config.use_adam,
+        .trainable = network.parameters(),
+        .guard = config.guard,
+        .hooks = config.hooks,
+    };
+    loop.step = [&](std::span<const std::size_t> batch, util::Rng&) {
+        const auto batch_inputs = [&] {
+            FPTC_TRACE_SPAN("datagen");
+            return inputs(batch);
+        }();
+        std::vector<std::size_t> batch_labels(batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch_labels[i] = labels[batch[i]];
+        }
+        const auto logits = [&] {
+            FPTC_TRACE_SPAN("forward");
+            return network.forward(batch_inputs, /*training=*/true);
+        }();
+        const auto loss = [&] {
+            FPTC_TRACE_SPAN("loss");
+            return nn::cross_entropy(logits, batch_labels);
+        }();
+        {
+            FPTC_TRACE_SPAN("backward");
+            network.zero_grad();
+            (void)network.backward(loss.grad);
+        }
+        return StepResult{loss.loss, loss.loss};
+    };
+    loop.improved = [&](double train_loss, double) {
+        const double monitored = monitor(train_loss);
+        history.push_back(monitored);
+        if (monitored < best_monitored - config.min_delta) {
+            best_monitored = monitored;
+            return true;
+        }
+        return false;
+    };
+    auto result = run_guarded(loop);
+    result.best_validation_loss = best_monitored;
+    result.validation_history = std::move(history);
+    return result;
+}
 
 TrainResult train_supervised(nn::Sequential& network, const SampleSet& train,
                              const SampleSet& validation, const TrainConfig& config)
 {
-    if (train.size() == 0) {
-        throw std::invalid_argument("train_supervised: empty training set");
-    }
-    util::Rng rng(config.seed);
-    const auto make_optimizer = [&]() -> std::unique_ptr<nn::Optimizer> {
-        if (config.use_adam) {
-            return std::make_unique<nn::Adam>(network.parameters(), config.learning_rate);
-        }
-        return std::make_unique<nn::Sgd>(network.parameters(), config.learning_rate);
-    };
-    auto optimizer = make_optimizer();
-    DivergenceGuard guard(network.parameters(), config.guard);
-
-    std::vector<std::size_t> order(train.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-
-    TrainResult result;
-    double best_monitored = std::numeric_limits<double>::infinity();
-    int epochs_since_improvement = 0;
-    const bool monitor_validation = validation.size() > 0;
-
-    for (int epoch = 0; epoch < config.max_epochs;) {
-        FPTC_TRACE_SPAN("epoch");
-        rng.shuffle(order);
-        double epoch_loss = 0.0;
-        std::size_t batches = 0;
-        bool diverged = false;
-        for (std::size_t start = 0; start < order.size(); start += config.batch_size) {
-            config.hooks.poll();
-            const std::size_t end = std::min(start + config.batch_size, order.size());
-            const std::span<const std::size_t> batch_indices(order.data() + start, end - start);
-            const auto inputs = [&] {
-                FPTC_TRACE_SPAN("datagen");
-                return train.batch(batch_indices);
-            }();
-            std::vector<std::size_t> batch_labels(batch_indices.size());
-            for (std::size_t i = 0; i < batch_indices.size(); ++i) {
-                batch_labels[i] = train.labels[batch_indices[i]];
-            }
-            const auto logits = [&] {
-                FPTC_TRACE_SPAN("forward");
-                return network.forward(inputs, /*training=*/true);
-            }();
-            const auto loss = [&] {
-                FPTC_TRACE_SPAN("loss");
-                return nn::cross_entropy(logits, batch_labels);
-            }();
-            {
-                FPTC_TRACE_SPAN("backward");
-                network.zero_grad();
-                (void)network.backward(loss.grad);
-            }
-            if (guard.step_diverged(loss.loss)) {
-                diverged = true;
-                break; // abort the epoch before the bad update is applied
-            }
-            {
-                FPTC_TRACE_SPAN("optimizer");
-                optimizer->step();
-            }
-            epoch_loss += loss.loss;
-            ++batches;
-        }
-        if (diverged) {
-            if (!guard.rollback()) {
-                throw DivergenceError("train_supervised: diverged " +
-                                      std::to_string(guard.retries()) +
-                                      " time(s); retry budget exhausted");
-            }
-            // Fresh optimizer state and a derived shuffle stream, then
-            // re-run the same epoch from the last good snapshot.
-            optimizer = make_optimizer();
-            rng = util::Rng(guard.retry_seed(config.seed));
-            continue;
-        }
-        guard.commit();
-        result.final_train_loss = batches > 0 ? epoch_loss / static_cast<double>(batches) : 0.0;
-        result.epochs_run = epoch + 1;
-
-        const double monitored =
-            monitor_validation ? evaluate_loss(network, validation) : result.final_train_loss;
-        result.validation_history.push_back(monitored);
-
-        if (monitored < best_monitored - config.min_delta) {
-            best_monitored = monitored;
-            epochs_since_improvement = 0;
-        } else {
-            ++epochs_since_improvement;
-            if (epochs_since_improvement >= config.patience) {
-                break;
-            }
-        }
-        ++epoch;
-    }
-    result.best_validation_loss = best_monitored;
-    result.retries = guard.retries();
-    result.faults_detected = guard.faults_detected();
-    return result;
+    return train_cross_entropy(
+        "train_supervised", network, train.labels,
+        [&](std::span<const std::size_t> batch) { return train.batch(batch); },
+        [&](double train_loss) {
+            return validation.size() > 0 ? evaluate_loss(network, validation) : train_loss;
+        },
+        config);
 }
 
 stats::ConfusionMatrix evaluate(nn::Sequential& network, const SampleSet& samples,
                                 std::size_t num_classes, std::size_t batch_size)
 {
     stats::ConfusionMatrix confusion(num_classes);
-    std::vector<std::size_t> indices(batch_size);
     for (std::size_t start = 0; start < samples.size(); start += batch_size) {
         const std::size_t end = std::min(start + batch_size, samples.size());
-        indices.resize(end - start);
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-            indices[i] = start + i;
-        }
-        const auto logits = network.forward(samples.batch(indices), /*training=*/false);
-        const auto predictions = nn::argmax_rows(logits);
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-            confusion.add(samples.labels[indices[i]], predictions[i]);
+        const auto predictions =
+            nn::argmax_rows(network.forward(samples.batch(start, end), /*training=*/false));
+        for (std::size_t i = start; i < end; ++i) {
+            confusion.add(samples.labels[i], predictions[i - start]);
         }
     }
     return confusion;
@@ -143,22 +108,14 @@ double evaluate_loss(nn::Sequential& network, const SampleSet& samples, std::siz
         return 0.0;
     }
     double total = 0.0;
-    std::size_t count = 0;
-    std::vector<std::size_t> indices(batch_size);
     for (std::size_t start = 0; start < samples.size(); start += batch_size) {
         const std::size_t end = std::min(start + batch_size, samples.size());
-        indices.resize(end - start);
-        std::vector<std::size_t> batch_labels(end - start);
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-            indices[i] = start + i;
-            batch_labels[i] = samples.labels[start + i];
-        }
-        const auto logits = network.forward(samples.batch(indices), /*training=*/false);
-        const auto loss = nn::cross_entropy(logits, batch_labels);
+        const auto logits = network.forward(samples.batch(start, end), /*training=*/false);
+        const auto loss = nn::cross_entropy(
+            logits, std::span(samples.labels).subspan(start, end - start));
         total += loss.loss * static_cast<double>(end - start);
-        count += end - start;
     }
-    return total / static_cast<double>(count);
+    return total / static_cast<double>(samples.size());
 }
 
 } // namespace fptc::core

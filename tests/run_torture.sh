@@ -16,7 +16,8 @@
 #   * it also greps src/ to assert no persistence bypasses the durable
 #     layer via a raw std::ofstream, and no binary format bypasses the
 #     shared codec (util/codec.hpp) with its own byte helpers or a
-#     .rdbuf() whole-file read,
+#     .rdbuf() whole-file read, and no training loop besides
+#     core::run_guarded drives a DivergenceGuard,
 #   * cooperative shutdown: a campaign sent SIGTERM mid-run must exit
 #     128+15, journal a __shutdown__ record and flush a valid metrics JSON
 #     (send-the-signal-then-inspect, no mocks).
@@ -68,6 +69,21 @@ if [ -n "$CODEC_HITS" ]; then
     exit 1
 fi
 echo "run_torture: static gate ok (no hand-rolled byte codec or .rdbuf() read in src/)"
+
+# ---- static gate: one guarded training loop ---------------------------------
+# Every training method runs through core::run_guarded (src/core/loop.cpp).
+# No other file under src/ may construct a DivergenceGuard or drive one with
+# step_diverged, rollback or retry_seed; the guard's own files declare and
+# define them.
+GUARD_PATTERN='DivergenceGuard([[:space:]]+[A-Za-z_][A-Za-z0-9_]*)?[[:space:]]*[({]|<DivergenceGuard>|(\.|->)(step_diverged|rollback|retry_seed)[[:space:]]*\('
+GUARD_HITS=$(grep -rnE "$GUARD_PATTERN" src/ --include='*.cpp' --include='*.hpp' \
+        | grep -vE '^src/core/(loop\.cpp|guard\.cpp|include/fptc/core/guard\.hpp):' || true)
+if [ -n "$GUARD_HITS" ]; then
+    echo "run_torture: FAIL: a training loop outside src/core/loop.cpp drives a DivergenceGuard — run it through core::run_guarded:" >&2
+    echo "$GUARD_HITS" >&2
+    exit 1
+fi
+echo "run_torture: static gate ok (one guarded training loop in src/core/loop.cpp)"
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/fptc_torture.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT INT TERM

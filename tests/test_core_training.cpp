@@ -448,6 +448,50 @@ TEST(Guard, ByolTargetRollsBackWithTheOnlineNetwork)
     EXPECT_EQ(parameter_values(network.predictor.parameters()), predictor_before);
 }
 
+TEST(Guard, ZeroBatchSizeIsRejectedByEveryEntryPoint)
+{
+    const auto expect_rejected = [](const std::string& name, const auto& run) {
+        try {
+            run();
+            ADD_FAILURE() << name << " accepted a zero batch size";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_EQ(std::string(error.what()).rfind(name + ":", 0), 0u) << error.what();
+        }
+    };
+    nn::ModelConfig model_config;
+    model_config.num_classes = 2;
+    TrainConfig train_config;
+    train_config.batch_size = 0;
+    expect_rejected("train_supervised", [&] {
+        auto network = nn::make_supervised_network(model_config);
+        (void)train_supervised(network, toy_samples(4, 1), SampleSet{}, train_config);
+    });
+    expect_rejected("train_head", [&] {
+        auto network = nn::make_simclr_network(model_config);
+        auto head = nn::make_finetune_head(model_config);
+        (void)train_head(head, embed_set(network, toy_samples(4, 1)), train_config);
+    });
+
+    const auto pool = rollback_pool();
+    const augment::ViewPairGenerator views;
+    SimClrConfig simclr_config;
+    simclr_config.batch_samples = 0;
+    expect_rejected("pretrain_simclr", [&] {
+        auto network = nn::make_simclr_network(model_config);
+        (void)pretrain_simclr(network, pool, views, simclr_config);
+    });
+    expect_rejected("pretrain_supcon", [&] {
+        auto network = nn::make_simclr_network(model_config);
+        (void)pretrain_supcon(network, pool, views, simclr_config);
+    });
+    ByolConfig byol_config;
+    byol_config.batch_samples = 0;
+    expect_rejected("pretrain_byol", [&] {
+        auto network = make_byol_network(model_config);
+        (void)pretrain_byol(network, pool, views, byol_config);
+    });
+}
+
 TEST(SimClr, PretrainValidation)
 {
     nn::ModelConfig model_config;
