@@ -21,7 +21,7 @@ DivergenceGuard::DivergenceGuard(std::vector<nn::Parameter*> parameters, GuardCo
 bool DivergenceGuard::step_diverged(double loss)
 {
     bool diverged = false;
-    if (util::fault_injector().inject_nan_loss()) {
+    if (util::fault_injector().inject_nan_loss(++steps_)) {
         // The injected fault stands in for a NaN that a real divergence
         // would have produced on this step.
         diverged = true;

@@ -46,7 +46,9 @@ public:
     /// Check one training step.  Returns true when the step diverged: the
     /// loss is non-finite or beyond loss_limit, the accumulated gradient
     /// norm is non-finite or beyond grad_norm_limit, or the process-wide
-    /// fault injector fired a NaN-loss fault for this step.
+    /// fault injector fired a NaN-loss fault for this guard's step index
+    /// (its count of step_diverged calls, so faults hit the same steps of a
+    /// loop whatever else runs in the process).
     [[nodiscard]] bool step_diverged(double loss);
 
     /// Record the current parameter values as the last known-good state and
@@ -74,6 +76,7 @@ private:
     std::vector<nn::Parameter*> parameters_;
     GuardConfig config_;
     std::string snapshot_;          ///< last-good state, nn::serialize v2 bytes
+    std::uint64_t steps_ = 0;       ///< step_diverged calls so far
     int retries_ = 0;
     int consecutive_failures_ = 0;
     int faults_detected_ = 0;

@@ -17,7 +17,6 @@ void FaultInjector::configure(const FaultPlan& plan)
     plan_ = plan;
     rng_ = Rng(mix_seed(plan.seed, 0xFA17));
     counters_ = FaultCounters{};
-    training_steps_ = 0;
     unit_executions_stall_ = 0;
     unit_executions_transient_ = 0;
     durable_bytes_ = 0;
@@ -51,14 +50,11 @@ bool FaultInjector::enabled() const noexcept
            plan_.kill_serve_at_snapshot > 0;
 }
 
-bool FaultInjector::inject_nan_loss()
+bool FaultInjector::inject_nan_loss(std::uint64_t step)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.nan_loss_every <= 0) {
-        return false;
-    }
-    ++training_steps_;
-    if (training_steps_ % static_cast<std::uint64_t>(plan_.nan_loss_every) != 0) {
+    if (plan_.nan_loss_every <= 0 ||
+        step % static_cast<std::uint64_t>(plan_.nan_loss_every) != 0) {
         return false;
     }
     ++counters_.nan_losses;

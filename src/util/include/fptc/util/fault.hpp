@@ -24,8 +24,8 @@
 // A process-wide injector is configured once from environment variables:
 //
 //   FPTC_FAULT_SEED=n             stream seed (default 0)
-//   FPTC_FAULT_NAN_EVERY=k        force every k-th guarded training step's
-//                                 loss to NaN (0 = off)
+//   FPTC_FAULT_NAN_EVERY=k        force the loss of every k-th step of each
+//                                 training loop to NaN (0 = off)
 //   FPTC_FAULT_TRUNCATE_WRITES=n  truncate the first n checkpoint writes
 //   FPTC_FAULT_CSV_PERCENT=p      mangle ~p% of CSV rows in lenient reads
 //   FPTC_FAULT_STALL_UNITS=n      stall the first n campaign unit executions
@@ -75,9 +75,11 @@
 //
 // Thread safety: the injector is consulted from executor worker threads
 // (unit-level faults) and from the training loops they run (NaN losses), so
-// every method is internally synchronized.  Note that with FPTC_JOBS > 1 the
-// *step-granular* classes (NaN losses, CSV rows) interleave across workers
-// in scheduling order, so which unit absorbs a given injection is no longer
+// every method is internally synchronized.  NaN losses are deterministic in
+// *target* for any FPTC_JOBS: each training loop passes its own step index,
+// so the same steps of the same loops fault however workers interleave.
+// With FPTC_JOBS > 1 the CSV-row class interleaves across workers in
+// scheduling order, so which unit absorbs a given injection is no longer
 // deterministic; the unit-granular classes (stall, transient) stay
 // deterministic in *count* — exactly the first n executions are hit.  The
 // alloc classes are deterministic in *target* for any FPTC_JOBS: AFTER_MB
@@ -99,7 +101,7 @@ namespace fptc::util {
 /// What to inject.  Default-constructed plan injects nothing.
 struct FaultPlan {
     std::uint64_t seed = 0;        ///< seed of the injector's own stream
-    int nan_loss_every = 0;        ///< every k-th guarded step diverges (0 = off)
+    int nan_loss_every = 0;        ///< every k-th step of each training loop diverges (0 = off)
     int truncate_writes = 0;       ///< first n checkpoint writes are truncated
     double csv_row_percent = 0.0;  ///< % of CSV rows mangled in lenient reads
     int stall_units = 0;           ///< first n unit executions stall
@@ -158,9 +160,10 @@ public:
     /// True when any fault class is armed.
     [[nodiscard]] bool enabled() const noexcept;
 
-    /// Consulted once per guarded training step; true = treat this step's
-    /// loss as NaN.  Counter-based: fires on every k-th call.
-    [[nodiscard]] bool inject_nan_loss();
+    /// Consulted once per guarded training step with the loop's own step
+    /// index (1 for its first step); true = treat this step's loss as NaN.
+    /// Fires when step % k == 0, whatever other loops run in the process.
+    [[nodiscard]] bool inject_nan_loss(std::uint64_t step);
 
     /// Consulted once per checkpoint write; true = truncate the write.
     [[nodiscard]] bool inject_truncated_write();
@@ -252,7 +255,6 @@ private:
     FaultPlan plan_{};
     Rng rng_{0};
     FaultCounters counters_{};
-    std::uint64_t training_steps_ = 0;
     std::uint64_t unit_executions_stall_ = 0;
     std::uint64_t unit_executions_transient_ = 0;
     std::uint64_t durable_bytes_ = 0;   ///< cumulative bytes through the shim

@@ -448,6 +448,37 @@ TEST(Guard, ByolTargetRollsBackWithTheOnlineNetwork)
     EXPECT_EQ(parameter_values(network.predictor.parameters()), predictor_before);
 }
 
+TEST(Guard, NanFaultsHitTheSameStepsWhateverRanBefore)
+{
+    // Each loop counts its own steps for the fault injector, so a loop's
+    // result under nan_loss_every does not depend on another loop having
+    // run first (in the same thread or, under FPTC_JOBS, in another).
+    nn::ModelConfig model_config;
+    model_config.num_classes = 2;
+    model_config.with_dropout = false;
+    const auto train = toy_samples(40, 1);
+    const auto run = [&](const SampleSet& samples, int epochs) {
+        auto network = nn::make_supervised_network(model_config);
+        TrainConfig config;
+        config.max_epochs = epochs;
+        return train_supervised(network, samples, SampleSet{}, config);
+    };
+    util::FaultPlan plan;
+    plan.nan_loss_every = 7;
+    util::fault_injector().configure(plan);
+    const auto alone = run(train, 4);
+    util::fault_injector().configure(plan);
+    (void)run(toy_samples(20, 2), 1); // two steps, no fault
+    const auto after_another = run(train, 4);
+    util::fault_injector().configure(util::FaultPlan{});
+
+    EXPECT_GE(alone.retries, 1);
+    EXPECT_EQ(after_another.retries, alone.retries);
+    EXPECT_EQ(after_another.faults_detected, alone.faults_detected);
+    EXPECT_EQ(after_another.epochs_run, alone.epochs_run);
+    EXPECT_EQ(bits_of(after_another.final_train_loss), bits_of(alone.final_train_loss));
+}
+
 TEST(Guard, ZeroBatchSizeIsRejectedByEveryEntryPoint)
 {
     const auto expect_rejected = [](const std::string& name, const auto& run) {

@@ -534,7 +534,7 @@ TEST(Fault, InertByDefault)
 {
     fptc::util::FaultInjector injector;
     EXPECT_FALSE(injector.enabled());
-    EXPECT_FALSE(injector.inject_nan_loss());
+    EXPECT_FALSE(injector.inject_nan_loss(1));
     EXPECT_FALSE(injector.inject_truncated_write());
     EXPECT_FALSE(injector.inject_csv_corruption());
     EXPECT_EQ(injector.counters().total(), 0u);
@@ -548,7 +548,7 @@ TEST(Fault, NanLossFiresEveryKthStep)
     EXPECT_TRUE(injector.enabled());
     int fired = 0;
     for (int i = 0; i < 12; ++i) {
-        fired += injector.inject_nan_loss() ? 1 : 0;
+        fired += injector.inject_nan_loss(i + 1) ? 1 : 0;
     }
     EXPECT_EQ(fired, 4);
     EXPECT_EQ(injector.counters().nan_losses, 4u);
