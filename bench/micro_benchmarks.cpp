@@ -23,10 +23,11 @@
 #include "fptc/nn/optimizer.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
 #include "fptc/util/durable.hpp"
+#include "fptc/util/isa.hpp"
 #include "fptc/util/membudget.hpp"
 #include "fptc/util/telemetry.hpp"
 
-#include "gemm.hpp" // src/nn: the kernel ISA hook
+#include "gemm.hpp" // src/nn: BM_Gemm calls the kernel directly
 
 #include <benchmark/benchmark.h>
 
@@ -108,20 +109,20 @@ BENCHMARK(BM_Augmentation)
     ->Arg(static_cast<int>(augment::AugmentationKind::packet_loss))
     ->Arg(static_cast<int>(augment::AugmentationKind::change_rtt));
 
-/// The nn kernels' instruction set for one benchmark, from its argument
-/// `index`: 0 forces the x86-64 baseline (4 lanes), 1 runs AVX2 (8 lanes),
-/// an error on a CPU without it.
+/// The nn and GBT kernels' instruction set for one benchmark, from its
+/// argument `index`: 0 forces the x86-64 baseline (16-byte vectors), 1 runs
+/// AVX2 (32-byte vectors), an error on a CPU without it.
 class KernelIsa {
 public:
     KernelIsa(benchmark::State& state, int index)
     {
         if (state.range(index) == 0) {
-            nn::detail::force_baseline(true);
-        } else if (nn::detail::selected_isa() != nn::detail::Isa::avx2) {
+            util::force_baseline(true);
+        } else if (util::selected_isa() != util::Isa::avx2) {
             state.SkipWithError("no AVX2 on this CPU");
         }
     }
-    ~KernelIsa() { nn::detail::force_baseline(false); }
+    ~KernelIsa() { util::force_baseline(false); }
 
     KernelIsa(const KernelIsa&) = delete;
     KernelIsa& operator=(const KernelIsa&) = delete;
@@ -344,11 +345,12 @@ void BM_NtXent(benchmark::State& state)
 }
 BENCHMARK(BM_NtXent)->Arg(16)->Arg(64);
 
-/// Arg 30 / 256: 200 dense Gaussian rows of that width.  Arg 1024: the
-/// campaign's Table-3 shape, 80 synthetic UCDAVIS19 flows per class as
-/// flattened 32x32 flowpics (400 x 1024, ~89% zeros).
+/// Args (width, isa).  Width 30 / 256: 200 dense Gaussian rows of that
+/// width.  Width 1024: the campaign's Table-3 shape, 80 synthetic UCDAVIS19
+/// flows per class as flattened 32x32 flowpics (400 x 1024, ~89% zeros).
 void BM_GbtFit(benchmark::State& state)
 {
+    const KernelIsa isa(state, 1);
     util::Rng rng(9);
     const std::size_t d = static_cast<std::size_t>(state.range(0));
     std::vector<std::vector<float>> features;
@@ -381,7 +383,10 @@ void BM_GbtFit(benchmark::State& state)
         benchmark::DoNotOptimize(model.tree_count());
     }
 }
-BENCHMARK(BM_GbtFit)->Arg(30)->Arg(256)->Arg(1024);
+BENCHMARK(BM_GbtFit)
+    ->Args({30, 0})->Args({30, 1})
+    ->Args({256, 0})->Args({256, 1})
+    ->Args({1024, 0})->Args({1024, 1});
 
 void BM_TrafficGeneration(benchmark::State& state)
 {

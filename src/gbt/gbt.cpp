@@ -1,5 +1,7 @@
 #include "fptc/gbt/gbt.hpp"
 
+#include "histogram.hpp"
+
 #include "fptc/util/membudget.hpp"
 #include "fptc/util/telemetry.hpp"
 
@@ -49,86 +51,9 @@ int Tree::depth() const
 
 namespace {
 
-/// One histogram cell: the (gradient, hessian) sums of one (feature, bin),
-/// two independent IEEE double lanes in one 16-byte vector register.
-using v2d = double __attribute__((vector_size(16)));
-
-inline v2d load(const double* p) noexcept
-{
-    v2d v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-inline void store(double* p, v2d v) noexcept
-{
-    std::memcpy(p, &v, sizeof v);
-}
-
-/// A feature whose training values fall into at least two bins.  It owns
-/// one histogram slot per bin from first_bin (0, or 1 when no training value
-/// lies below the first edge) to the last, edges.size().  Bins no training
-/// value falls into, and features with a single bin, never yield a split
-/// with positive gain (DESIGN.md "GBT histogram"), so they get no slot.
-struct ActiveFeature {
-    std::size_t feature = 0;
-    std::uint32_t first_bin = 0;
-    std::uint32_t offset = 0; ///< slot of first_bin
-};
-
-/// Per-feature histogram bin edges (quantile-ish via sorted unique values),
-/// and the compact histogram layout of the features that can split.
-struct BinMap {
-    std::vector<std::vector<float>> edges; ///< edges[f] sorted ascending
-    std::vector<ActiveFeature> active;     ///< ascending feature index
-    std::size_t slot_count = 0;
-
-    [[nodiscard]] std::uint32_t bin_of(std::size_t feature, float value) const
-    {
-        const auto& e = edges[feature];
-        return static_cast<std::uint32_t>(
-            std::upper_bound(e.begin(), e.end(), value) - e.begin());
-    }
-};
-
-[[nodiscard]] BinMap build_bins(const std::vector<std::vector<float>>& features, int num_bins)
-{
-    const std::size_t n = features.size();
-    const std::size_t d = features.front().size();
-    BinMap bins;
-    bins.edges.resize(d);
-    std::vector<float> column(n);
-    for (std::size_t f = 0; f < d; ++f) {
-        for (std::size_t i = 0; i < n; ++i) {
-            column[i] = features[i][f];
-        }
-        std::sort(column.begin(), column.end());
-        auto& edges = bins.edges[f];
-        // Quantile edges; duplicates collapse automatically.
-        for (int b = 1; b < num_bins; ++b) {
-            const auto idx = static_cast<std::size_t>(
-                static_cast<double>(b) / num_bins * static_cast<double>(n - 1));
-            const float edge = column[idx];
-            if (edges.empty() || edge > edges.back()) {
-                edges.push_back(edge);
-            }
-        }
-        // bin_of is monotone, so the extremes bound every value's bin.  The
-        // maximum always falls into the last bin, and each bin from 1 on
-        // holds its lower edge, a training value: only bin 0 can be empty.
-        const auto first_bin = bins.bin_of(f, column.front());
-        if (first_bin < edges.size()) {
-            bins.active.push_back(
-                {f, first_bin, static_cast<std::uint32_t>(bins.slot_count)});
-            bins.slot_count += edges.size() + 1 - first_bin;
-        }
-    }
-    return bins;
-}
-
 struct SplitCandidate {
     double gain = 0.0;
-    std::size_t active = 0; ///< index into BinMap::active
+    std::size_t active = 0; ///< index into detail::BinMap::active
     std::uint32_t bin = 0;  ///< go left when binned value <= bin
     float threshold = 0.0f;
 };
@@ -188,26 +113,16 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
         }
     }
 
-    const auto bins = build_bins(features, config_.num_bins);
-    const std::size_t active = bins.active.size();
-    // Charge the whole training working set (slot matrix, margin /
-    // probability / gradient / hessian buffers, split histogram) against the
-    // process memory budget up front, before the allocations happen; released
-    // when fit() returns or unwinds.
-    const util::Charge working_set(
-        n * active * sizeof(std::uint32_t) + 2 * n * num_classes_ * sizeof(double) +
-            2 * n * sizeof(float) + bins.slot_count * sizeof(v2d),
-        "gbt::fit");
-    // Row-major slot matrix: slots[i * active + a] is the histogram slot that
-    // sample i's value of feature active[a] falls into.
-    std::vector<std::uint32_t> slots(n * active);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t* row = slots.data() + i * active;
-        for (std::size_t a = 0; a < active; ++a) {
-            const auto& af = bins.active[a];
-            row[a] = af.offset + bins.bin_of(af.feature, features[i][af.feature]) - af.first_bin;
-        }
-    }
+    const auto bins = detail::build_bins(features, config_.num_bins);
+    // Charge the margin / probability / gradient / hessian buffers and the
+    // split histogram against the process memory budget up front, before
+    // the allocations happen; the histogram layout charges its own buffers.
+    // Both are released when fit() returns or unwinds.
+    const util::Charge working_set(2 * n * num_classes_ * sizeof(double) +
+                                       2 * n * sizeof(float) +
+                                       2 * bins.slot_count * sizeof(double),
+                                   "gbt::fit");
+    detail::NodeHistogram histogram(bins, features);
 
     trees_.clear();
     trees_.reserve(static_cast<std::size_t>(config_.num_rounds) * num_classes_);
@@ -282,20 +197,10 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
 
                 SplitCandidate best;
                 if (state.depth < config_.max_depth && state.samples.size() >= 2) {
-                    // One pass over the node's samples fills every slot; each
-                    // slot gets its terms in ascending sample order.
-                    std::fill(hist.begin(), hist.end(), 0.0);
-                    for (const auto i : state.samples) {
-                        const v2d gh = {static_cast<double>(gradients[i]),
-                                        static_cast<double>(hessians[i])};
-                        const std::uint32_t* row = slots.data() + i * active;
-                        for (std::size_t a = 0; a < active; ++a) {
-                            double* cell = hist.data() + 2 * std::size_t{row[a]};
-                            store(cell, load(cell) + gh);
-                        }
-                    }
+                    histogram.fill(state.samples, gradients.data(), hessians.data(),
+                                   hist.data());
                     const double parent_obj = leaf_objective(g_total, h_total, config_.lambda);
-                    for (std::size_t a = 0; a < active; ++a) {
+                    for (std::size_t a = 0; a < bins.active.size(); ++a) {
                         const auto& af = bins.active[a];
                         const auto& edges = bins.edges[af.feature];
                         const double* cell = hist.data() + 2 * std::size_t{af.offset};
@@ -336,10 +241,12 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
                 NodeBuildState left_state;
                 NodeBuildState right_state;
                 left_state.depth = right_state.depth = state.depth + 1;
+                // Bin b covers the values v with edges[b - 1] <= v < edges[b]
+                // (upper_bound), so the left child's bins [0, best.bin] are
+                // exactly the values below edges[best.bin].
                 const auto& split = bins.active[best.active];
-                const std::uint32_t last_left_slot = split.offset + best.bin - split.first_bin;
                 for (const auto i : state.samples) {
-                    if (slots[i * active + best.active] <= last_left_slot) {
+                    if (features[i][split.feature] < best.threshold) {
                         left_state.samples.push_back(i);
                     } else {
                         right_state.samples.push_back(i);

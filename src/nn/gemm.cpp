@@ -2,7 +2,7 @@
 
 #include "kernels.hpp"
 
-#include <atomic>
+#include "fptc/util/isa.hpp"
 
 namespace fptc::nn::detail {
 
@@ -31,7 +31,6 @@ namespace {
 
 /// One instruction set's kernels.
 struct Kernels {
-    Isa isa;
     decltype(&detail::gemm_acc) gemm_acc;
     decltype(&detail::max_pool_2x2) max_pool_2x2;
     decltype(&detail::conv1_forward) conv1_forward;
@@ -41,8 +40,7 @@ struct Kernels {
     decltype(&detail::adam_update) adam_update;
 };
 
-constexpr Kernels kBaseline{Isa::baseline,
-                            gemm_lanes<v4f>,
+constexpr Kernels kBaseline{gemm_lanes<v4f>,
                             max_pool_lanes<v4f>,
                             conv1_lanes<v4f>,
                             gather_lanes<v4f>,
@@ -50,33 +48,22 @@ constexpr Kernels kBaseline{Isa::baseline,
                             input_grad_lanes<v4f>,
                             adam_lanes<v4f>};
 
-/// AVX2 where the CPU has it, read once per process.
-const Kernels& selected() noexcept
+/// The kernels of util::active_isa().
+const Kernels& active() noexcept
 {
 #if defined(__x86_64__)
-    static constexpr Kernels kAvx2{Isa::avx2,
-                                   avx2::gemm_acc,
+    static constexpr Kernels kAvx2{avx2::gemm_acc,
                                    avx2::max_pool_2x2,
                                    avx2::conv1_forward,
                                    avx2::gather_nonzeros,
                                    avx2::conv_weight_grad,
                                    avx2::conv_input_grad,
                                    avx2::adam_update};
-    static const Kernels* const chosen = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx2") ? &kAvx2 : &kBaseline;
-    }();
-    return *chosen;
-#else
-    return kBaseline;
+    if (util::active_isa() == util::Isa::avx2) {
+        return kAvx2;
+    }
 #endif
-}
-
-std::atomic<bool> baseline_forced{false};
-
-const Kernels& active() noexcept
-{
-    return baseline_forced.load(std::memory_order_relaxed) ? kBaseline : selected();
+    return kBaseline;
 }
 
 } // namespace
@@ -130,21 +117,6 @@ void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst)
             dst[c * rows + r] = src[r * cols + c];
         }
     }
-}
-
-Isa selected_isa() noexcept
-{
-    return selected().isa;
-}
-
-Isa active_isa() noexcept
-{
-    return active().isa;
-}
-
-void force_baseline(bool on) noexcept
-{
-    baseline_forced.store(on, std::memory_order_relaxed);
 }
 
 } // namespace fptc::nn::detail

@@ -1,7 +1,7 @@
 // The matrix, convolution, pooling and optimizer kernels behind Conv2d,
-// Linear, MaxPool2d and Adam, the GCC/Clang vector types they are written
-// in, and the table that picks their instruction set once per process
-// (internal to fptc_nn).
+// Linear, MaxPool2d and Adam and the GCC/Clang vector types they are
+// written in (internal to fptc_nn).  gemm.cpp runs the instruction set
+// util::active_isa() names (fptc/util/isa.hpp).
 //
 // gemm_acc computes C += A·B on row-major float matrices with a
 // register-blocked tile: 2 rows × 4 vectors of C held in registers, then
@@ -120,19 +120,5 @@ void adam_update(std::size_t n, float* value, const float* grad, float* m, float
 
 /// dst[c×r] = transpose of src[r×c] (both dense row-major).
 void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) noexcept;
-
-/// The instruction sets the kernels above are compiled for.
-enum class Isa { baseline, avx2 };
-
-/// The set chosen once per process: AVX2 when the CPU has it.
-[[nodiscard]] Isa selected_isa() noexcept;
-
-/// The set the next kernel call runs: selected_isa() unless a test or
-/// benchmark forced the baseline.
-[[nodiscard]] Isa active_isa() noexcept;
-
-/// Test and benchmark hook: run the baseline kernels (true) or the
-/// selected ones again (false).  Not for library code.
-void force_baseline(bool on) noexcept;
 
 } // namespace fptc::nn::detail

@@ -1,12 +1,16 @@
-// Unit tests for the gradient-boosted-trees baseline, and the pin of
-// GbtClassifier::fit to its scalar reference (tests/gbt_reference.hpp).
+// Unit tests for the gradient-boosted-trees baseline, the pin of
+// GbtClassifier::fit to its scalar reference (tests/gbt_reference.hpp), and
+// the pin of every node histogram to the plain per-sample scatter on both
+// instruction sets.
 #include "gbt_reference.hpp"
+#include "histogram.hpp"
 
 #include "fptc/flow/features.hpp"
 #include "fptc/flowpic/flowpic.hpp"
 #include "fptc/gbt/gbt.hpp"
 #include "fptc/trafficgen/traffic_model.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
+#include "fptc/util/isa.hpp"
 #include "fptc/util/membudget.hpp"
 #include "fptc/util/rng.hpp"
 
@@ -16,6 +20,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -260,15 +265,19 @@ TEST(Gbt, MemBudgetChargeMatchesTheSlotLayout)
     //   feature 0: constant  -> edges {1}        one bin, dropped
     //   feature 1: i         -> edges {1, 3, 5}  bins 0..3, 4 slots
     //   feature 2: i % 2     -> edges {0, 1}     bins 1..2 (bin 0 empty), 2 slots
-    // Working set: slot matrix 8 x 2 uint32, margins + probabilities
-    // 2 x 8 x 2 doubles, gradients + hessians 2 x 8 floats, 6 {g, h} slots.
+    // Working set: margins + probabilities 2 x 8 x 2 doubles, gradients +
+    // hessians 2 x 8 floats, 6 {g, h} slots; and the histogram layout.  Only
+    // feature 2's default bin holds half the samples, fewer than a 16-feature
+    // block, so no feature is masked: 8 + 1 list offsets (size_t), 8 x 2
+    // scattered uint32 slots, and the node's 8 {g, h} pairs.
     std::vector<std::vector<float>> features;
     std::vector<std::size_t> labels;
     for (std::size_t i = 0; i < 8; ++i) {
         features.push_back({1.0f, static_cast<float>(i), static_cast<float>(i % 2)});
         labels.push_back(i / 4);
     }
-    const std::size_t expected = 8 * 2 * 4 + 2 * 8 * 2 * 8 + 2 * 8 * 4 + 6 * 16;
+    const std::size_t expected =
+        2 * 8 * 2 * 8 + 2 * 8 * 4 + 6 * 16 + (8 + 1) * 8 + 8 * 2 * 4 + 8 * 16;
     GbtConfig config;
     config.num_bins = 4;
     config.num_rounds = 3;
@@ -515,6 +524,222 @@ TEST(GbtReference, TwoSamplesMatch)
         fit_against_reference(config, 2, {{0.0f, 1.0f}, {1.0f, 1.0f}}, {0, 1});
     EXPECT_EQ(split_count(model), 0u);
     EXPECT_EQ(model.tree_count(), 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Node histograms against the plain per-sample scatter, byte for byte, on
+// the baseline kernels (forced) and on AVX2.
+
+/// Runs `body` on the baseline kernels, then on the AVX2 ones; the AVX2
+/// half is skipped on a CPU without AVX2.
+template <typename Body>
+void on_both_isas(Body body)
+{
+    {
+        SCOPED_TRACE("baseline kernels");
+        fptc::util::force_baseline(true);
+        body();
+        fptc::util::force_baseline(false);
+    }
+    if (::testing::Test::HasFatalFailure()) {
+        return;
+    }
+    if (fptc::util::selected_isa() != fptc::util::Isa::avx2) {
+        GTEST_SKIP() << "no AVX2 on this CPU: only the baseline half ran";
+    }
+    SCOPED_TRACE("AVX2 kernels");
+    body();
+}
+
+/// The oracle: every (sample, active feature) entry of the node added to
+/// its slot, samples ascending, g and h as separate double sums from +0.
+std::vector<double> scatter_histogram(const detail::BinMap& bins,
+                                      const std::vector<std::vector<float>>& features,
+                                      const std::vector<std::uint32_t>& samples,
+                                      const std::vector<float>& g, const std::vector<float>& h)
+{
+    std::vector<double> hist(2 * bins.slot_count, 0.0);
+    for (const auto i : samples) {
+        for (std::size_t a = 0; a < bins.active.size(); ++a) {
+            const auto slot = bins.slot_of(a, features[i][bins.active[a].feature]);
+            hist[2 * slot] += static_cast<double>(g[i]);
+            hist[2 * slot + 1] += static_cast<double>(h[i]);
+        }
+    }
+    return hist;
+}
+
+/// Gradients as fit() makes them, float(p - [y = k]) with p in [0, 1] and
+/// h = float(max(p (1 - p), 1e-6)), every fifth g an exact +0 (p = 1 on
+/// the label, or p = 0 elsewhere).  p spans 26 decades, as softmax
+/// probabilities do once margins grow: sums of floats that close in
+/// magnitude would be exact in double, whatever their order.
+void make_gradients(std::size_t n, std::vector<float>& g, std::vector<float>& h)
+{
+    fptc::util::Rng rng(17);
+    g.resize(n);
+    h.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double p =
+            i % 5 == 0 ? (i % 2 == 0 ? 1.0 : 0.0) : std::exp(-rng.uniform(0.0, 60.0));
+        const bool label = i % 5 == 0 ? i % 2 == 0 : rng.bernoulli(0.3);
+        g[i] = static_cast<float>(p - (label ? 1.0 : 0.0));
+        h[i] = static_cast<float>(std::max(p * (1.0 - p), 1e-6));
+    }
+}
+
+/// Nodes to check: the root, every node of a random recursive split down
+/// to single samples (so 1- and 2-sample nodes too), and `extra`.
+std::vector<std::vector<std::uint32_t>> nodes_of(std::size_t n,
+                                                 std::vector<std::vector<std::uint32_t>> extra)
+{
+    fptc::util::Rng rng(23);
+    std::vector<std::vector<std::uint32_t>> nodes;
+    std::vector<std::vector<std::uint32_t>> stack(1);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        stack[0].push_back(i);
+    }
+    while (!stack.empty()) {
+        auto node = std::move(stack.back());
+        stack.pop_back();
+        if (node.size() >= 2) {
+            std::vector<std::uint32_t> left;
+            std::vector<std::uint32_t> right;
+            for (const auto i : node) {
+                (rng.bernoulli(0.4) ? left : right).push_back(i);
+            }
+            for (auto* child : {&left, &right}) {
+                if (!child->empty() && child->size() < node.size()) {
+                    stack.push_back(std::move(*child));
+                }
+            }
+        }
+        nodes.push_back(std::move(node));
+    }
+    for (auto& node : extra) {
+        nodes.push_back(std::move(node));
+    }
+    return nodes;
+}
+
+/// Fills every node's histogram through NodeHistogram and compares it to
+/// the scatter by its bytes.  Returns how many features were masked.
+std::size_t expect_histograms_match(const std::vector<std::vector<float>>& features, int num_bins,
+                                    const std::vector<std::vector<std::uint32_t>>& extra = {})
+{
+    const auto bins = detail::build_bins(features, num_bins);
+    detail::NodeHistogram histogram(bins, features);
+    std::vector<float> g;
+    std::vector<float> h;
+    make_gradients(features.size(), g, h);
+    std::vector<double> hist(2 * bins.slot_count);
+    std::size_t nodes = 0;
+    for (const auto& samples : nodes_of(features.size(), extra)) {
+        std::fill(hist.begin(), hist.end(), std::numeric_limits<double>::quiet_NaN());
+        histogram.fill(samples, g.data(), h.data(), hist.data());
+        const auto want = scatter_histogram(bins, features, samples, g, h);
+        if (std::memcmp(hist.data(), want.data(), hist.size() * sizeof(double)) != 0) {
+            std::size_t k = 0;
+            while (std::bit_cast<std::uint64_t>(hist[k]) == std::bit_cast<std::uint64_t>(want[k])) {
+                ++k;
+            }
+            ADD_FAILURE() << "node " << nodes << " (" << samples.size() << " samples): slot "
+                          << k / 2 << (k % 2 == 0 ? " g " : " h ") << hist[k] << " vs "
+                          << want[k] << " from the scatter";
+            return histogram.masked_features();
+        }
+        ++nodes;
+    }
+    EXPECT_GE(nodes, features.size());
+    return histogram.masked_features();
+}
+
+TEST(GbtKernel, SparseFlowpicNodesMatchTheScatter)
+{
+    std::vector<std::vector<float>> features;
+    std::vector<std::size_t> labels;
+    make_ucdavis(true, features, labels);
+    on_both_isas([&] { EXPECT_GT(expect_histograms_match(features, 32), 0u); });
+}
+
+TEST(GbtKernel, DenseTimeSeriesNodesMatchTheScatter)
+{
+    std::vector<std::vector<float>> features;
+    std::vector<std::size_t> labels;
+    make_ucdavis(false, features, labels);
+    // Fewer than a block's worth of its features have a default bin holding
+    // half the samples, so all of them stay on the scatter.
+    on_both_isas([&] { EXPECT_EQ(expect_histograms_match(features, 32), 0u); });
+}
+
+TEST(GbtKernel, ShiftedAllAndNoDefaultFeaturesMatchTheScatter)
+{
+    // 37 features, no multiple of the 16-feature block: 21 mostly-zero
+    // ones, whose default bin is their first; 8 whose default value 5 lies
+    // mid-range, so their default bin is neither bin 0 nor their first; 8
+    // uniform ones without a default.  29 qualify, 16 are masked.
+    fptc::util::Rng rng(31);
+    std::vector<std::vector<float>> features(96, std::vector<float>(37));
+    for (auto& row : features) {
+        for (std::size_t f = 0; f < 37; ++f) {
+            const double u = rng.uniform();
+            if (f < 21) {
+                row[f] = u < 0.55 + 0.01 * static_cast<double>(f)
+                             ? 0.0f
+                             : static_cast<float>(rng.uniform_int(1, 9));
+            } else if (f < 29) {
+                row[f] = u < 0.7 ? 5.0f : static_cast<float>(rng.uniform_int(0, 9));
+            } else {
+                row[f] = static_cast<float>(rng.uniform(-1.0, 1.0));
+            }
+        }
+    }
+    const auto bins = detail::build_bins(features, 16);
+    ASSERT_EQ(bins.active.size(), 37u);
+    std::size_t qualify = 0;
+    for (std::size_t a = 0; a < 37; ++a) {
+        const auto& af = bins.active[a];
+        qualify += 2 * af.default_count >= features.size();
+        if (a < 21) {
+            EXPECT_EQ(af.default_bin, af.first_bin) << a;
+        } else if (a < 29) {
+            EXPECT_GT(af.default_bin, af.first_bin) << a;
+        }
+    }
+    EXPECT_EQ(qualify, 29u);
+    // The feature with the highest default share is masked: one node whose
+    // every sample is default in it, one where none is.
+    const auto top = std::max_element(bins.active.begin(), bins.active.end(),
+                                      [](const auto& x, const auto& y) {
+                                          return x.default_count < y.default_count;
+                                      });
+    std::vector<std::uint32_t> all_default;
+    std::vector<std::uint32_t> no_default;
+    for (std::uint32_t i = 0; i < features.size(); ++i) {
+        (bins.bin_of(top->feature, features[i][top->feature]) == top->default_bin ? all_default
+                                                                                   : no_default)
+            .push_back(i);
+    }
+    ASSERT_GE(no_default.size(), 2u);
+    on_both_isas([&] {
+        EXPECT_EQ(expect_histograms_match(features, 16, {all_default, no_default}), 16u);
+    });
+}
+
+TEST(GbtKernel, FitsMatchTheReferenceOnBothIsas)
+{
+    std::vector<std::vector<float>> sparse;
+    std::vector<std::size_t> sparse_labels;
+    make_ucdavis(true, sparse, sparse_labels);
+    std::vector<std::vector<float>> dense;
+    std::vector<std::size_t> dense_labels;
+    make_ucdavis(false, dense, dense_labels);
+    GbtConfig config;
+    config.num_rounds = 6;
+    on_both_isas([&] {
+        EXPECT_GT(split_count(fit_against_reference(config, 5, sparse, sparse_labels)), 0u);
+        EXPECT_GT(split_count(fit_against_reference(config, 5, dense, dense_labels)), 0u);
+    });
 }
 
 } // namespace

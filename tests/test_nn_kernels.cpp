@@ -18,6 +18,7 @@
 #include "fptc/nn/models.hpp"
 #include "fptc/nn/optimizer.hpp"
 #include "fptc/nn/sequential.hpp"
+#include "fptc/util/isa.hpp"
 #include "fptc/util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +35,7 @@
 namespace {
 
 using namespace fptc::nn;
-using detail::Isa;
+using fptc::util::Isa;
 using fptc::util::Rng;
 
 bool cpu_has_avx2()
@@ -46,8 +47,8 @@ bool cpu_has_avx2()
 /// Runs the baseline kernels for its lifetime.
 class ForcedBaseline {
 public:
-    ForcedBaseline() { detail::force_baseline(true); }
-    ~ForcedBaseline() { detail::force_baseline(false); }
+    ForcedBaseline() { fptc::util::force_baseline(true); }
+    ~ForcedBaseline() { fptc::util::force_baseline(false); }
     ForcedBaseline(const ForcedBaseline&) = delete;
     ForcedBaseline& operator=(const ForcedBaseline&) = delete;
 };
@@ -60,7 +61,7 @@ void on_both_paths(Body body)
     {
         SCOPED_TRACE("baseline kernels");
         const ForcedBaseline forced;
-        ASSERT_EQ(detail::active_isa(), Isa::baseline);
+        ASSERT_EQ(fptc::util::active_isa(), Isa::baseline);
         body();
     }
     if (::testing::Test::HasFatalFailure()) {
@@ -70,7 +71,7 @@ void on_both_paths(Body body)
         GTEST_SKIP() << "no AVX2 on this CPU: only the baseline half ran";
     }
     SCOPED_TRACE("AVX2 kernels");
-    ASSERT_EQ(detail::active_isa(), Isa::avx2);
+    ASSERT_EQ(fptc::util::active_isa(), Isa::avx2);
     body();
 }
 
@@ -78,13 +79,13 @@ TEST(KernelDispatch, PicksAvx2WheneverTheCpuHasIt)
 {
     // A build that lost the AVX2 unit, or a pick that fell back, would
     // leave an AVX2 host on 4 lanes without failing anything else.
-    EXPECT_EQ(detail::selected_isa(), cpu_has_avx2() ? Isa::avx2 : Isa::baseline);
-    EXPECT_EQ(detail::active_isa(), detail::selected_isa());
+    EXPECT_EQ(fptc::util::selected_isa(), cpu_has_avx2() ? Isa::avx2 : Isa::baseline);
+    EXPECT_EQ(fptc::util::active_isa(), fptc::util::selected_isa());
     {
         const ForcedBaseline forced;
-        EXPECT_EQ(detail::active_isa(), Isa::baseline);
+        EXPECT_EQ(fptc::util::active_isa(), Isa::baseline);
     }
-    EXPECT_EQ(detail::active_isa(), detail::selected_isa());
+    EXPECT_EQ(fptc::util::active_isa(), fptc::util::selected_isa());
 }
 
 ::testing::AssertionResult bit_equal(const Tensor& actual, const Tensor& expected)
