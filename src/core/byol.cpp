@@ -257,6 +257,7 @@ SimClrRunResult run_ucdavis_byol(const UcdavisData& data, std::uint64_t split_se
     const augment::ViewPairGenerator views(options.first, options.second, options.flowpic);
 
     ByolConfig pretrain_config;
+    pretrain_config.batch_samples = options.batch_samples;
     pretrain_config.max_epochs = options.pretrain_max_epochs;
     pretrain_config.seed = util::mix_seed(pretrain_seed, 0xB402);
     pretrain_config.hooks = options.hooks;

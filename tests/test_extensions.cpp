@@ -234,6 +234,19 @@ TEST(Byol, CampaignRunSmoke)
     EXPECT_GT(run.script_accuracy(), 0.4); // far above 20% chance
 }
 
+TEST(Byol, CampaignRunTakesTheCallersBatchSize)
+{
+    // One sample per step cannot form a view pair, so pre-training runs no
+    // epoch, as it does for SimCLR; at BYOL's default batch of 32 it would.
+    const auto data = core::load_ucdavis(0.2, 19);
+    core::SimClrOptions options;
+    options.per_class = 10;
+    options.pretrain_max_epochs = 2;
+    options.batch_samples = 1;
+    EXPECT_EQ(core::run_ucdavis_byol(data, 1, 1, 1, options).pretrain_epochs, 0);
+    EXPECT_EQ(core::run_ucdavis_simclr(data, 1, 1, 1, options).pretrain_epochs, 0);
+}
+
 TEST(Extensions, DirectionalCampaignRunSmoke)
 {
     const auto data = core::load_ucdavis(0.2, 19);
