@@ -12,12 +12,14 @@
 // "comparable performance" of [37].
 #include "fptc/core/byol.hpp"
 #include "fptc/core/campaign.hpp"
+#include "fptc/core/guard.hpp"
 #include "fptc/stats/descriptive.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/table.hpp"
 
 #include <iostream>
+#include <optional>
 #include <vector>
 
 int main()
@@ -35,6 +37,15 @@ int main()
     util::Table table("10-shot fine-tuning accuracy per pre-training method (32x32)");
     table.set_header({"Pre-training", "script", "human"});
 
+    // A run that keeps diverging past its retry budget is left out of its
+    // cell, which is marked †N instead of failing the whole table.
+    const auto expected = static_cast<std::size_t>(scale.splits * scale.seeds * finetune_seeds);
+    std::size_t degraded = 0;
+    const auto cell = [&](const std::vector<double>& scores) {
+        const auto ci = stats::degraded_cell_ci(scores, expected);
+        return util::format_degraded_mean_ci(ci.ci.mean, ci.ci.half_width, ci.ci.n, ci.missing);
+    };
+
     for (const bool byol : {false, true}) {
         std::vector<double> script_scores;
         std::vector<double> human_scores;
@@ -42,29 +53,35 @@ int main()
         for (int split = 0; split < scale.splits; ++split) {
             for (int pre_seed = 0; pre_seed < scale.seeds; ++pre_seed) {
                 for (int ft_seed = 0; ft_seed < finetune_seeds; ++ft_seed) {
-                    const auto run =
-                        byol ? core::run_ucdavis_byol(data,
-                                                      1000 + static_cast<std::uint64_t>(split),
-                                                      70 + static_cast<std::uint64_t>(pre_seed),
-                                                      90 + static_cast<std::uint64_t>(ft_seed),
-                                                      options)
-                             : core::run_ucdavis_simclr(data,
-                                                        1000 + static_cast<std::uint64_t>(split),
-                                                        70 + static_cast<std::uint64_t>(pre_seed),
-                                                        90 + static_cast<std::uint64_t>(ft_seed),
-                                                        options);
-                    script_scores.push_back(100.0 * run.script_accuracy());
-                    human_scores.push_back(100.0 * run.human_accuracy());
+                    const auto split_seed = 1000 + static_cast<std::uint64_t>(split);
+                    const auto pretrain_seed = 70 + static_cast<std::uint64_t>(pre_seed);
+                    const auto finetune_seed = 90 + static_cast<std::uint64_t>(ft_seed);
+                    std::optional<core::SimClrRunResult> run;
+                    try {
+                        run = byol ? core::run_ucdavis_byol(data, split_seed, pretrain_seed,
+                                                            finetune_seed, options)
+                                   : core::run_ucdavis_simclr(data, split_seed, pretrain_seed,
+                                                              finetune_seed, options);
+                    } catch (const core::DivergenceError& e) {
+                        ++degraded;
+                        util::log_info(std::string("ablation_byol: ") +
+                                       (byol ? "BYOL" : "SimCLR") + " split " +
+                                       std::to_string(split) + " degraded: " + e.what());
+                        continue;
+                    }
+                    script_scores.push_back(100.0 * run->script_accuracy());
+                    human_scores.push_back(100.0 * run->human_accuracy());
                 }
             }
             util::log_info(std::string("ablation_byol: ") + (byol ? "BYOL" : "SimCLR") +
                            " split " + std::to_string(split) + " done");
         }
-        const auto script_ci = stats::mean_ci(script_scores);
-        const auto human_ci = stats::mean_ci(human_scores);
-        table.add_row({byol ? "BYOL [12]" : "SimCLR (paper)",
-                       util::format_mean_ci(script_ci.mean, script_ci.half_width),
-                       util::format_mean_ci(human_ci.mean, human_ci.half_width)});
+        table.add_row(
+            {byol ? "BYOL [12]" : "SimCLR (paper)", cell(script_scores), cell(human_scores)});
+    }
+    if (degraded > 0) {
+        table.add_footnote("†N: N scheduled run(s) of that cell degraded; "
+                           "mean over survivors only.");
     }
 
     std::cout << table.to_string() << '\n';

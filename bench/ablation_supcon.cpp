@@ -10,12 +10,14 @@
 // Expected shape: SupCon's label-aware latent space matches or beats SimCLR,
 // with the larger margin on the shifted human partition.
 #include "fptc/core/campaign.hpp"
+#include "fptc/core/guard.hpp"
 #include "fptc/stats/descriptive.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/table.hpp"
 
 #include <iostream>
+#include <optional>
 #include <vector>
 
 int main()
@@ -33,6 +35,15 @@ int main()
     util::Table table("10-shot fine-tuning accuracy per pre-training objective (32x32)");
     table.set_header({"Pre-training", "script", "human", "top-5 contrastive acc"});
 
+    // A run that keeps diverging past its retry budget is left out of its
+    // cell, which is marked †N instead of failing the whole table.
+    const auto expected = static_cast<std::size_t>(scale.splits * scale.seeds * finetune_seeds);
+    std::size_t degraded = 0;
+    const auto cell = [&](const std::vector<double>& scores) {
+        const auto ci = stats::degraded_cell_ci(scores, expected);
+        return util::format_degraded_mean_ci(ci.ci.mean, ci.ci.half_width, ci.ci.n, ci.missing);
+    };
+
     for (const bool supervised : {false, true}) {
         std::vector<double> script_scores;
         std::vector<double> human_scores;
@@ -43,19 +54,27 @@ int main()
         for (int split = 0; split < scale.splits; ++split) {
             for (int pre_seed = 0; pre_seed < scale.seeds; ++pre_seed) {
                 for (int ft_seed = 0; ft_seed < finetune_seeds; ++ft_seed) {
-                    const auto run =
-                        supervised
-                            ? core::run_ucdavis_supcon(
-                                  data, 1000 + static_cast<std::uint64_t>(split),
-                                  70 + static_cast<std::uint64_t>(pre_seed),
-                                  90 + static_cast<std::uint64_t>(ft_seed), options)
-                            : core::run_ucdavis_simclr(
-                                  data, 1000 + static_cast<std::uint64_t>(split),
-                                  70 + static_cast<std::uint64_t>(pre_seed),
-                                  90 + static_cast<std::uint64_t>(ft_seed), options);
-                    script_scores.push_back(100.0 * run.script_accuracy());
-                    human_scores.push_back(100.0 * run.human_accuracy());
-                    top5_total += run.top5_accuracy;
+                    const auto split_seed = 1000 + static_cast<std::uint64_t>(split);
+                    const auto pretrain_seed = 70 + static_cast<std::uint64_t>(pre_seed);
+                    const auto finetune_seed = 90 + static_cast<std::uint64_t>(ft_seed);
+                    std::optional<core::SimClrRunResult> run;
+                    try {
+                        run = supervised ? core::run_ucdavis_supcon(data, split_seed,
+                                                                    pretrain_seed,
+                                                                    finetune_seed, options)
+                                         : core::run_ucdavis_simclr(data, split_seed,
+                                                                    pretrain_seed,
+                                                                    finetune_seed, options);
+                    } catch (const core::DivergenceError& e) {
+                        ++degraded;
+                        util::log_info(std::string("ablation_supcon: ") +
+                                       (supervised ? "SupCon" : "SimCLR") + " split " +
+                                       std::to_string(split) + " degraded: " + e.what());
+                        continue;
+                    }
+                    script_scores.push_back(100.0 * run->script_accuracy());
+                    human_scores.push_back(100.0 * run->human_accuracy());
+                    top5_total += run->top5_accuracy;
                     ++pretrains;
                 }
             }
@@ -64,12 +83,14 @@ int main()
                            std::to_string(split) + " done");
         }
 
-        const auto script_ci = stats::mean_ci(script_scores);
-        const auto human_ci = stats::mean_ci(human_scores);
-        table.add_row({supervised ? "SupCon" : "SimCLR (paper)",
-                       util::format_mean_ci(script_ci.mean, script_ci.half_width),
-                       util::format_mean_ci(human_ci.mean, human_ci.half_width),
-                       util::format_double(100.0 * top5_total / pretrains, 1)});
+        table.add_row({supervised ? "SupCon" : "SimCLR (paper)", cell(script_scores),
+                       cell(human_scores),
+                       pretrains > 0 ? util::format_double(100.0 * top5_total / pretrains, 1)
+                                     : "n/a"});
+    }
+    if (degraded > 0) {
+        table.add_footnote("†N: N scheduled run(s) of that cell degraded; "
+                           "mean over survivors only.");
     }
 
     std::cout << table.to_string() << '\n';

@@ -8,12 +8,14 @@
 // "the latent space created via contrastive learning is better at
 // mitigating the data shift".
 #include "fptc/core/campaign.hpp"
+#include "fptc/core/guard.hpp"
 #include "fptc/stats/descriptive.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/table.hpp"
 
 #include <iostream>
+#include <optional>
 #include <vector>
 
 int main()
@@ -30,6 +32,14 @@ int main()
     util::Table table("Accuracy on 32x32 flowpic when enlarging the training set (w/o dropout)");
     table.set_header({"Setting", "Augmentation", "script", "human"});
 
+    // A run that keeps diverging past its retry budget is left out of its
+    // cell, which is marked †N instead of failing the whole table.
+    std::size_t degraded = 0;
+    const auto cell = [&](const std::vector<double>& scores) {
+        const auto ci = stats::degraded_cell_ci(scores, static_cast<std::size_t>(scale.seeds));
+        return util::format_degraded_mean_ci(ci.ci.mean, ci.ci.half_width, ci.ci.n, ci.missing);
+    };
+
     core::SupervisedOptions options;
     options.with_dropout = false;
     options.max_epochs = scale.max_epochs;
@@ -39,20 +49,25 @@ int main()
         std::vector<double> script_scores;
         std::vector<double> human_scores;
         for (int seed = 0; seed < scale.seeds; ++seed) {
-            const auto run = core::run_ucdavis_enlarged_supervised(
-                data, augmentation, 300 + static_cast<std::uint64_t>(seed), options);
-            script_scores.push_back(100.0 * run.script_accuracy());
-            human_scores.push_back(100.0 * run.human_accuracy());
+            std::optional<core::SupervisedRunResult> run;
+            try {
+                run = core::run_ucdavis_enlarged_supervised(
+                    data, augmentation, 300 + static_cast<std::uint64_t>(seed), options);
+            } catch (const core::DivergenceError& e) {
+                ++degraded;
+                util::log_info("table7: " + std::string(augment::augmentation_name(augmentation)) +
+                               " seed " + std::to_string(seed) + " degraded: " + e.what());
+                continue;
+            }
+            script_scores.push_back(100.0 * run->script_accuracy());
+            human_scores.push_back(100.0 * run->human_accuracy());
             util::log_info("table7: " + std::string(augment::augmentation_name(augmentation)) +
                            " seed " + std::to_string(seed) + " -> script " +
                            util::format_double(script_scores.back()) + " human " +
                            util::format_double(human_scores.back()));
         }
-        const auto script_ci = stats::mean_ci(script_scores);
-        const auto human_ci = stats::mean_ci(human_scores);
         table.add_row({"Supervised", std::string(augment::augmentation_name(augmentation)),
-                       util::format_mean_ci(script_ci.mean, script_ci.half_width),
-                       util::format_mean_ci(human_ci.mean, human_ci.half_width)});
+                       cell(script_scores), cell(human_scores)});
     }
 
     {
@@ -61,19 +76,28 @@ int main()
         core::SimClrOptions simclr_options;
         simclr_options.with_dropout = false;
         for (int seed = 0; seed < scale.seeds; ++seed) {
-            const auto run = core::run_ucdavis_enlarged_simclr(
-                data, 300 + static_cast<std::uint64_t>(seed), simclr_options);
-            script_scores.push_back(100.0 * run.script_accuracy());
-            human_scores.push_back(100.0 * run.human_accuracy());
+            std::optional<core::SimClrRunResult> run;
+            try {
+                run = core::run_ucdavis_enlarged_simclr(
+                    data, 300 + static_cast<std::uint64_t>(seed), simclr_options);
+            } catch (const core::DivergenceError& e) {
+                ++degraded;
+                util::log_info("table7: SimCLR seed " + std::to_string(seed) +
+                               " degraded: " + e.what());
+                continue;
+            }
+            script_scores.push_back(100.0 * run->script_accuracy());
+            human_scores.push_back(100.0 * run->human_accuracy());
             util::log_info("table7: SimCLR seed " + std::to_string(seed) + " -> script " +
                            util::format_double(script_scores.back()) + " human " +
                            util::format_double(human_scores.back()));
         }
-        const auto script_ci = stats::mean_ci(script_scores);
-        const auto human_ci = stats::mean_ci(human_scores);
-        table.add_row({"Contrastive", "SimCLR + fine-tuning",
-                       util::format_mean_ci(script_ci.mean, script_ci.half_width),
-                       util::format_mean_ci(human_ci.mean, human_ci.half_width)});
+        table.add_row({"Contrastive", "SimCLR + fine-tuning", cell(script_scores),
+                       cell(human_scores)});
+    }
+    if (degraded > 0) {
+        table.add_footnote("†N: N scheduled run(s) of that cell degraded; "
+                           "mean over survivors only.");
     }
 
     std::cout << table.to_string() << '\n';
