@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -262,10 +261,11 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
 
                 TreeNode& node = tree.nodes[node_index];
                 node.feature = static_cast<int>(split.feature);
-                // upper_bound semantics: bin b covers values <= edges[b]; the
-                // left child takes bins [0, best.bin], i.e. x <= threshold.
-                // Tree::predict tests `x < threshold`, so nudge the stored
-                // threshold to the next representable float.
+                // Tree::predict tests `x < threshold`.  The stored threshold
+                // is the edge nudged to the next float, so a value equal to
+                // edges[best.bin] goes left at prediction but went right in
+                // the partition above (ROADMAP item 5: fixing it moves the
+                // accuracies).
                 node.threshold =
                     std::nextafter(best.threshold, std::numeric_limits<float>::infinity());
                 node.left = left_index;

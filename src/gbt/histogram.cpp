@@ -100,7 +100,10 @@ NodeHistogram::NodeHistogram(const BinMap& bins, const std::vector<std::vector<f
         return bins.active[x].default_count > bins.active[y].default_count;
     });
     candidates.resize(candidates.size() / kBlock * kBlock);
-    const std::size_t masked = candidates.size();
+    std::vector<bool> chosen(active, false);
+    for (const auto a : candidates) {
+        chosen[a] = true;
+    }
 
     // Masked features take lanes in ascending order; a value lies in a
     // feature's default bin when lo <= v < hi.
@@ -112,21 +115,18 @@ NodeHistogram::NodeHistogram(const BinMap& bins, const std::vector<std::vector<f
         float hi = 0.0f;
     };
     std::vector<Plan> plans(active);
-    for (const auto a : candidates) {
-        const auto& af = bins.active[a];
-        const auto& edges = bins.edges[af.feature];
-        plans[a].lane = 0;
-        plans[a].lo = af.default_bin == 0 ? -kInf : edges[af.default_bin - 1];
-        plans[a].hi = af.default_bin == edges.size() ? kInf : edges[af.default_bin];
-    }
-    default_slot_.resize(masked);
-    for (std::size_t a = 0, lane = 0; a < active; ++a) {
-        if (plans[a].lane != kScattered) {
+    default_slot_.reserve(candidates.size());
+    for (std::size_t a = 0; a < active; ++a) {
+        if (chosen[a]) {
             const auto& af = bins.active[a];
-            plans[a].lane = lane;
-            default_slot_[lane++] = af.offset + af.default_bin - af.first_bin;
+            const auto& edges = bins.edges[af.feature];
+            plans[a] = {default_slot_.size(),
+                        af.default_bin == 0 ? -kInf : edges[af.default_bin - 1],
+                        af.default_bin == edges.size() ? kInf : edges[af.default_bin]};
+            default_slot_.push_back(af.offset + af.default_bin - af.first_bin);
         }
     }
+    const std::size_t masked = default_slot_.size();
     const auto is_default = [](const Plan& plan, float v) {
         return plan.lane != kScattered && plan.lo <= v && v < plan.hi;
     };
