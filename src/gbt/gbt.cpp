@@ -242,15 +242,23 @@ void GbtClassifier::fit(const std::vector<std::vector<float>>& features,
                 left_state.depth = right_state.depth = state.depth + 1;
                 // Bin b covers the values v with edges[b - 1] <= v < edges[b]
                 // (upper_bound), so the left child's bins [0, best.bin] are
-                // exactly the values below edges[best.bin].
+                // exactly the values below edges[best.bin].  Each sample is
+                // written to both children and kept by one, without a branch
+                // on which.
                 const auto& split = bins.active[best.active];
+                left_state.samples.resize(state.samples.size());
+                right_state.samples.resize(state.samples.size());
+                std::size_t left_count = 0;
+                std::size_t right_count = 0;
                 for (const auto i : state.samples) {
-                    if (features[i][split.feature] < best.threshold) {
-                        left_state.samples.push_back(i);
-                    } else {
-                        right_state.samples.push_back(i);
-                    }
+                    const bool left = features[i][split.feature] < best.threshold;
+                    left_state.samples[left_count] = i;
+                    right_state.samples[right_count] = i;
+                    left_count += left;
+                    right_count += !left;
                 }
+                left_state.samples.resize(left_count);
+                right_state.samples.resize(right_count);
 
                 // Append children first: push_back may reallocate, so the
                 // parent node is written through a fresh index afterwards.

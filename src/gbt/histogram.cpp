@@ -131,11 +131,12 @@ NodeHistogram::NodeHistogram(const BinMap& bins, const std::vector<std::vector<f
         return plan.lane != kScattered && plan.lo <= v && v < plan.hi;
     };
 
-    // Every other entry is scattered: size each sample's list.
+    // Every other entry is scattered: size each sample's list, every
+    // feature that is not masked and the masked ones off their default.
     scatter_offset_.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        std::size_t count = 0;
-        for (std::size_t a = 0; a < active; ++a) {
+        std::size_t count = active - masked;
+        for (const auto a : candidates) {
             count += !is_default(plans[a], features[i][bins.active[a].feature]);
         }
         scatter_offset_[i + 1] = scatter_offset_[i] + count;
@@ -168,18 +169,19 @@ void NodeHistogram::fill(std::span<const std::uint32_t> samples, const float* g,
                          double* hist)
 {
     std::fill(hist, hist + 2 * slot_count_, 0.0);
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-        gh_[2 * s] = static_cast<double>(g[samples[s]]);
-        gh_[2 * s + 1] = static_cast<double>(h[samples[s]]);
+    if (default_.features > 0) {
+        for (std::size_t s = 0; s < samples.size(); ++s) {
+            gh_[2 * s] = static_cast<double>(g[samples[s]]);
+            gh_[2 * s + 1] = static_cast<double>(h[samples[s]]);
+        }
+        sum_default_slots(default_, samples.data(), samples.size(), gh_.data(), hist);
     }
-    sum_default_slots(default_, samples.data(), samples.size(), gh_.data(), hist);
     // The rest, one sample at a time: each slot gets its terms in ascending
     // sample order, and no slot is on a list and masked at once.
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-        v2d gh;
-        std::memcpy(&gh, gh_.data() + 2 * s, sizeof gh);
-        const std::uint32_t* slot = scatter_slot_.data() + scatter_offset_[samples[s]];
-        const std::uint32_t* end = scatter_slot_.data() + scatter_offset_[samples[s] + 1];
+    for (const auto i : samples) {
+        const v2d gh = {static_cast<double>(g[i]), static_cast<double>(h[i])};
+        const std::uint32_t* slot = scatter_slot_.data() + scatter_offset_[i];
+        const std::uint32_t* end = scatter_slot_.data() + scatter_offset_[i + 1];
         for (; slot != end; ++slot) {
             double* cell = hist + 2 * std::size_t{*slot};
             v2d sum;
