@@ -112,11 +112,6 @@ public:
     /// Masked features, the rest being scattered.
     [[nodiscard]] std::size_t masked_features() const noexcept { return default_.features; }
 
-    /// The bytes this layout charges: the masks, the default slots, the
-    /// per-sample scatter lists and their offsets, and the node's {g, h}
-    /// staging buffer.
-    [[nodiscard]] std::size_t bytes() const noexcept { return charge_.bytes(); }
-
 private:
     std::size_t slot_count_ = 0;
     util::Charge charge_;

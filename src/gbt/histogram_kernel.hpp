@@ -32,7 +32,8 @@ using short8 = std::int16_t __attribute__((vector_size(16)));
 using int4 = std::int32_t __attribute__((vector_size(16)));
 
 /// The 64-bit lanes of V as integers, and the 16 bytes their masks are
-/// widened from.
+/// widened from (a type that depends on V, so the baseline unit never
+/// looks up the AVX2 builtin that takes it).
 template <typename V>
 struct Lanes;
 template <>
