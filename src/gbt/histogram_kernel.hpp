@@ -35,19 +35,19 @@ using int4 = std::int32_t __attribute__((vector_size(16)));
 /// widened from (a type that depends on V, so the baseline unit never
 /// looks up the AVX2 builtin that takes it).
 template <typename V>
-struct Lanes;
+struct LaneTypes;
 template <>
-struct Lanes<v2d> {
+struct LaneTypes<v2d> {
     using type = std::int64_t __attribute__((vector_size(16)));
     using bytes = char16;
 };
 template <>
-struct Lanes<v4d> {
+struct LaneTypes<v4d> {
     using type = std::int64_t __attribute__((vector_size(32)));
     using bytes = char16;
 };
 template <typename V>
-using lanes_t = typename Lanes<V>::type;
+using lanes_t = typename LaneTypes<V>::type;
 
 /// Every lane of V set to x.
 template <typename V>
@@ -69,7 +69,7 @@ inline void lane_masks(const std::uint8_t* row, lanes_t<V> (&keep)[kVecs]) noexc
 {
     if constexpr (sizeof(V) == sizeof(v4d)) {
         for (std::size_t v = 0; v < kVecs; ++v) {
-            typename Lanes<V>::bytes bytes{};
+            typename LaneTypes<V>::bytes bytes{};
             std::memcpy(&bytes, row + 4 * v, 4);
             keep[v] = reinterpret_cast<lanes_t<V>>(__builtin_ia32_pmovsxbq256(bytes));
         }
@@ -79,7 +79,7 @@ inline void lane_masks(const std::uint8_t* row, lanes_t<V> (&keep)[kVecs]) noexc
         // load after it.
         std::int64_t eight = 0;
         std::memcpy(&eight, row, sizeof eight);
-        const auto bytes = reinterpret_cast<typename Lanes<V>::bytes>(lanes_t<V>{eight, 0});
+        const auto bytes = reinterpret_cast<typename LaneTypes<V>::bytes>(lanes_t<V>{eight, 0});
         const auto pairs = reinterpret_cast<short8>(
             __builtin_shufflevector(bytes, bytes, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7));
         const auto low = reinterpret_cast<int4>(
