@@ -2,6 +2,7 @@
 
 #include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
+#include "fptc/util/event_ring.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/telemetry.hpp"
 
@@ -20,33 +21,65 @@ namespace fptc::serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Ring-file layout (version 1).  Everything is u64 words so every slot is
+// Ring-file layout (version 2).  Everything is u64 words so every slot is
 // naturally aligned for std::atomic_ref:
 //
 //   [0..7]   file header: magic, version, generation, ring_count,
 //            ring_capacity, stage_count, bucket_count, reserved
 //   [8..]    exemplar region: stage_count × bucket_count flow ids
-//   then per ring: 8-word ring header (word 0 = head), then
-//            ring_capacity × 4-word event slots (ts, flow, arg, kind|detail)
+//   then per ring: one util::EventRing<FlightEvent> (head word, then
+//            ring_capacity × 4-word slots holding a FlightEvent's bytes)
 // ---------------------------------------------------------------------------
 
+using Ring = util::EventRing<FlightEvent>;
+
 constexpr char kRingMagic[8] = {'F', 'P', 'T', 'C', 'F', 'R', 'E', 'C'};
-constexpr std::uint64_t kRingVersion = 1;
+constexpr std::uint64_t kRingVersion = 2;
 constexpr std::size_t kFileHeaderWords = 8;
-constexpr std::size_t kRingHeaderWords = 8;
-constexpr std::size_t kWordsPerEvent = 4;
+constexpr std::size_t kExemplarWords = kFrecStageCount * kFrecBuckets;
 constexpr std::size_t kMinCapacity = 64;
 constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
 
-std::size_t exemplar_words()
-{
-    return kFrecStageCount * kFrecBuckets;
-}
-
 std::size_t region_words(std::size_t capacity)
 {
-    return kFileHeaderWords + exemplar_words() +
-           kFrecRingCount * (kRingHeaderWords + capacity * kWordsPerEvent);
+    return kFileHeaderWords + kExemplarWords + kFrecRingCount * Ring::words(capacity);
+}
+
+Ring ring_in(std::uint64_t* region, std::size_t capacity, std::size_t ring)
+{
+    return Ring(region + kFileHeaderWords + kExemplarWords + ring * Ring::words(capacity),
+                capacity);
+}
+
+std::atomic_ref<std::uint64_t> exemplar_in(std::uint64_t* region, std::size_t stage,
+                                           std::size_t bucket)
+{
+    return std::atomic_ref<std::uint64_t>(
+        region[kFileHeaderWords + stage * kFrecBuckets + bucket]);
+}
+
+/// The rings and exemplars of a region, live or copied from a dead
+/// worker's file: the one decode both postmortem paths share.
+Postmortem read_region(std::uint64_t* region, std::size_t capacity)
+{
+    Postmortem out;
+    out.generation = static_cast<std::uint32_t>(region[2]);
+    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
+        const Ring ring = ring_in(region, capacity, r);
+        out.rings.push_back({static_cast<std::uint32_t>(r), ring.recorded(), ring.dropped(),
+                             ring.snapshot()});
+    }
+    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
+        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
+            const std::uint64_t flow =
+                exemplar_in(region, stage, bucket).load(std::memory_order_relaxed);
+            if (flow != 0) {
+                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
+                                         static_cast<std::uint32_t>(bucket), flow});
+            }
+        }
+    }
+    return out;
 }
 
 std::uint64_t steady_ns()
@@ -289,6 +322,11 @@ std::optional<Postmortem> load_postmortem(const std::string& path)
 // Recorder
 // ---------------------------------------------------------------------------
 
+std::string frec_ring_path(const std::string& postmortem_path)
+{
+    return postmortem_path.empty() ? std::string{} : postmortem_path + ".ring";
+}
+
 namespace frec_detail {
 
 std::atomic<int> gate{0};
@@ -315,8 +353,7 @@ void exemplar_slow(FrecStage stage, std::uint64_t value, std::uint64_t flow_id) 
 FlightRecorder::FlightRecorder(const FrecConfig& config) : config_(config)
 {
     config_.ring_capacity = std::clamp(config_.ring_capacity, kMinCapacity, kMaxCapacity);
-    words_ = region_words(config_.ring_capacity);
-    const std::size_t size = words_ * sizeof(std::uint64_t);
+    const std::size_t size = region_words(config_.ring_capacity) * sizeof(std::uint64_t);
 
     if (!config_.ring_path.empty()) {
         const int fd = ::open(config_.ring_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -337,7 +374,8 @@ FlightRecorder::FlightRecorder(const FrecConfig& config) : config_(config)
         }
     }
     if (base_ == nullptr) {
-        base_ = new std::uint64_t[words_]();
+        heap_.resize(region_words(config_.ring_capacity));
+        base_ = heap_.data();
     }
 
     // Reinitialize the region unconditionally: a leftover ring file from a
@@ -356,6 +394,9 @@ FlightRecorder::FlightRecorder(const FrecConfig& config) : config_(config)
         ::msync(base_, size, MS_ASYNC);
     }
 
+    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
+        rings_[r] = ring_in(base_, config_.ring_capacity, r);
+    }
     epoch_ns_ = steady_ns();
     g_recorder.store(this, std::memory_order_release);
     frec_detail::gate.store(1, std::memory_order_release);
@@ -366,103 +407,44 @@ FlightRecorder::~FlightRecorder()
     frec_detail::gate.store(0, std::memory_order_seq_cst);
     g_recorder.store(nullptr, std::memory_order_seq_cst);
     if (mapped_) {
-        ::munmap(base_, words_ * sizeof(std::uint64_t));
-    } else {
-        delete[] base_;
+        ::munmap(base_, region_words(config_.ring_capacity) * sizeof(std::uint64_t));
     }
-    base_ = nullptr;
-}
-
-std::uint64_t* FlightRecorder::ring_head(std::size_t ring) const noexcept
-{
-    const std::size_t ring_words = kRingHeaderWords + config_.ring_capacity * kWordsPerEvent;
-    return base_ + kFileHeaderWords + exemplar_words() + ring * ring_words;
-}
-
-std::uint64_t* FlightRecorder::ring_slots(std::size_t ring) const noexcept
-{
-    return ring_head(ring) + kRingHeaderWords;
-}
-
-std::uint64_t* FlightRecorder::exemplar_slot(std::size_t stage,
-                                             std::size_t bucket) const noexcept
-{
-    return base_ + kFileHeaderWords + stage * kFrecBuckets + bucket;
 }
 
 void FlightRecorder::note(FrecRing ring, FrecKind kind, std::uint64_t flow_id,
                           std::uint64_t arg, std::uint32_t detail) noexcept
 {
-    const std::size_t r = static_cast<std::size_t>(ring);
-    std::uint64_t* head_word = ring_head(r);
-    // Single producer per ring: the relaxed head load sees this thread's own
-    // last store; the release store publishes the fully-written slot.
-    const std::uint64_t head =
-        std::atomic_ref<std::uint64_t>(*head_word).load(std::memory_order_relaxed);
-    std::uint64_t* slot = ring_slots(r) + (head % config_.ring_capacity) * kWordsPerEvent;
-    const std::uint64_t ts = steady_ns() - epoch_ns_;
-    const std::uint64_t kd =
-        (static_cast<std::uint64_t>(kind) << 32) | static_cast<std::uint64_t>(detail);
-    std::atomic_ref<std::uint64_t>(slot[0]).store(ts, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(slot[1]).store(flow_id, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(slot[2]).store(arg, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(slot[3]).store(kd, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(*head_word).store(head + 1, std::memory_order_release);
+    rings_[static_cast<std::size_t>(ring)].push(
+        {steady_ns() - epoch_ns_, flow_id, arg, static_cast<std::uint32_t>(kind), detail});
 }
 
 void FlightRecorder::observe_exemplar(FrecStage stage, std::uint64_t value,
                                       std::uint64_t flow_id) noexcept
 {
-    const std::size_t bucket = frec_bucket(value);
-    std::atomic_ref<std::uint64_t>(
-        *exemplar_slot(static_cast<std::size_t>(stage), bucket))
+    exemplar_in(base_, static_cast<std::size_t>(stage), frec_bucket(value))
         .store(flow_id, std::memory_order_relaxed);
 }
 
 std::vector<FlightEvent> FlightRecorder::ring_snapshot(FrecRing ring) const
 {
-    const std::size_t r = static_cast<std::size_t>(ring);
-    const std::uint64_t head =
-        std::atomic_ref<std::uint64_t>(*ring_head(r)).load(std::memory_order_acquire);
-    const std::uint64_t count = std::min<std::uint64_t>(head, config_.ring_capacity);
-    std::vector<FlightEvent> out;
-    out.reserve(static_cast<std::size_t>(count));
-    const std::uint64_t* slots = ring_slots(r);
-    for (std::uint64_t i = head - count; i < head; ++i) {
-        const std::uint64_t* slot = slots + (i % config_.ring_capacity) * kWordsPerEvent;
-        FlightEvent event;
-        event.ts_ns = std::atomic_ref<const std::uint64_t>(slot[0])
-                          .load(std::memory_order_relaxed);
-        event.flow_id = std::atomic_ref<const std::uint64_t>(slot[1])
-                            .load(std::memory_order_relaxed);
-        event.arg = std::atomic_ref<const std::uint64_t>(slot[2])
-                        .load(std::memory_order_relaxed);
-        const std::uint64_t kd = std::atomic_ref<const std::uint64_t>(slot[3])
-                                     .load(std::memory_order_relaxed);
-        event.kind = static_cast<std::uint32_t>(kd >> 32);
-        event.detail = static_cast<std::uint32_t>(kd & 0xFFFFFFFFu);
-        out.push_back(event);
-    }
-    return out;
+    return rings_[static_cast<std::size_t>(ring)].snapshot();
 }
 
 std::uint64_t FlightRecorder::recorded(FrecRing ring) const noexcept
 {
-    return std::atomic_ref<std::uint64_t>(*ring_head(static_cast<std::size_t>(ring)))
-        .load(std::memory_order_acquire);
+    return rings_[static_cast<std::size_t>(ring)].recorded();
 }
 
 std::uint64_t FlightRecorder::dropped(FrecRing ring) const noexcept
 {
-    const std::uint64_t head = recorded(ring);
-    return head > config_.ring_capacity ? head - config_.ring_capacity : 0;
+    return rings_[static_cast<std::size_t>(ring)].dropped();
 }
 
 std::uint64_t FlightRecorder::recorded_total() const noexcept
 {
     std::uint64_t total = 0;
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        total += recorded(static_cast<FrecRing>(r));
+    for (const Ring& ring : rings_) {
+        total += ring.recorded();
     }
     return total;
 }
@@ -470,8 +452,8 @@ std::uint64_t FlightRecorder::recorded_total() const noexcept
 std::uint64_t FlightRecorder::dropped_total() const noexcept
 {
     std::uint64_t total = 0;
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        total += dropped(static_cast<FrecRing>(r));
+    for (const Ring& ring : rings_) {
+        total += ring.dropped();
     }
     return total;
 }
@@ -481,36 +463,17 @@ std::uint64_t FlightRecorder::exemplar(FrecStage stage, std::size_t bucket) cons
     if (bucket >= kFrecBuckets) {
         return 0;
     }
-    return std::atomic_ref<const std::uint64_t>(
-               *exemplar_slot(static_cast<std::size_t>(stage), bucket))
+    return exemplar_in(base_, static_cast<std::size_t>(stage), bucket)
         .load(std::memory_order_relaxed);
 }
 
 Postmortem FlightRecorder::build_postmortem(PostmortemReason reason, std::string detail,
                                             std::string metrics_text) const
 {
-    Postmortem out;
+    Postmortem out = read_region(base_, config_.ring_capacity);
     out.reason = static_cast<std::uint32_t>(reason);
-    out.generation = config_.generation;
     out.detail = std::move(detail);
     out.metrics_text = std::move(metrics_text);
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        Postmortem::RingDump dump;
-        dump.ring = static_cast<std::uint32_t>(r);
-        dump.recorded = recorded(static_cast<FrecRing>(r));
-        dump.dropped = dropped(static_cast<FrecRing>(r));
-        dump.events = ring_snapshot(static_cast<FrecRing>(r));
-        out.rings.push_back(std::move(dump));
-    }
-    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
-        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
-            const std::uint64_t flow = exemplar(static_cast<FrecStage>(stage), bucket);
-            if (flow != 0) {
-                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
-                                         static_cast<std::uint32_t>(bucket), flow});
-            }
-        }
-    }
     return out;
 }
 
@@ -544,72 +507,17 @@ std::optional<Postmortem> FlightRecorder::read_ring_file(const std::string& ring
     if (!file.has_value() || file->size() < kFileHeaderWords * sizeof(std::uint64_t)) {
         return std::nullopt;
     }
-    const std::string& bytes = *file;
-    if (std::memcmp(bytes.data(), kRingMagic, sizeof(kRingMagic)) != 0) {
+    std::vector<std::uint64_t> words(file->size() / sizeof(std::uint64_t));
+    std::memcpy(words.data(), file->data(), words.size() * sizeof(std::uint64_t));
+    const std::uint64_t capacity = words[4];
+    if (std::memcmp(words.data(), kRingMagic, sizeof(kRingMagic)) != 0 ||
+        words[1] != kRingVersion || words[3] != kFrecRingCount ||
+        words[5] != kFrecStageCount || words[6] != kFrecBuckets || capacity < kMinCapacity ||
+        capacity > kMaxCapacity ||
+        file->size() != region_words(capacity) * sizeof(std::uint64_t)) {
         return std::nullopt;
     }
-    const auto word = [&](std::size_t index) {
-        std::uint64_t value = 0;
-        std::memcpy(&value, bytes.data() + index * sizeof(std::uint64_t), sizeof(value));
-        return value;
-    };
-    if (word(1) != kRingVersion) {
-        return std::nullopt;
-    }
-    const std::uint64_t generation = word(2);
-    const std::uint64_t ring_count = word(3);
-    const std::uint64_t capacity = word(4);
-    const std::uint64_t stage_count = word(5);
-    const std::uint64_t bucket_count = word(6);
-    if (ring_count != kFrecRingCount || stage_count != kFrecStageCount ||
-        bucket_count != kFrecBuckets || capacity < kMinCapacity ||
-        capacity > kMaxCapacity) {
-        return std::nullopt;
-    }
-    const std::size_t expected =
-        region_words(static_cast<std::size_t>(capacity)) * sizeof(std::uint64_t);
-    if (bytes.size() != expected) {
-        return std::nullopt;
-    }
-
-    Postmortem out;
-    out.generation = static_cast<std::uint32_t>(generation);
-    const std::size_t ring_words =
-        kRingHeaderWords + static_cast<std::size_t>(capacity) * kWordsPerEvent;
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        const std::size_t ring_base = kFileHeaderWords + exemplar_words() + r * ring_words;
-        const std::uint64_t head = word(ring_base);
-        const std::uint64_t count = std::min(head, capacity);
-        Postmortem::RingDump dump;
-        dump.ring = static_cast<std::uint32_t>(r);
-        dump.recorded = head;
-        dump.dropped = head > capacity ? head - capacity : 0;
-        dump.events.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = head - count; i < head; ++i) {
-            const std::size_t slot = ring_base + kRingHeaderWords +
-                                     static_cast<std::size_t>(i % capacity) * kWordsPerEvent;
-            FlightEvent event;
-            event.ts_ns = word(slot);
-            event.flow_id = word(slot + 1);
-            event.arg = word(slot + 2);
-            const std::uint64_t kd = word(slot + 3);
-            event.kind = static_cast<std::uint32_t>(kd >> 32);
-            event.detail = static_cast<std::uint32_t>(kd & 0xFFFFFFFFu);
-            dump.events.push_back(event);
-        }
-        out.rings.push_back(std::move(dump));
-    }
-    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
-        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
-            const std::uint64_t flow =
-                word(kFileHeaderWords + stage * kFrecBuckets + bucket);
-            if (flow != 0) {
-                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
-                                         static_cast<std::uint32_t>(bucket), flow});
-            }
-        }
-    }
-    return out;
+    return read_region(words.data(), static_cast<std::size_t>(capacity));
 }
 
 bool FlightRecorder::seal_from_ring_file(const std::string& ring_path,

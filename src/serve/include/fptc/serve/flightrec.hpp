@@ -3,40 +3,41 @@
 //
 // The serve pipeline already *counts* everything (fptc_serve_* metrics) —
 // this module records *which flow* did what, *when*.  Three per-stage
-// overwrite-oldest rings (driver / assembler / classifier, one producer
-// thread each — the PR 5 trace-ring shape) hold compact 32-byte binary
-// events: ingest, quarantine, admit, CoDel drop, window close, batch
-// enqueue, classify start/end with backend tier, shed with typed reason,
-// unknown-route, snapshot-marker.  Events are keyed by flow id and carry a
-// kind-specific argument (queue-sojourn ns, batch latency ns, snapshot
-// watermark).
+// util::EventRing rings (driver / assembler / classifier, one producer
+// thread each — the ring trace spans push into too) hold compact 32-byte
+// binary events: ingest, quarantine, admit, CoDel drop, window close,
+// batch enqueue, classify start/end with backend tier, shed with typed
+// reason, unknown-route, snapshot-marker.  Events are keyed by flow id and
+// carry a kind-specific argument (queue-sojourn ns, batch latency ns,
+// snapshot watermark).
 //
-// Crash survivability.  The rings live in a little mmap(MAP_SHARED) file
-// (FPTC_SERVE_FLIGHTREC_RING): stores land in the page cache, so they
+// Crash survivability.  The rings live in a little mmap(MAP_SHARED) file,
+// <postmortem>.ring (frec_ring_path): stores land in the page cache, so they
 // survive the *process* dying — including SIGKILL, which runs no handlers.
 // The supervisor reaps a signalled worker, reads the ring file, and seals a
 // CRC-checked postmortem (encode/decode below, via DurableFile) stamped
 // with the worker generation.  In-process crash paths that do get a chance
 // to run (watchdog hang-exit, breaker hard-trip) dump the postmortem
-// directly, with a live metrics snapshot attached.  When the ring path is
-// empty the rings fall back to private heap memory: fully functional for
-// tests and in-process dumps, just not SIGKILL-durable.
+// directly, with a live metrics snapshot attached.  With no postmortem path
+// the rings live in private heap memory: fully functional for tests and
+// status export, just not SIGKILL-durable.
 //
 // Cost model.  Disabled (FPTC_SERVE_FLIGHTREC=0, no recorder installed):
 // frec_note() is one inlined relaxed atomic load and a predictable branch —
 // the same contract as the disabled TraceSpan, gated <= 2% by the
 // BM_FlightRecDisabled / BM_FlightRecEnabled micro-benchmark pair.
-// Enabled: one steady_clock read plus four relaxed atomic stores into the
-// mapped slot and one release store of the ring head.  No locks, no
-// allocation, no syscalls on the hot path.
+// Enabled: one steady_clock read plus one EventRing push — four relaxed
+// atomic stores into the slot and one release store of the ring head.  No
+// locks, no allocation, no syscalls on the hot path.
 //
-// Thread safety: each ring has exactly one producer (its pipeline thread).
-// Readers (status export, postmortem dump, tests) snapshot concurrently:
-// slot words and heads are accessed through std::atomic_ref, so torn reads
-// are impossible and tsan stays quiet; a reader may observe a window that
-// is a few events stale, which is fine for a diagnostic artifact.
+// Thread safety: one producer per ring (its pipeline thread); readers
+// (status export, postmortem dump, tests) snapshot concurrently under
+// EventRing's memory-order contract (fptc/util/event_ring.hpp).
 #pragma once
 
+#include "fptc/util/event_ring.hpp"
+
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -88,8 +89,8 @@ enum class FrecShed : std::uint32_t {
 };
 [[nodiscard]] const char* frec_shed_name(std::uint32_t reason) noexcept;
 
-/// One recorded lifecycle event.  32 bytes; stored in the ring as four
-/// 64-bit words (kind and detail share the last word).
+/// One recorded lifecycle event.  32 bytes; a ring slot holds its bytes as
+/// four 64-bit words (kind and detail share the last word).
 struct FlightEvent {
     std::uint64_t ts_ns = 0;    ///< steady-clock ns since recorder init
     std::uint64_t flow_id = 0;  ///< 0 for flow-less events (markers, batches)
@@ -187,6 +188,12 @@ bool save_postmortem(const std::string& path, const Postmortem& postmortem);
 // The recorder
 // ---------------------------------------------------------------------------
 
+/// The ring backing file of a run whose postmortem goes to
+/// `postmortem_path`: "<postmortem_path>.ring", or "" (private memory) when
+/// there is no postmortem.  The worker maps it and the supervisor seals it,
+/// both through this one function.
+[[nodiscard]] std::string frec_ring_path(const std::string& postmortem_path);
+
 struct FrecConfig {
     std::string ring_path;           ///< mmap backing file ("" = private memory)
     std::size_t ring_capacity = 4096; ///< events per ring (clamped to [64, 1M])
@@ -263,11 +270,9 @@ public:
     /// make a later seal describe a run that finished fine).
     void remove_backing() noexcept;
 
-    [[nodiscard]] const FrecConfig& config() const noexcept { return config_; }
-
     /// Parse a ring file left behind by a dead worker into a postmortem
-    /// skeleton (rings + exemplars; no metrics).  nullopt on bad magic /
-    /// version / size.
+    /// skeleton (rings + exemplars; no metrics), decoded by the same code
+    /// as build_postmortem.  nullopt on bad magic / version / size.
     [[nodiscard]] static std::optional<Postmortem> read_ring_file(const std::string& ring_path);
 
     /// Supervisor-side seal: read the dead worker's ring file, stamp reason
@@ -278,15 +283,11 @@ public:
                                     std::string detail);
 
 private:
-    [[nodiscard]] std::uint64_t* ring_head(std::size_t ring) const noexcept;
-    [[nodiscard]] std::uint64_t* ring_slots(std::size_t ring) const noexcept;
-    [[nodiscard]] std::uint64_t* exemplar_slot(std::size_t stage,
-                                               std::size_t bucket) const noexcept;
-
     FrecConfig config_;
-    std::uint64_t* base_ = nullptr;  ///< whole region, u64 words
-    std::size_t words_ = 0;
-    bool mapped_ = false;            ///< true: munmap; false: delete[]
+    std::uint64_t* base_ = nullptr;  ///< whole region, u64 words: mmap'd or heap_
+    std::vector<std::uint64_t> heap_;  ///< the region when it is not file-backed
+    std::array<util::EventRing<FlightEvent>, kFrecRingCount> rings_;  ///< views into base_
+    bool mapped_ = false;            ///< true: munmap
     std::uint64_t epoch_ns_ = 0;     ///< steady ns at construction
 };
 

@@ -107,10 +107,8 @@ struct ServeConfig {
     std::uint32_t generation = 0;     ///< FPTC_SERVE_GENERATION: worker restart count
 
     // Flight recorder + crash postmortems (flightrec.hpp).  A non-empty
-    // postmortem path implies the recorder: a crash dump needs rings.
+    // postmortem path implies the recorder, backed by frec_ring_path's file.
     bool flightrec = false;           ///< FPTC_SERVE_FLIGHTREC: record lifecycle events
-    std::size_t flightrec_events = 4096; ///< FPTC_SERVE_FLIGHTREC_EVENTS: per-ring capacity
-    std::string flightrec_ring;       ///< FPTC_SERVE_FLIGHTREC_RING: mmap backing file
     std::string postmortem_path;      ///< FPTC_SERVE_POSTMORTEM: crash dump file ("" = off)
 
     // Live introspection (status.hpp).

@@ -59,7 +59,6 @@ struct SupervisorConfig {
     std::string heartbeat_path;      ///< FPTC_SERVE_HEARTBEAT: liveness file shared with worker
     std::string snapshot_path;       ///< FPTC_SERVE_SNAPSHOT: scavenged + preserved across restarts
     std::string postmortem_path;     ///< FPTC_SERVE_POSTMORTEM: sealed from a signalled worker's rings
-    std::string flightrec_ring;      ///< ring backing shared with worker (default <postmortem>.ring)
 
     /// Build from FPTC_SERVE_* environment (strict parsing — EnvError on
     /// malformed values, like every other knob).

@@ -126,20 +126,11 @@ ServeConfig ServeConfig::from_env()
     config.heartbeat_path = util::env_string("FPTC_SERVE_HEARTBEAT");
     config.gbt_only = util::env_int("FPTC_SERVE_GBT_ONLY").value_or(0) != 0;
     config.generation = serve_generation();
-    config.flightrec = util::env_int("FPTC_SERVE_FLIGHTREC").value_or(0) != 0;
-    config.flightrec_events =
-        env_size("FPTC_SERVE_FLIGHTREC_EVENTS", config.flightrec_events, 64);
-    config.flightrec_ring = util::env_string("FPTC_SERVE_FLIGHTREC_RING");
     config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");
-    if (!config.postmortem_path.empty()) {
-        // A crash dump needs rings to dump: the postmortem knob implies the
-        // recorder, and the ring backing defaults next to the postmortem so
-        // supervisor and worker agree on it without a second knob.
-        config.flightrec = true;
-        if (config.flightrec_ring.empty()) {
-            config.flightrec_ring = config.postmortem_path + ".ring";
-        }
-    }
+    // A crash dump needs rings to dump: the postmortem knob implies the
+    // recorder (its rings then live in frec_ring_path's file).
+    config.flightrec = util::env_int("FPTC_SERVE_FLIGHTREC").value_or(0) != 0 ||
+                       !config.postmortem_path.empty();
     config.status_path = util::env_string("FPTC_SERVE_STATUS");
     config.status_period_s = env_positive("FPTC_SERVE_STATUS_S", config.status_period_s, false);
     return config;
@@ -329,8 +320,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
     std::optional<FlightRecorder> recorder;
     if (config_.flightrec) {
         recorder.emplace(FrecConfig{
-            .ring_path = config_.flightrec_ring,
-            .ring_capacity = config_.flightrec_events,
+            .ring_path = frec_ring_path(config_.postmortem_path),
             .generation = config_.generation,
         });
     }

@@ -139,12 +139,6 @@ SupervisorConfig SupervisorConfig::from_env()
         config.heartbeat_path = config.snapshot_path + ".heartbeat";
     }
     config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");
-    config.flightrec_ring = util::env_string("FPTC_SERVE_FLIGHTREC_RING");
-    if (config.flightrec_ring.empty() && !config.postmortem_path.empty()) {
-        // Must mirror ServeConfig::from_env so the supervisor seals the
-        // same ring file the worker maps.
-        config.flightrec_ring = config.postmortem_path + ".ring";
-    }
     return config;
 }
 
@@ -204,10 +198,9 @@ int run_supervisor(const SupervisorConfig& config)
             env.push_back({"FPTC_SERVE_HEARTBEAT", config.heartbeat_path, false});
         }
         if (!config.postmortem_path.empty()) {
-            // Explicit so worker and supervisor agree on the ring file even
-            // when the paths were defaulted rather than taken from the env.
+            // The worker derives its ring file from this path, as the
+            // supervisor does (frec_ring_path).
             env.push_back({"FPTC_SERVE_POSTMORTEM", config.postmortem_path, false});
-            env.push_back({"FPTC_SERVE_FLIGHTREC_RING", config.flightrec_ring, false});
         }
         if (restarts > 0) {
             // Injected one-shot faults must not replay in the recovered
@@ -292,13 +285,12 @@ int run_supervisor(const SupervisorConfig& config)
             // postmortem *before* the next generation reinitializes the
             // rings.  Sealing failure (no recorder armed, corrupt file)
             // costs diagnostics, never the restart.
-            if (!config.postmortem_path.empty() && !config.flightrec_ring.empty() &&
+            const std::string ring_path = frec_ring_path(config.postmortem_path);
+            if (!ring_path.empty() &&
                 !FlightRecorder::seal_from_ring_file(
-                    config.flightrec_ring, config.postmortem_path,
-                    PostmortemReason::sigkill_reap, static_cast<std::uint32_t>(restarts),
-                    "signal " + std::to_string(signum))) {
-                util::log_info("serve supervisor: no sealable ring file at " +
-                               config.flightrec_ring);
+                    ring_path, config.postmortem_path, PostmortemReason::sigkill_reap,
+                    static_cast<std::uint32_t>(restarts), "signal " + std::to_string(signum))) {
+                util::log_info("serve supervisor: no sealable ring file at " + ring_path);
             }
         } else {
             last_status = 1;

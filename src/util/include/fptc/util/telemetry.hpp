@@ -36,12 +36,14 @@
 // never touch stdout: campaign tables stay bit-identical for any FPTC_JOBS
 // with telemetry on or off — trace/metrics ride on stderr and side files.
 //
-// Thread safety: rings are single-producer (the owning thread); the
-// exporter snapshots them after the executor's workers have joined.
-// Instruments are atomics; the registry map is mutex-guarded on lookup
-// only.  Ring capacity is bounded (FPTC_TRACE_EVENTS per thread, default
-// 32768): on overflow the *oldest* events are overwritten, keeping the most
-// recent window — histograms aggregate everything regardless.
+// Thread safety: each thread pushes into its own util::EventRing
+// (event_ring.hpp) over a heap vector.  The exporter snapshots them after
+// the executor's workers have joined; a snapshot taken earlier is race-free
+// but its oldest slots may be mid-overwrite.  Instruments are atomics; the
+// registry map is mutex-guarded on lookup only.  Ring capacity is bounded
+// (FPTC_TRACE_EVENTS per thread, default 32768): on overflow the *oldest*
+// events are overwritten, keeping the most recent window — histograms
+// aggregate everything regardless.
 #pragma once
 
 #include <atomic>
@@ -177,7 +179,7 @@ private:
 // Tracing
 // ---------------------------------------------------------------------------
 
-/// One ring-buffer slot.  `name` must be a string literal (never freed);
+/// One trace-ring event.  `name` must be a string literal (never freed);
 /// dynamic context travels in `args` — a pre-rendered JSON object body
 /// ("\"key\":\"value\"", possibly empty), bounded so the hot path never
 /// allocates.

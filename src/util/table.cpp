@@ -29,6 +29,15 @@ void Table::add_footnote(std::string note)
 
 namespace {
 
+/// Columns a cell occupies: its UTF-8 code points, so a "±" or "†" counts
+/// once however many bytes encode it (continuation bytes are 10xxxxxx).
+[[nodiscard]] std::size_t display_width(const std::string& cell)
+{
+    return static_cast<std::size_t>(std::count_if(cell.begin(), cell.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0u) != 0x80u;
+    }));
+}
+
 [[nodiscard]] std::vector<std::size_t> column_widths(const std::vector<std::string>& header,
                                                      const std::vector<std::vector<std::string>>& rows)
 {
@@ -38,11 +47,11 @@ namespace {
     }
     std::vector<std::size_t> widths(columns, 0);
     for (std::size_t c = 0; c < header.size(); ++c) {
-        widths[c] = header[c].size();
+        widths[c] = display_width(header[c]);
     }
     for (const auto& row : rows) {
         for (std::size_t c = 0; c < row.size(); ++c) {
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], display_width(row[c]));
         }
     }
     return widths;
@@ -51,7 +60,7 @@ namespace {
 void append_padded(std::ostringstream& out, const std::string& cell, std::size_t width)
 {
     out << cell;
-    for (std::size_t i = cell.size(); i < width; ++i) {
+    for (std::size_t i = display_width(cell); i < width; ++i) {
         out << ' ';
     }
 }

@@ -2,6 +2,7 @@
 
 #include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
+#include "fptc/util/event_ring.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/membudget.hpp"
@@ -321,61 +322,22 @@ MetricsRegistry& metrics()
 
 namespace {
 
-/// Single-producer ring: only the owning thread pushes; exporters read after
-/// the producers have joined (or between campaign phases), which the
-/// executor's thread join orders happens-before.
-class TraceRing {
-public:
-    TraceRing(std::uint32_t tid, std::size_t capacity)
-        : tid_(tid), slots_(capacity > 0 ? capacity : 1)
+/// One thread's trace ring: heap words viewed as an EventRing that only
+/// the owning thread pushes into.
+struct ThreadRing {
+    ThreadRing(std::uint32_t id, std::size_t capacity)
+        : tid(id), words(EventRing<TraceEvent>::words(capacity)), ring(words.data(), capacity)
     {
     }
 
-    void push(const char* name, char phase, const char* args_body) noexcept
-    {
-        const std::uint64_t head = head_.load(std::memory_order_relaxed);
-        TraceEvent& slot = slots_[head % slots_.size()];
-        slot.name = name;
-        slot.phase = phase;
-        slot.tid = tid_;
-        slot.ts_ns = now_ns();
-        std::size_t i = 0;
-        if (args_body != nullptr) {
-            for (; args_body[i] != '\0' && i < sizeof(slot.args) - 1; ++i) {
-                slot.args[i] = args_body[i];
-            }
-        }
-        slot.args[i] = '\0';
-        head_.store(head + 1, std::memory_order_release);
-    }
-
-    void snapshot(std::vector<TraceEvent>& out) const
-    {
-        const std::uint64_t head = head_.load(std::memory_order_acquire);
-        const std::uint64_t size = slots_.size();
-        const std::uint64_t start = head > size ? head - size : 0;
-        for (std::uint64_t i = start; i < head; ++i) {
-            out.push_back(slots_[i % size]);
-        }
-    }
-
-    [[nodiscard]] std::uint64_t dropped() const noexcept
-    {
-        const std::uint64_t head = head_.load(std::memory_order_acquire);
-        return head > slots_.size() ? head - slots_.size() : 0;
-    }
-
-    void reset() noexcept { head_.store(0, std::memory_order_release); }
-
-private:
-    std::uint32_t tid_;
-    std::vector<TraceEvent> slots_;
-    std::atomic<std::uint64_t> head_{0};
+    std::uint32_t tid;
+    std::vector<std::uint64_t> words;
+    EventRing<TraceEvent> ring;
 };
 
 struct TraceState {
     std::mutex mutex;  ///< guards ring registration and config, not pushes
-    std::vector<std::unique_ptr<TraceRing>> rings;
+    std::vector<std::unique_ptr<ThreadRing>> rings;
     TelemetryConfig config;
     bool config_valid = false;
     bool atexit_armed = false;
@@ -475,18 +437,29 @@ void init_nothrow() noexcept
     }
 }
 
-thread_local TraceRing* t_ring = nullptr;
+thread_local ThreadRing* t_ring = nullptr;
 
-TraceRing& ring_for_this_thread()
+/// Record one event on the calling thread's ring, registering the ring on
+/// the thread's first event.
+void push_trace(const char* name, char phase, const char* args_body)
 {
     if (t_ring == nullptr) {
         TraceState& state = trace_state();
         const std::lock_guard<std::mutex> lock(state.mutex);
         const auto tid = static_cast<std::uint32_t>(state.rings.size() + 1);
-        state.rings.push_back(std::make_unique<TraceRing>(tid, state.config.ring_capacity));
+        const std::size_t capacity = std::max<std::size_t>(state.config.ring_capacity, 1);
+        state.rings.push_back(std::make_unique<ThreadRing>(tid, capacity));
         t_ring = state.rings.back().get();
     }
-    return *t_ring;
+    TraceEvent event;
+    event.name = name;
+    event.phase = phase;
+    event.tid = t_ring->tid;
+    event.ts_ns = now_ns();
+    for (std::size_t i = 0; args_body[i] != '\0' && i < sizeof(event.args) - 1; ++i) {
+        event.args[i] = args_body[i];
+    }
+    t_ring->ring.push(event);
 }
 
 } // namespace
@@ -526,7 +499,7 @@ void trace_begin(const char* name, const char* args_body)
     if (!trace_enabled()) {
         return;
     }
-    ring_for_this_thread().push(name, 'B', args_body);
+    push_trace(name, 'B', args_body != nullptr ? args_body : "");
 }
 
 void trace_end(const char* name)
@@ -534,7 +507,7 @@ void trace_end(const char* name)
     if (!trace_enabled()) {
         return;
     }
-    ring_for_this_thread().push(name, 'E', "");
+    push_trace(name, 'E', "");
 }
 
 std::vector<TraceEvent> trace_snapshot()
@@ -542,8 +515,9 @@ std::vector<TraceEvent> trace_snapshot()
     TraceState& state = trace_state();
     const std::lock_guard<std::mutex> lock(state.mutex);
     std::vector<TraceEvent> events;
-    for (const auto& ring : state.rings) {
-        ring->snapshot(events);
+    for (const auto& thread : state.rings) {
+        const std::vector<TraceEvent> window = thread->ring.snapshot();
+        events.insert(events.end(), window.begin(), window.end());
     }
     return events;
 }
@@ -553,8 +527,8 @@ std::uint64_t trace_dropped()
     TraceState& state = trace_state();
     const std::lock_guard<std::mutex> lock(state.mutex);
     std::uint64_t dropped = 0;
-    for (const auto& ring : state.rings) {
-        dropped += ring->dropped();
+    for (const auto& thread : state.rings) {
+        dropped += thread->ring.dropped();
     }
     return dropped;
 }
@@ -661,7 +635,7 @@ void TraceSpan::begin(const char* args_body)
     active_ = true;
     alloc_start_ = mem_budget().reserved_total();
     if (trace_enabled()) {
-        ring_for_this_thread().push(name_, 'B', args_body);
+        push_trace(name_, 'B', args_body);
     }
     start_ns_ = now_ns();
 }
@@ -671,7 +645,7 @@ void TraceSpan::close()
     const std::uint64_t duration_ns = now_ns() - start_ns_;
     const std::uint64_t alloc_bytes = mem_budget().reserved_total() - alloc_start_;
     if (trace_enabled()) {
-        ring_for_this_thread().push(name_, 'E', "");
+        push_trace(name_, 'E', "");
     }
     MetricsRegistry& registry = metrics();
     const std::string prefix = std::string("fptc_phase_") + name_;
@@ -822,8 +796,8 @@ void telemetry_configure_for_tests(const TelemetryConfig& config)
     TraceState& state = trace_state();
     const std::lock_guard<std::mutex> lock(state.mutex);
     install_config_locked(state, config);
-    for (const auto& ring : state.rings) {
-        ring->reset();
+    for (const auto& thread : state.rings) {
+        thread->ring.reset();
     }
 }
 
@@ -837,8 +811,8 @@ void telemetry_reset_for_tests()
     g_trace.store(false, std::memory_order_relaxed);
     g_init_state.store(0, std::memory_order_release);
     publish_span_gate();
-    for (const auto& ring : state.rings) {
-        ring->reset();
+    for (const auto& thread : state.rings) {
+        thread->ring.reset();
     }
 }
 

@@ -50,7 +50,7 @@ ctest --preset asan-ubsan -j "$(nproc)" -E 'CrashTortureQuick|MemBudgetQuick|Tel
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target test_executor test_util test_membudget test_telemetry test_serve test_serve_recovery test_serve_drift test_serve_flightrec
 ctest --preset tsan -j "$(nproc)" \
-    -R 'Executor|CancelToken|Journal|Backoff|ExceptionTaxonomy|MemBudget|Charge|Tracing|Histogram|Metrics|EnvValidation|Scavenge|Shutdown|Serve|ServeDrift|Drift|Calibration' \
+    -R 'Executor|CancelToken|Journal|Backoff|ExceptionTaxonomy|MemBudget|Charge|Tracing|Histogram|Metrics|EnvValidation|Scavenge|Shutdown|Serve|ServeDrift|Drift|Calibration|EventRing' \
     -E 'MemBudgetQuick|TelemetryQuick|ServeTortureQuick|ServeDriftQuick'
 
 cmake --preset default

@@ -2,9 +2,11 @@
 // table/CSV rendering, heatmaps, campaign-scale resolution, the run
 // journal, orphan temp scavenging, cooperative shutdown and the fault
 // injector.
+#include "fptc/serve/flightrec.hpp"
 #include "fptc/util/csv.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
+#include "fptc/util/event_ring.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/heatmap.hpp"
 #include "fptc/util/journal.hpp"
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +25,10 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <signal.h>
 #include <sys/stat.h>
@@ -240,6 +246,44 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(text.find("Long header"), std::string::npos);
     EXPECT_NE(text.find("note"), std::string::npos);
     EXPECT_EQ(table.row_count(), 2u);
+}
+
+TEST(Table, PadsMultiByteCellsByCodePoint)
+{
+    // "±" is 2 bytes and "†" 3 in UTF-8 but one column each: every line's
+    // separators must sit in the same columns as the header's.
+    fptc::util::Table table;
+    table.set_header({"method", "accuracy", "n"});
+    table.add_row({"supervised", fptc::util::format_mean_ci(96.8, 0.37), "5"});
+    table.add_row({"simclr", "n/a †1", "4"});
+    table.add_row({"†", "±", "3"});
+    const auto columns_of_bars = [](const std::string& line) {
+        std::vector<std::size_t> bars;
+        std::size_t column = 0;
+        for (const char c : line) {
+            if ((static_cast<unsigned char>(c) & 0xC0u) == 0x80u) {
+                continue;  // UTF-8 continuation byte: same column
+            }
+            if (c == '|') {
+                bars.push_back(column);
+            }
+            ++column;
+        }
+        return bars;
+    };
+    std::istringstream text(table.to_string());
+    std::string header;
+    std::getline(text, header);
+    const std::vector<std::size_t> expected = columns_of_bars(header);
+    ASSERT_EQ(expected.size(), 2u);
+    std::string line;
+    std::getline(text, line);  // the rule under the header
+    int rows = 0;
+    while (std::getline(text, line)) {
+        EXPECT_EQ(columns_of_bars(line), expected) << line;
+        ++rows;
+    }
+    EXPECT_EQ(rows, 3);
 }
 
 TEST(Table, MarkdownHasSeparatorRow)
@@ -708,6 +752,170 @@ TEST(Env, DoubleKnobRejectsOverflowAndNonFinite)
     {
         KnobGuard knob("FPTC_TEST_KNOB", "nan");
         EXPECT_THROW((void)fptc::util::env_double("FPTC_TEST_KNOB"), fptc::util::EnvError);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// EventRing: the one overwrite-oldest ring
+// ---------------------------------------------------------------------------
+
+/// 12 bytes: a slot holds it in two words, the second half-used.
+struct SmallEvent {
+    std::uint32_t seq = 0;
+    std::uint32_t twice = 0;
+    std::uint32_t tag = 0;
+};
+
+TEST(EventRing, WrapKeepsTheNewestWindowOldestFirst)
+{
+    using Ring = util::EventRing<SmallEvent>;
+    static_assert(Ring::kSlotWords == 2);
+    constexpr std::size_t kCapacity = 5;
+    std::vector<std::uint64_t> words(Ring::words(kCapacity), 0);
+    Ring ring(words.data(), kCapacity);
+    EXPECT_TRUE(ring.snapshot().empty());
+    EXPECT_EQ(ring.dropped(), 0u);
+
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        ring.push({i, 2 * i, 7});
+    }
+    ASSERT_EQ(ring.snapshot().size(), 3u);
+    EXPECT_EQ(ring.snapshot().front().seq, 0u);
+    EXPECT_EQ(ring.dropped(), 0u);
+
+    // 13 pushes into 5 slots: the head stops at 13 % 5 == 3, mid-ring.
+    for (std::uint32_t i = 3; i < 13; ++i) {
+        ring.push({i, 2 * i, 7});
+    }
+    EXPECT_EQ(ring.recorded(), 13u);
+    EXPECT_EQ(ring.dropped(), 8u);
+    const std::vector<SmallEvent> window = ring.snapshot();
+    ASSERT_EQ(window.size(), kCapacity);
+    for (std::size_t j = 0; j < window.size(); ++j) {
+        EXPECT_EQ(window[j].seq, 8 + j);
+        EXPECT_EQ(window[j].twice, 2 * (8 + j));
+        EXPECT_EQ(window[j].tag, 7u);
+    }
+
+    // The words alone carry the ring: a copy, as read back from a dead
+    // producer's file, decodes to the same window.
+    std::vector<std::uint64_t> copy = words;
+    const Ring reread(copy.data(), kCapacity);
+    EXPECT_EQ(reread.recorded(), 13u);
+    EXPECT_EQ(reread.dropped(), 8u);
+    const std::vector<SmallEvent> again = reread.snapshot();
+    ASSERT_EQ(again.size(), window.size());
+    for (std::size_t j = 0; j < again.size(); ++j) {
+        EXPECT_EQ(again[j].seq, window[j].seq);
+    }
+
+    ring.reset();
+    EXPECT_EQ(ring.recorded(), 0u);
+    EXPECT_TRUE(ring.snapshot().empty());
+}
+
+TEST(EventRing, LiveRecorderMatchesItsRingFileAfterWrap)
+{
+    TempDir dir("fptc_event_ring_file");
+    const std::string ring_path = dir.file("rings.bin");
+    fptc::serve::FlightRecorder recorder(
+        {.ring_path = ring_path, .ring_capacity = 64, .generation = 5});
+    ASSERT_TRUE(recorder.file_backed());
+    using fptc::serve::FrecKind;
+    using fptc::serve::FrecRing;
+    // 150 and 70 events wrap their 64 slots with head % 64 = 22 and 6; the
+    // classifier ring stays partly filled.
+    for (std::uint64_t i = 0; i < 150; ++i) {
+        recorder.note(FrecRing::driver, FrecKind::ingest, i, 3 * i, 0);
+    }
+    for (std::uint64_t i = 0; i < 70; ++i) {
+        recorder.note(FrecRing::assembler, FrecKind::shed, 1000 + i, i, 2);
+    }
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        recorder.note(FrecRing::classifier, FrecKind::classify_end, 0, 500 + i, 1);
+    }
+    recorder.observe_exemplar(fptc::serve::FrecStage::ready_wait, 4000, 1042);
+
+    const fptc::serve::Postmortem live =
+        recorder.build_postmortem(fptc::serve::PostmortemReason::sigkill_reap, "", "");
+    std::optional<fptc::serve::Postmortem> file =
+        fptc::serve::FlightRecorder::read_ring_file(ring_path);
+    ASSERT_TRUE(file.has_value());
+    EXPECT_EQ(file->generation, 5u);
+    ASSERT_EQ(file->rings.size(), live.rings.size());
+    for (std::size_t r = 0; r < live.rings.size(); ++r) {
+        const auto& a = live.rings[r];
+        const auto& b = file->rings[r];
+        EXPECT_EQ(a.ring, b.ring);
+        EXPECT_EQ(a.recorded, b.recorded);
+        EXPECT_EQ(a.dropped, b.dropped);
+        ASSERT_EQ(a.events.size(), b.events.size());
+        for (std::size_t j = 0; j < a.events.size(); ++j) {
+            EXPECT_EQ(a.events[j].ts_ns, b.events[j].ts_ns);
+            EXPECT_EQ(a.events[j].flow_id, b.events[j].flow_id);
+            EXPECT_EQ(a.events[j].arg, b.events[j].arg);
+            EXPECT_EQ(a.events[j].kind, b.events[j].kind);
+            EXPECT_EQ(a.events[j].detail, b.events[j].detail);
+        }
+    }
+    EXPECT_EQ(live.rings[0].dropped, 86u);
+    EXPECT_EQ(live.rings[0].events.front().flow_id, 86u);
+    EXPECT_EQ(live.rings[0].events.back().arg, 3u * 149);
+    EXPECT_EQ(live.rings[1].events.front().flow_id, 1006u);
+    EXPECT_EQ(live.rings[1].events.front().detail, 2u);
+    EXPECT_EQ(live.rings[2].events.size(), 3u);
+    // Everything the codec carries agrees, exemplars included.
+    file->reason = live.reason;
+    EXPECT_EQ(fptc::serve::encode_postmortem(*file), fptc::serve::encode_postmortem(live));
+    recorder.remove_backing();
+}
+
+/// Both words carry the sequence number, so a torn read shows.
+struct SeqEvent {
+    std::uint64_t seq = 0;
+    std::uint64_t check = 0;
+};
+
+TEST(EventRing, ReaderSnapshotsWhileProducerPushes)
+{
+    using Ring = util::EventRing<SeqEvent>;
+    constexpr std::size_t kCapacity = 128;
+    constexpr std::uint64_t kEvents = 200000;
+    std::vector<std::uint64_t> words(Ring::words(kCapacity), 0);
+    Ring ring(words.data(), kCapacity);
+    std::atomic<bool> done{false};
+    std::thread producer([&] {
+        for (std::uint64_t i = 0; i < kEvents; ++i) {
+            ring.push({i, ~i});
+        }
+        done.store(true, std::memory_order_release);
+    });
+    // A slot only ever holds events whose sequence number is its index mod
+    // the capacity, so even an event the producer overwrote mid-read keeps
+    // each word in its slot's residue class; consecutive slots, consecutive
+    // residues.
+    std::uint64_t last_recorded = 0;
+    bool producer_done = false;
+    do {
+        producer_done = done.load(std::memory_order_acquire);
+        const std::vector<SeqEvent> window = ring.snapshot();
+        ASSERT_LE(window.size(), kCapacity);
+        for (std::size_t j = 0; j < window.size(); ++j) {
+            ASSERT_EQ(window[j].seq % kCapacity, (window[0].seq + j) % kCapacity);
+            ASSERT_EQ((~window[j].check) % kCapacity, (window[0].seq + j) % kCapacity);
+        }
+        const std::uint64_t recorded = ring.recorded();
+        ASSERT_GE(recorded, last_recorded);
+        last_recorded = recorded;
+    } while (!producer_done);
+    producer.join();
+    EXPECT_EQ(ring.recorded(), kEvents);
+    EXPECT_EQ(ring.dropped(), kEvents - kCapacity);
+    const std::vector<SeqEvent> window = ring.snapshot();
+    ASSERT_EQ(window.size(), kCapacity);
+    for (std::size_t j = 0; j < window.size(); ++j) {
+        EXPECT_EQ(window[j].seq, kEvents - kCapacity + j);
+        EXPECT_EQ(window[j].check, ~window[j].seq);
     }
 }
 
