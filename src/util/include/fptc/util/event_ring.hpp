@@ -56,12 +56,12 @@ public:
     /// through the same view.
     void push(const Event& event) noexcept
     {
-        std::uint64_t words[kSlotWords] = {};
-        std::memcpy(words, &event, sizeof(Event));
+        std::uint64_t raw[kSlotWords] = {};
+        std::memcpy(raw, &event, sizeof(Event));
         std::uint64_t* slot = base_ + 1 + next_ * kSlotWords;
 #pragma GCC unroll 16
         for (std::size_t w = 0; w < kSlotWords; ++w) {
-            std::atomic_ref<std::uint64_t>(slot[w]).store(words[w], std::memory_order_relaxed);
+            std::atomic_ref<std::uint64_t>(slot[w]).store(raw[w], std::memory_order_relaxed);
         }
         next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
         const std::uint64_t head = head_ref().load(std::memory_order_relaxed);
@@ -79,12 +79,12 @@ public:
         for (std::uint64_t i = 0; i < count; ++i) {
             std::uint64_t* slot = base_ + 1 + index * kSlotWords;
             index = index + 1 == capacity_ ? 0 : index + 1;
-            std::uint64_t words[kSlotWords] = {};
+            std::uint64_t raw[kSlotWords] = {};
             for (std::size_t w = 0; w < kSlotWords; ++w) {
-                words[w] = std::atomic_ref<std::uint64_t>(slot[w]).load(std::memory_order_relaxed);
+                raw[w] = std::atomic_ref<std::uint64_t>(slot[w]).load(std::memory_order_relaxed);
             }
             Event event;
-            std::memcpy(&event, words, sizeof(Event));
+            std::memcpy(&event, raw, sizeof(Event));
             out.push_back(event);
         }
         return out;
