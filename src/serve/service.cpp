@@ -271,13 +271,19 @@ struct SnapshotMarker {
     std::uint64_t events_dropped_queue = 0;
 };
 
-/// Ingest-queue payload: a packet event or a snapshot marker, stamped at
-/// enqueue for the sojourn-time admission controller.
-struct IngestItem {
-    PacketEvent event{};
-    bool is_marker = false;
-    SnapshotMarker cut{};
+/// Events per ingest push, and so per assembler loop.  A push per event
+/// wakes an assembler that keeps pace for nearly every event, and such
+/// replays run at half the events/sec of those where it lags.
+constexpr std::size_t kIngestBatch = 256;
+
+/// Ingest-queue payload: up to kIngestBatch events, stamped once when the
+/// first of them was staged, and an optional snapshot marker that follows
+/// the last of them.
+struct IngestBatch {
+    std::vector<PacketEvent> events;
     std::chrono::steady_clock::time_point enqueued{};
+    bool has_marker = false;
+    SnapshotMarker cut{};
 };
 
 /// Ready-queue payload: a window-closed flow stamped at enqueue.
@@ -310,7 +316,10 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
     // Accepted reloads; persisted in the snapshot header, not a counter row.
     std::atomic<std::uint32_t> model_generation{snap.has_value() ? snap->model_generation : 0};
     instruments.generation.set(static_cast<std::int64_t>(config_.generation));
-    BoundedQueue<IngestItem> ingest(config_.queue_depth);
+    // The ingest capacity stays counted in events, rounded up to whole
+    // batches: queue_depth 1 still holds one event.
+    const std::size_t ingest_batch = std::clamp(config_.queue_depth, std::size_t{1}, kIngestBatch);
+    BoundedQueue<IngestBatch> ingest((config_.queue_depth + ingest_batch - 1) / ingest_batch);
     BoundedQueue<StampedFlow> ready(config_.ready_depth);
 
     // ---- flight recorder: per-thread lifecycle rings ----------------------
@@ -440,7 +449,6 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 ::raise(SIGKILL);
             }
         };
-        std::vector<IngestItem> items;
         const auto offer = [&](ReadyFlow&& flow, bool final_flush) {
             // The assembly stage ends here: first packet seen -> window
             // closed and offered downstream.
@@ -462,74 +470,76 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                 counters.add<C::shed_queue_full>();
                 frec_note(FrecRing::assembler, FrecKind::shed, flow_id, 1,
                           static_cast<std::uint32_t>(FrecShed::queue_full));
-            } else {
+            } else if (recorder.has_value()) {
+                // ready.size() locks the ready queue: read it only when the
+                // note is recorded, so a disabled probe stays one load.
                 frec_note(FrecRing::assembler, FrecKind::batch_enqueue, flow_id,
                           ready.size());
             }
         };
         for (;;) {
             watchdog.beat(wd_assembler);
-            items.clear();
-            const std::size_t taken =
-                ingest.drain(items, 256, std::chrono::milliseconds(20));
-            for (IngestItem& item : items) {
-                if (item.is_marker) {
-                    write_snapshot(item.cut);
-                    continue;
+            std::optional<IngestBatch> batch = ingest.pop(std::chrono::milliseconds(20));
+            if (batch.has_value()) {
+                // The ingest-wait stage ends at dequeue, whatever each
+                // event's fate below.  Every event of a batch is timed from
+                // the batch's stamp, and CoDel judges that sojourn.
+                const std::uint64_t wait_ns = elapsed_ns(batch->enqueued);
+                const double sojourn_ms = static_cast<double>(wait_ns) / 1e6;
+                const double now_ms = admission.enabled() ? steady_now_ms() : 0.0;
+                for (const PacketEvent& event : batch->events) {
+                    instruments.stage_ingest_wait.observe(wait_ns);
+                    frec_exemplar(FrecStage::ingest_wait, wait_ns, event.flow_id);
+                    if (admission.enabled() && admission.should_drop(sojourn_ms, now_ms)) {
+                        // Sojourn over the SLO for a sustained interval: the
+                        // event is doomed work — drop it before it costs
+                        // table space and classify time (event-level, typed).
+                        counters.add<C::events_dropped_slo>();
+                        frec_note(FrecRing::assembler, FrecKind::codel_drop, event.flow_id,
+                                  wait_ns);
+                        continue;
+                    }
+                    if (const char* reason = validate(event); reason != nullptr) {
+                        (void)reason;
+                        counters.add<C::events_quarantined>();
+                        frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id);
+                        continue;
+                    }
+                    stream_now = std::max(stream_now, event.timestamp);
+                    const AddOutcome outcome = table.add_packet(event);
+                    if (outcome.quarantined_backwards) {
+                        // Trust boundary: a packet time-warping backwards inside
+                        // its flow is dropped before it can poison the window.
+                        // Event-level, typed; the flow itself keeps serving.
+                        counters.add<C::events_quarantined_backwards>();
+                        frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id, 0, 1);
+                        continue;
+                    }
+                    if (outcome.new_flow) {
+                        counters.add<C::flows_ingested>();
+                        frec_note(FrecRing::assembler, FrecKind::admit, event.flow_id,
+                                  table.size());
+                    }
+                    if (outcome.evicted > 0 || outcome.shed_self) {
+                        const std::uint64_t shed =
+                            outcome.evicted + (outcome.shed_self ? 1 : 0);
+                        counters.add<C::shed_mem_budget>(shed);
+                        frec_note(FrecRing::assembler, FrecKind::shed, event.flow_id, shed,
+                                  static_cast<std::uint32_t>(FrecShed::mem_budget));
+                    }
+                    if (!outcome.admitted && !outcome.new_flow && !outcome.shed_self) {
+                        counters.add<C::events_dropped_mem>();
+                    }
                 }
-                // The ingest-wait stage ends at dequeue, whatever the
-                // event's fate below.
-                const std::uint64_t wait_ns = elapsed_ns(item.enqueued);
-                instruments.stage_ingest_wait.observe(wait_ns);
-                frec_exemplar(FrecStage::ingest_wait, wait_ns, item.event.flow_id);
-                if (admission.enabled() &&
-                    admission.should_drop(elapsed_ms(item.enqueued), steady_now_ms())) {
-                    // Sojourn over the SLO for a sustained interval: the
-                    // event is doomed work — drop it before it costs table
-                    // space and classify time (event-level, typed).
-                    counters.add<C::events_dropped_slo>();
-                    frec_note(FrecRing::assembler, FrecKind::codel_drop, item.event.flow_id,
-                              wait_ns);
-                    continue;
-                }
-                const PacketEvent& event = item.event;
-                if (const char* reason = validate(event); reason != nullptr) {
-                    (void)reason;
-                    counters.add<C::events_quarantined>();
-                    frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id);
-                    continue;
-                }
-                stream_now = std::max(stream_now, event.timestamp);
-                const AddOutcome outcome = table.add_packet(event);
-                if (outcome.quarantined_backwards) {
-                    // Trust boundary: a packet time-warping backwards inside
-                    // its flow is dropped before it can poison the window.
-                    // Event-level, typed; the flow itself keeps serving.
-                    counters.add<C::events_quarantined_backwards>();
-                    frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id, 0, 1);
-                    continue;
-                }
-                if (outcome.new_flow) {
-                    counters.add<C::flows_ingested>();
-                    frec_note(FrecRing::assembler, FrecKind::admit, event.flow_id,
-                              table.size());
-                }
-                if (outcome.evicted > 0 || outcome.shed_self) {
-                    const std::uint64_t shed =
-                        outcome.evicted + (outcome.shed_self ? 1 : 0);
-                    counters.add<C::shed_mem_budget>(shed);
-                    frec_note(FrecRing::assembler, FrecKind::shed, event.flow_id, shed,
-                              static_cast<std::uint32_t>(FrecShed::mem_budget));
-                }
-                if (!outcome.admitted && !outcome.new_flow && !outcome.shed_self) {
-                    counters.add<C::events_dropped_mem>();
+                if (batch->has_marker) {
+                    write_snapshot(batch->cut);
                 }
             }
             for (ReadyFlow& flow : table.pop_ready(stream_now)) {
                 offer(std::move(flow), false);
             }
             instruments.flows_active.set(static_cast<std::int64_t>(table.size()));
-            if (taken == 0 && ingest.closed() && ingest.size() == 0) {
+            if (!batch.has_value() && ingest.closed() && ingest.size() == 0) {
                 break;
             }
         }
@@ -889,46 +899,80 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             (config_.snapshot_period_s > 0.0 || config_.snapshot_every > 0);
         auto last_marker = std::chrono::steady_clock::now();
         std::uint64_t events_since_marker = 0;
-        while (auto event = stream.next()) {
-            watchdog.beat(wd_driver);
-            const std::uint64_t events_total = counters.add<C::events_total>();
-            // Bounded backpressure: tolerate a short stall (a capture
-            // buffer's worth), then shed the event with a typed reason —
-            // the driver never blocks indefinitely on a wedged assembler.
-            if (!ingest.push_wait(
-                    IngestItem{*event, false, {}, std::chrono::steady_clock::now()},
-                    std::chrono::milliseconds(20))) {
-                counters.add<C::events_dropped_queue>();
-                frec_note(FrecRing::driver, FrecKind::shed, event->flow_id, 1,
-                          static_cast<std::uint32_t>(FrecShed::queue_full));
-            } else {
-                frec_note(FrecRing::driver, FrecKind::ingest, event->flow_id, events_total);
+        // The driver's exact running total; its counter slot is caught up
+        // once per published batch.
+        std::uint64_t events_total = counters.get<C::events_total>();
+        IngestBatch staged;
+        std::vector<std::uint64_t> noted_flows;
+        const auto publish = [&] {
+            if (staged.events.empty()) {
+                return;
             }
+            watchdog.beat(wd_driver);
+            const std::uint64_t size = staged.events.size();
+            counters.add<C::events_total>(size);
+            // push_wait consumes the batch even when it refuses it: keep the
+            // flow ids the driver ring notes after the push.
+            noted_flows.clear();
+            if (recorder.has_value()) {
+                for (const PacketEvent& event : staged.events) {
+                    noted_flows.push_back(event.flow_id);
+                }
+            }
+            // Bounded backpressure: tolerate a short stall (a capture
+            // buffer's worth), then shed the whole batch with a typed
+            // reason — the driver never blocks indefinitely on a wedged
+            // assembler.  A batch carrying a marker gets the marker's
+            // longer grace.
+            const auto grace = std::chrono::milliseconds(staged.has_marker ? 200 : 20);
+            const bool queued = ingest.push_wait(std::move(staged), grace);
+            if (!queued) {
+                counters.add<C::events_dropped_queue>(size);
+            }
+            std::uint64_t total = events_total - size;
+            for (const std::uint64_t flow_id : noted_flows) {
+                if (queued) {
+                    frec_note(FrecRing::driver, FrecKind::ingest, flow_id, ++total);
+                } else {
+                    frec_note(FrecRing::driver, FrecKind::shed, flow_id, 1,
+                              static_cast<std::uint32_t>(FrecShed::queue_full));
+                }
+            }
+            staged = IngestBatch{};
+        };
+        while (auto event = stream.next()) {
+            if (staged.events.empty()) {
+                staged.events.reserve(ingest_batch);
+                staged.enqueued = std::chrono::steady_clock::now();
+            }
+            staged.events.push_back(*event);
+            ++events_total;
             ++events_since_marker;
+            const bool full = staged.events.size() >= ingest_batch;
             if (snapshots_on &&
-                ((config_.snapshot_period_s > 0.0 &&
-                  elapsed_ms(last_marker) >= config_.snapshot_period_s * 1000.0) ||
-                 (config_.snapshot_every > 0 && events_since_marker >= config_.snapshot_every))) {
-                // Consistent cut: the marker rides the FIFO queue carrying
-                // the driver's exact counters, so when the assembler
-                // dequeues it, table + assembler counters agree with the
-                // watermark precisely.
-                IngestItem marker;
-                marker.is_marker = true;
-                marker.cut =
-                    SnapshotMarker{events_total, counters.get<C::events_dropped_queue>()};
-                marker.enqueued = std::chrono::steady_clock::now();
-                // A refused marker just skips one snapshot period; the
-                // cadence clock resets either way so a saturated queue is
-                // not hammered with markers.
-                (void)ingest.push_wait(std::move(marker), std::chrono::milliseconds(200));
+                ((config_.snapshot_every > 0 && events_since_marker >= config_.snapshot_every) ||
+                 (full && config_.snapshot_period_s > 0.0 &&
+                  elapsed_ms(last_marker) >= config_.snapshot_period_s * 1000.0))) {
+                // Consistent cut: the marker follows the batch's last event
+                // through the FIFO queue, carrying the driver's exact
+                // counters, so when the assembler reaches it, table +
+                // assembler counters agree with the watermark precisely.
+                // A refused batch takes its marker along: that skips one
+                // snapshot period, and the cadence resets either way so a
+                // saturated queue is not hammered with markers.
+                staged.has_marker = true;
+                staged.cut = SnapshotMarker{events_total, counters.get<C::events_dropped_queue>()};
+                publish();
                 last_marker = std::chrono::steady_clock::now();
                 events_since_marker = 0;
+            } else if (full) {
+                publish();
             }
             if (util::shutdown_requested()) {
                 break;
             }
         }
+        publish();  // the end of the stream, or a shutdown
     }
     watchdog.mark_done(wd_driver);
     ingest.close();

@@ -11,6 +11,9 @@
 #     cut by the batch deadline as typed `deadline` sheds, the circuit
 #     breaker trips down the degradation ladder AND recovers via half-open
 #     probes once the stalls stop,
+#   * tiny ingest queue (FPTC_SERVE_QUEUE_DEPTH=300 + a one-flow ready
+#     queue + backend stalls): the driver drops whole event batches as typed
+#     `dropped_queue` counts, and flow accounting still balances,
 #   * packet mangling (FPTC_FAULT_SERVE_MANGLE_PACKETS): every corrupted
 #     event is quarantined at ingest validation — the binary cross-checks
 #     quarantined == the stream's mangle oracle exactly,
@@ -112,7 +115,7 @@ run_serve() {
     if ! (cd "$dir" && env FPTC_SERVE_FLOWS="$FLOWS" "$@" "$BIN" \
             >"$dir/stdout.txt" 2>"$dir/stderr.txt"); then
         echo "run_serve_torture: FAIL: scenario '$scenario' exited nonzero:" >&2
-        tail -20 "$dir/stdout.txt" "$dir/stderr.txt" >&2 || true
+        tail -n 20 "$dir/stdout.txt" "$dir/stderr.txt" >&2 || true
         exit 1
     fi
     if ! grep -q '^SERVE_OK$' "$dir/stdout.txt"; then
@@ -290,6 +293,18 @@ require_pos stall recoveries "$(summary_field "$WORK/stall" recoveries)"
 echo "run_serve_torture: stall ok (trips=$(summary_field "$WORK/stall" trips)," \
      "recoveries=$(summary_field "$WORK/stall" recoveries)," \
      "shed_deadline=$(summary_field "$WORK/stall" shed_deadline))"
+
+# ---- tiny ingest queue: whole-batch drops, every event counted --------------
+# The wedged backend backs up through a one-flow ready queue into the
+# assembler, so the driver's pushes into a 300-event ingest queue (two
+# 256-event batches) time out and drop whole batches.  The flows those
+# events belonged to must still balance (accounted=1, no MemBudget leak).
+echo "run_serve_torture: tiny ingest queue (300 events, 1-flow ready queue, backend stalls)..."
+run_serve tiny_queue FPTC_SERVE_QUEUE_DEPTH=300 FPTC_SERVE_READY_DEPTH=1 \
+    FPTC_FAULT_SERVE_STALL_BACKEND=3 FPTC_SERVE_DEADLINE_MS=100 FPTC_SERVE_BREAKER_COOLDOWN=2
+require_pos tiny_queue dropped_queue "$(summary_field "$WORK/tiny_queue" dropped_queue)"
+echo "run_serve_torture: tiny_queue ok" \
+     "(dropped_queue=$(summary_field "$WORK/tiny_queue" dropped_queue))"
 
 # ---- packet mangling: quarantine every corrupted event ----------------------
 echo "run_serve_torture: mangling ~10% of packet events..."

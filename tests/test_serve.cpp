@@ -5,12 +5,14 @@
 #include "fptc/serve/backend.hpp"
 #include "fptc/serve/breaker.hpp"
 #include "fptc/serve/event.hpp"
+#include "fptc/serve/flightrec.hpp"
 #include "fptc/serve/flow_table.hpp"
 #include "fptc/serve/queue.hpp"
 #include "fptc/serve/service.hpp"
 #include "fptc/serve/stream.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/membudget.hpp"
+#include "fptc/util/telemetry.hpp"
 
 #include "fptc/util/env.hpp"
 
@@ -350,6 +352,34 @@ TEST(ServeService, BackendStallTripsBreakerAndShedsTyped)
     EXPECT_GT(report.shed_deadline, 0u);
     EXPECT_GT(report.breaker_trips, 0u);
     EXPECT_GT(report.breaker_recoveries, 0u);
+    EXPECT_TRUE(report.accounted());
+    EXPECT_EQ(util::mem_budget().in_use(), before);
+}
+
+TEST(ServeService, IngestQueueDropsCountEveryEventOfARefusedBatch)
+{
+    util::FaultPlan plan;
+    plan.serve_stall_backend = 2;
+    const FaultGuard guard(plan);
+
+    // The stalled classifier backs up through a one-flow ready queue into
+    // the assembler, so the driver's pushes into a small ingest queue time
+    // out.  300 events is not a multiple of the 256-event batch: the queue
+    // holds two batches.
+    auto config = quick_config();
+    config.deadline_ms = 200.0;
+    config.ready_depth = 1;
+    config.queue_depth = 300;
+    const util::Histogram& ingest_wait = util::metrics().histogram(
+        serve::frec_stage_metric_name(serve::FrecStage::ingest_wait));
+    const std::uint64_t waits_before = ingest_wait.count();
+    const std::size_t before = util::mem_budget().in_use();
+    const auto report = run_service(config, 60);
+    EXPECT_GT(report.events_dropped_queue, 0u);
+    // Every event is either dequeued (one ingest-wait observation) or
+    // dropped at the ingest queue, and a refused batch counts all of its.
+    EXPECT_EQ(ingest_wait.count() - waits_before + report.events_dropped_queue,
+              report.events_total);
     EXPECT_TRUE(report.accounted());
     EXPECT_EQ(util::mem_budget().in_use(), before);
 }
