@@ -307,8 +307,14 @@ echo "run_serve_torture: tiny_queue ok" \
      "(dropped_queue=$(summary_field "$WORK/tiny_queue" dropped_queue))"
 
 # ---- packet mangling: quarantine every corrupted event ----------------------
+# The exact oracle (quarantined == mangled) needs every event to reach
+# validation.  The driver runs ahead and keeps the ingest queue full, so an
+# assembler blocked for 20 ms on a full ready queue behind a slow (sanitizer)
+# classifier drops a whole 256-event batch before validation.  Provision the
+# ready queue past the flow count, as for nominal: a slow classifier can only
+# delay, never drop.  Ingest drops have their own stage (tiny_queue).
 echo "run_serve_torture: mangling ~10% of packet events..."
-run_serve mangle FPTC_FAULT_SERVE_MANGLE_PACKETS=10
+run_serve mangle FPTC_FAULT_SERVE_MANGLE_PACKETS=10 FPTC_SERVE_READY_DEPTH=512
 require_pos mangle quarantined "$(summary_field "$WORK/mangle" quarantined)"
 # quarantined == mangled oracle is asserted inside the binary (SERVE_OK);
 # double-check the json agrees for belt and braces.
@@ -529,9 +535,12 @@ if [ "$QUICK" = 1 ]; then
 else
     SEEDS="1 2 3"
 fi
+# The ready queue is provisioned past the flow count for the same reason as
+# in mangle: the quarantine oracle needs every event to reach validation.
 for seed in $SEEDS; do
     echo "run_serve_torture: combined chaos (stall + mangle + burst, seed $seed)..."
     run_serve "chaos$seed" FPTC_SERVE_SEED="$seed" FPTC_FAULT_SEED="$seed" \
+        FPTC_SERVE_READY_DEPTH=512 \
         FPTC_FAULT_SERVE_STALL_BACKEND=3 FPTC_FAULT_SERVE_MANGLE_PACKETS=5 \
         FPTC_FAULT_SERVE_BURST=32 \
         FPTC_SERVE_DEADLINE_MS=100 FPTC_SERVE_BREAKER_COOLDOWN=2 \
