@@ -6,6 +6,14 @@
 //   flow table (rolling 15 s windows, LRU eviction)  --ready flows-->
 //   [ready queue]  --classifier thread-->  breaker-picked backend --> labels
 //
+// Source layout: each stage is one class with a run() loop in its own file
+// (src/serve/driver.cpp, assembler.cpp, classifier.cpp), declared with the
+// counters, instruments and queue payloads they share in the private
+// src/serve/pipeline.hpp.  service.cpp holds this header's config and
+// report, and StreamingClassifier::run wires the stages, the snapshot
+// restore, the flight recorder, the postmortem hook and the watchdog
+// together.  status.cpp renders and writes the live status file.
+//
 // Robustness contract (the torture gate's assertions):
 //
 //   * The service never aborts: malformed events are quarantined, overload
@@ -37,7 +45,8 @@
 // deterministic stream past the watermark, and accounts the bounded loss
 // window as restart_loss sheds.  A watchdog thread detects wedged pipeline
 // threads (FPTC_FAULT_SERVE_HANG) and hang-exits so the supervisor can
-// recover.
+// recover; its poll also refreshes a supervised worker's heartbeat file and
+// exports the live status file, so a worker runs at most four threads.
 //
 // Metric names: the registry's JSON export does not escape instrument
 // names, so the shed taxonomy uses plain suffixed counters
@@ -65,16 +74,14 @@ struct ServeConfig {
     double window_seconds = 15.0;     ///< FPTC_SERVE_WINDOW_S: flowpic window
     double deadline_ms = 500.0;       ///< FPTC_SERVE_DEADLINE_MS: per-batch (0 = off)
     std::size_t mem_mb = 64;          ///< FPTC_SERVE_MEM_MB: flow-table byte cap
-    double breaker_p99_ms = 250.0;    ///< FPTC_SERVE_BREAKER_P99_MS
-    int breaker_failures = 3;         ///< FPTC_SERVE_BREAKER_FAILURES
-    int breaker_cooldown = 8;         ///< FPTC_SERVE_BREAKER_COOLDOWN batches
+    int breaker_cooldown = 8;         ///< FPTC_SERVE_BREAKER_COOLDOWN batches (breaker.hpp)
     std::size_t flowpic_dim = 32;     ///< full-tier flowpic resolution
     std::size_t reduced_dim = 16;     ///< reduced-tier flowpic resolution
     std::size_t num_classes = 5;
 
-    // Hard latency SLO (CoDel sojourn admission at both queues; admission.hpp).
+    // Hard latency SLO (CoDel sojourn admission at both queues, 100 ms
+    // interval; admission.hpp).
     double slo_ms = 0.0;              ///< FPTC_SERVE_SLO_MS: queue-sojourn target (0 = off)
-    double slo_interval_ms = 100.0;   ///< FPTC_SERVE_SLO_INTERVAL_MS: CoDel interval
 
     // Durable flow-state snapshots (snapshot.hpp).
     std::string snapshot_path;        ///< FPTC_SERVE_SNAPSHOT: snapshot file (empty = off)
@@ -94,15 +101,14 @@ struct ServeConfig {
     std::size_t drift_rate_window = 128; ///< FPTC_SERVE_DRIFT_RATE_WINDOW
     double drift_rate_thresh = 0.0;   ///< FPTC_SERVE_DRIFT_RATE_THRESH: L1 (0 = off)
 
-    // Canary-gated hot reload (reload.hpp).  Empty path disables.
+    // Canary-gated hot reload (reload.hpp: 12 golden flows per class, 0.1
+    // accuracy slack).  Empty path disables.
     std::string reload_path;          ///< FPTC_SERVE_RELOAD: candidate checkpoint
-    double reload_tolerance = 0.1;    ///< FPTC_SERVE_RELOAD_TOL: golden-accuracy slack
-    std::size_t reload_canary_flows = 12; ///< FPTC_SERVE_RELOAD_CANARY: flows/class
     std::uint64_t reload_every = 8;   ///< FPTC_SERVE_RELOAD_EVERY: poll cadence (batches)
 
-    // Supervision (watchdog.hpp, supervisor.hpp).
+    // Supervision (watchdog.hpp, supervisor.hpp).  A supervised worker with a
+    // snapshot also refreshes serve_heartbeat_path(snapshot_path).
     double hang_stall_s = 0.0;        ///< FPTC_SERVE_HANG_S: watchdog stall budget (0 = off)
-    std::string heartbeat_path;       ///< FPTC_SERVE_HEARTBEAT: liveness file for supervisor
     bool gbt_only = false;            ///< FPTC_SERVE_GBT_ONLY: clamp ladder to fallback tier
     std::uint32_t generation = 0;     ///< FPTC_SERVE_GENERATION: worker restart count
 
@@ -111,9 +117,9 @@ struct ServeConfig {
     bool flightrec = false;           ///< FPTC_SERVE_FLIGHTREC: record lifecycle events
     std::string postmortem_path;      ///< FPTC_SERVE_POSTMORTEM: crash dump file ("" = off)
 
-    // Live introspection (status.hpp).
+    // Live introspection: the watchdog thread exports the status file.
     std::string status_path;          ///< FPTC_SERVE_STATUS: status file ("" = off)
-    double status_period_s = 1.0;     ///< FPTC_SERVE_STATUS_S: export cadence
+    double status_period_s = 1.0;     ///< FPTC_SERVE_STATUS_S: export cadence (>= 0.05)
 
     /// Extra entropy mixed into fingerprint() — the bench sets this from the
     /// stream identity (seed/flows/arrival), so a snapshot is never restored
@@ -150,7 +156,7 @@ struct ServeReport : ServeCounters {
     std::uint64_t restore_refused = 0;  ///< restored flows the budget refused (typed mem sheds)
     std::uint32_t generation = 0;       ///< worker generation (restart count)
 
-    // Flight recorder + live status (flightrec.hpp, status.hpp).
+    // Flight recorder + live status (flightrec.hpp, FPTC_SERVE_STATUS).
     std::uint64_t frec_events = 0;      ///< lifecycle events recorded across rings
     std::uint64_t frec_dropped = 0;     ///< events overwritten by ring wrap-around
     std::uint64_t status_writes = 0;    ///< status-file exports this generation
@@ -163,7 +169,10 @@ class StreamingClassifier {
 public:
     /// Backends must outlive the classifier.
     StreamingClassifier(const ServeConfig& config, Backend& full, Backend& reduced,
-                        Backend& fallback);
+                        Backend& fallback)
+        : config_(config), full_(full), reduced_(reduced), fallback_(fallback)
+    {
+    }
 
     /// Drive `stream` to completion (or until a SIGTERM shutdown request),
     /// then drain and join both pipeline threads.  Never throws for data-,

@@ -33,9 +33,11 @@
 //     failed check behind a clean exit.
 //
 // Liveness is watched two ways: waitpid catches death, and the heartbeat
-// file the worker's watchdog refreshes every poll catches a worker so
-// wedged that even its own watchdog thread is stuck — staleness past the
-// budget draws a SIGKILL and the normal restart path takes over.
+// file (serve_heartbeat_path, next to the snapshot) the worker's watchdog
+// refreshes every poll catches a worker so wedged that even its own
+// watchdog thread is stuck — a file older than 20 s draws a SIGKILL and the
+// normal restart path takes over.  Without a snapshot there is no
+// heartbeat, and waitpid alone watches the worker.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,7 @@ struct SupervisorConfig {
     int max_restarts = 3;            ///< FPTC_SERVE_MAX_RESTARTS: respawns before giving up
     double backoff_ms = 200.0;       ///< FPTC_SERVE_BACKOFF_MS: base of the exponential backoff
     double backoff_cap_ms = 5000.0;  ///< ceiling on a single backoff sleep
-    double heartbeat_stale_s = 20.0; ///< heartbeat file older than this => SIGKILL the worker
-    std::string heartbeat_path;      ///< FPTC_SERVE_HEARTBEAT: liveness file shared with worker
+    std::string heartbeat_path;      ///< serve_heartbeat_path(snapshot_path)
     std::string snapshot_path;       ///< FPTC_SERVE_SNAPSHOT: scavenged + preserved across restarts
     std::string postmortem_path;     ///< FPTC_SERVE_POSTMORTEM: sealed from a signalled worker's rings
 
@@ -78,6 +79,12 @@ struct SupervisorConfig {
 
 /// True when this process is a supervisor-spawned worker.
 [[nodiscard]] bool is_serve_worker();
+
+/// The liveness file of a supervised run with snapshots at
+/// `snapshot_path`: "<snapshot_path>.heartbeat", or "" (no heartbeat)
+/// without a snapshot.  The worker's watchdog refreshes it and the
+/// supervisor watches it, both through this one function.
+[[nodiscard]] std::string serve_heartbeat_path(const std::string& snapshot_path);
 
 /// This worker's generation (0 when unsupervised or first launch).
 [[nodiscard]] std::uint32_t serve_generation();

@@ -16,7 +16,9 @@
 //
 // The same poll loop refreshes the external heartbeat file the supervisor
 // watches, so "worker wedged so hard even the watchdog thread is stuck"
-// is also covered: the file goes stale and the supervisor SIGKILLs.
+// is also covered: the file goes stale and the supervisor SIGKILLs.  It
+// also runs the caller's on_poll hook (the serve status export), so a
+// worker has one periodic thread.
 //
 // Slots distinguish three states: active (stall-checked), idle (blocked on
 // intentionally-unbounded waits, e.g. a closed-queue drain — not checked),
@@ -53,7 +55,9 @@ struct WatchdogConfig {
 
 class Watchdog {
 public:
-    explicit Watchdog(WatchdogConfig config);
+    /// `on_poll` runs on every poll, after the heartbeat, and once from
+    /// start() on the caller's thread; a set hook alone enables the thread.
+    explicit Watchdog(WatchdogConfig config, std::function<void()> on_poll = {});
     ~Watchdog();
 
     Watchdog(const Watchdog&) = delete;
@@ -76,7 +80,8 @@ public:
 
     [[nodiscard]] bool enabled() const noexcept
     {
-        return config_.stall_seconds > 0.0 || !config_.heartbeat_path.empty();
+        return config_.stall_seconds > 0.0 || !config_.heartbeat_path.empty() ||
+               on_poll_ != nullptr;
     }
 
 private:
@@ -90,9 +95,10 @@ private:
 
     [[nodiscard]] static std::int64_t now_ns();
     void run();
-    void touch_heartbeat() const;
+    void poll_tasks() const;
 
     WatchdogConfig config_;
+    std::function<void()> on_poll_;
     std::vector<std::unique_ptr<Slot>> slots_;
     std::thread thread_;
     std::atomic<bool> stop_{false};

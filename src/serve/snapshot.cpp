@@ -100,6 +100,14 @@ std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
     return snapshot;
 }
 
+std::uint64_t restart_loss(const ServeSnapshot& snapshot)
+{
+    const ServeCounters& base = snapshot.counters;
+    const std::uint64_t accounted_at_cut =
+        base.flows_classified + base.flows_unknown + base.shed_total() + snapshot.flows.size();
+    return base.flows_ingested > accounted_at_cut ? base.flows_ingested - accounted_at_cut : 0;
+}
+
 void save_snapshot(const std::string& path, const ServeSnapshot& snapshot)
 {
     util::DurableFile::write_file(path, encode_snapshot(snapshot));

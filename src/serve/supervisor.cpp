@@ -25,6 +25,10 @@ namespace fptc::serve {
 
 namespace {
 
+/// A heartbeat file older than this draws a SIGKILL for the worker.  The
+/// worker's watchdog refreshes it every 0.25 s or sooner.
+constexpr double kHeartbeatStaleSeconds = 20.0;
+
 /// Wall-clock seconds (heartbeat staleness compares against file mtime,
 /// which is realtime).
 [[nodiscard]] double wall_seconds()
@@ -128,16 +132,8 @@ SupervisorConfig SupervisorConfig::from_env()
     if (const auto v = util::env_double("FPTC_SERVE_BACKOFF_MS")) {
         config.backoff_ms = *v;
     }
-    if (const auto v = util::env_double("FPTC_SERVE_HEARTBEAT_STALE_S")) {
-        config.heartbeat_stale_s = *v;
-    }
-    config.heartbeat_path = util::env_string("FPTC_SERVE_HEARTBEAT");
     config.snapshot_path = util::env_string("FPTC_SERVE_SNAPSHOT");
-    if (config.heartbeat_path.empty() && !config.snapshot_path.empty()) {
-        // Default the liveness file next to the snapshot so one knob
-        // (FPTC_SERVE_SNAPSHOT) yields a fully wired supervised setup.
-        config.heartbeat_path = config.snapshot_path + ".heartbeat";
-    }
+    config.heartbeat_path = serve_heartbeat_path(config.snapshot_path);
     config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");
     return config;
 }
@@ -152,6 +148,11 @@ double backoff_delay_ms(const SupervisorConfig& config, int restart)
         }
     }
     return delay < config.backoff_cap_ms ? delay : config.backoff_cap_ms;
+}
+
+std::string serve_heartbeat_path(const std::string& snapshot_path)
+{
+    return snapshot_path.empty() ? std::string{} : snapshot_path + ".heartbeat";
 }
 
 bool is_serve_worker()
@@ -194,9 +195,6 @@ int run_supervisor(const SupervisorConfig& config)
             {kServeRoleEnv, kServeRoleWorker, false},
             {kServeGenerationEnv, std::to_string(restarts), false},
         };
-        if (!config.heartbeat_path.empty()) {
-            env.push_back({"FPTC_SERVE_HEARTBEAT", config.heartbeat_path, false});
-        }
         if (!config.postmortem_path.empty()) {
             // The worker derives its ring file from this path, as the
             // supervisor does (frec_ring_path).
@@ -235,16 +233,15 @@ int run_supervisor(const SupervisorConfig& config)
                 util::log_info("serve supervisor: shutdown signal forwarded to worker");
                 return util::shutdown_exit_code(util::shutdown_signal());
             }
-            if (!config.heartbeat_path.empty() && config.heartbeat_stale_s > 0.0 &&
-                !killed_for_stall) {
+            if (!config.heartbeat_path.empty() && !killed_for_stall) {
                 const auto mtime = heartbeat_mtime(config.heartbeat_path);
                 if (mtime.has_value() && *mtime > spawned_at - 1.0) {
                     beat_seen = true;
                 }
                 if (beat_seen && mtime.has_value() &&
-                    wall_seconds() - *mtime > config.heartbeat_stale_s) {
+                    wall_seconds() - *mtime > kHeartbeatStaleSeconds) {
                     util::log_info("serve supervisor: worker heartbeat stale for over " +
-                                   std::to_string(config.heartbeat_stale_s) +
+                                   std::to_string(kHeartbeatStaleSeconds) +
                                    "s — SIGKILLing wedged worker");
                     ::kill(pid, SIGKILL);
                     killed_for_stall = true;

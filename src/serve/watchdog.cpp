@@ -11,7 +11,10 @@
 
 namespace fptc::serve {
 
-Watchdog::Watchdog(WatchdogConfig config) : config_(std::move(config)) {}
+Watchdog::Watchdog(WatchdogConfig config, std::function<void()> on_poll)
+    : config_(std::move(config)), on_poll_(std::move(on_poll))
+{
+}
 
 Watchdog::~Watchdog()
 {
@@ -53,23 +56,25 @@ void Watchdog::mark_done(std::size_t slot)
     slots_[slot]->state.store(static_cast<int>(SlotState::done), std::memory_order_relaxed);
 }
 
-void Watchdog::touch_heartbeat() const
+void Watchdog::poll_tasks() const
 {
-    if (config_.heartbeat_path.empty()) {
-        return;
-    }
     // Plain truncate-and-write, deliberately NOT the durable path: the
     // heartbeat is a liveness signal for the co-resident supervisor (which
     // watches the file's mtime), not persistent state; an fsync per beat
     // would be pure overhead and a torn beat is indistinguishable from a
     // fresh one.
-    const int fd = ::open(config_.heartbeat_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        return;
+    const int fd = config_.heartbeat_path.empty()
+                       ? -1
+                       : ::open(config_.heartbeat_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                                0644);
+    if (fd >= 0) {
+        const std::string stamp = std::to_string(now_ns()) + "\n";
+        [[maybe_unused]] const ssize_t written = ::write(fd, stamp.data(), stamp.size());
+        ::close(fd);
     }
-    const std::string stamp = std::to_string(now_ns()) + "\n";
-    [[maybe_unused]] const ssize_t written = ::write(fd, stamp.data(), stamp.size());
-    ::close(fd);
+    if (on_poll_) {
+        on_poll_();
+    }
 }
 
 void Watchdog::start()
@@ -78,7 +83,7 @@ void Watchdog::start()
         return;
     }
     stop_.store(false, std::memory_order_relaxed);
-    touch_heartbeat();
+    poll_tasks();
     thread_ = std::thread([this] { run(); });
 }
 
@@ -107,7 +112,7 @@ void Watchdog::run()
                 return;
             }
         }
-        touch_heartbeat();
+        poll_tasks();
         if (config_.stall_seconds <= 0.0) {
             continue;
         }

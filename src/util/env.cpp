@@ -61,6 +61,32 @@ std::optional<double> env_double(const std::string& name)
     return value;
 }
 
+std::size_t env_size(const std::string& name, std::size_t fallback, std::size_t minimum)
+{
+    const auto value = env_int(name);
+    if (!value.has_value()) {
+        return fallback;
+    }
+    const auto parsed = static_cast<std::size_t>(*value);
+    if (parsed < minimum) {
+        throw EnvError(name + " must be >= " + std::to_string(minimum) + ", got " +
+                       std::to_string(parsed));
+    }
+    return parsed;
+}
+
+double env_positive(const std::string& name, double fallback, bool allow_zero)
+{
+    const auto value = env_double(name);
+    if (!value.has_value()) {
+        return fallback;
+    }
+    if (*value == 0.0 && !allow_zero) {
+        throw EnvError(name + " must be positive, got " + std::to_string(*value));
+    }
+    return *value;
+}
+
 std::string env_string(const std::string& name)
 {
     const char* value = std::getenv(name.c_str());

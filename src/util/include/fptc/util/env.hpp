@@ -10,6 +10,7 @@
 //   FPTC_EPOCHS=n   cap the maximum number of training epochs
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -38,6 +39,15 @@ public:
 /// non-numeric, trailing garbage, negative, non-finite or overflowing values
 /// throw EnvError.
 [[nodiscard]] std::optional<double> env_double(const std::string& name);
+
+/// env_int with a default for unset and a floor: a value below `minimum`
+/// throws EnvError.
+[[nodiscard]] std::size_t env_size(const std::string& name, std::size_t fallback,
+                                   std::size_t minimum);
+
+/// env_double with a default for unset; 0 throws EnvError unless
+/// `allow_zero` (0 then usually means "off").
+[[nodiscard]] double env_positive(const std::string& name, double fallback, bool allow_zero);
 
 /// Read a string environment variable (paths, roles); unset returns "".
 [[nodiscard]] std::string env_string(const std::string& name);

@@ -1,6 +1,6 @@
 // Streaming-serve unit tests: queue semantics, ingest validation, flow
-// table windowing/eviction/accounting, circuit-breaker ladder, and
-// end-to-end service runs under each fault class.
+// table windowing/eviction/accounting, circuit-breaker ladder, end-to-end
+// service runs under each fault class, and the live status export.
 
 #include "fptc/serve/backend.hpp"
 #include "fptc/serve/breaker.hpp"
@@ -21,9 +21,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace fptc;
 using namespace std::chrono_literals;
@@ -402,6 +408,38 @@ TEST(ServeService, BurstUnderTightMemoryShedsTypedAndBalances)
     EXPECT_GT(report.shed_mem_budget, 0u);
     EXPECT_TRUE(report.accounted());
     EXPECT_EQ(util::mem_budget().in_use(), before);
+}
+
+TEST(ServeService, StatusExportRunsWithoutStallChecks)
+{
+    // No stall budget and no heartbeat: the watchdog thread runs for the
+    // status export alone.
+    const std::string path = ::testing::TempDir() + "fptc_serve_status." +
+                             std::to_string(::getpid()) + ".json";
+    auto config = quick_config();
+    config.hang_stall_s = 0.0;
+    config.status_path = path;
+    config.status_period_s = 0.05;
+    const auto report = run_service(config, 40);
+    EXPECT_GE(report.status_writes, 2u);  // at least one periodic, and the final one
+
+    std::ifstream in(path);
+    std::stringstream body;
+    body << in.rdbuf();
+    const std::string status = body.str();
+    std::filesystem::remove(path);
+    for (const serve::ServeCounterSpec& spec : serve::kServeCounters) {
+        const std::string key = std::string("\"").append(spec.name).append("\": ");
+        EXPECT_NE(status.find(key), std::string::npos) << spec.name;
+    }
+    // The final export reflects the drained pipeline.
+    EXPECT_NE(status.find("\"flows_classified\": 40,"), std::string::npos) << status;
+    std::size_t stages = 0;
+    for (std::size_t at = status.find("{\"stage\": "); at != std::string::npos;
+         at = status.find("{\"stage\": ", at + 1)) {
+        ++stages;
+    }
+    EXPECT_EQ(stages, 4u) << status;
 }
 
 TEST(ServeConfigEnv, RejectsMalformedKnob)

@@ -4,8 +4,9 @@
 // garbage — every malformation is a cold start, never a crash), flow-table
 // snapshot/restore round trips (including restore under an injected
 // allocation-fault budget), the watchdog's stall detection, the
-// supervisor's backoff math, and an end-to-end restore run asserting the
-// typed restart_loss accounting and the watermark stream skip.
+// supervisor's backoff math, end-to-end restore runs asserting the typed
+// restart_loss accounting and the watermark stream skip, and the heartbeat
+// path a supervised worker and its supervisor share.
 
 #include "fptc/serve/admission.hpp"
 #include "fptc/serve/backend.hpp"
@@ -610,4 +611,65 @@ TEST(ServeRecoveryE2E, MismatchedFingerprintColdStarts)
     EXPECT_EQ(report.watermark, 0u);
     EXPECT_EQ(report.shed_restart_loss, 0u);
     EXPECT_TRUE(report.accounted()) << report.summary();
+}
+
+// ---------------------------------------------------------------------------
+// heartbeat: a supervised worker refreshes the file its supervisor watches,
+// both derived from the snapshot path; nothing else writes one
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void serve_with_snapshot(const std::string& snapshot_path)
+{
+    serve::ServeConfig config = recovery_config(snapshot_path);
+    config.generation = 0;
+    auto backends = serve::make_backends(config.flowpic_dim, config.reduced_dim,
+                                         config.num_classes, 42);
+    serve::InterleavedStream stream({.flows = 20, .seed = 11});
+    serve::StreamingClassifier service(config, *backends.full, *backends.reduced,
+                                       *backends.fallback);
+    const auto report = service.run(stream);
+    EXPECT_TRUE(report.accounted()) << report.summary();
+}
+
+} // namespace
+
+TEST(ServeHeartbeat, SupervisorAndWorkerResolveOnePath)
+{
+    TempDir dir("fptc_serve_hb_path");
+    const std::string snapshot = dir.file("snapshot.bin");
+    ::setenv("FPTC_SERVE_SNAPSHOT", snapshot.c_str(), 1);
+    const serve::SupervisorConfig supervisor = serve::SupervisorConfig::from_env();
+    ::unsetenv("FPTC_SERVE_SNAPSHOT");
+    EXPECT_EQ(supervisor.heartbeat_path, snapshot + ".heartbeat");
+
+    ::setenv(serve::kServeRoleEnv, serve::kServeRoleWorker, 1);
+    serve_with_snapshot(snapshot);
+    ::unsetenv(serve::kServeRoleEnv);
+    EXPECT_TRUE(std::filesystem::exists(supervisor.heartbeat_path))
+        << "the worker did not refresh the file its supervisor watches";
+}
+
+TEST(ServeHeartbeat, UnsupervisedRunWritesNone)
+{
+    ASSERT_EQ(std::getenv(serve::kServeRoleEnv), nullptr) << "test env already has a role";
+    TempDir dir("fptc_serve_hb_none");
+    const std::string snapshot = dir.file("snapshot.bin");
+    serve_with_snapshot(snapshot);
+    EXPECT_FALSE(std::filesystem::exists(snapshot + ".heartbeat"));
+}
+
+TEST(ServeHeartbeat, NoSnapshotMeansNoHeartbeat)
+{
+    ASSERT_EQ(std::getenv("FPTC_SERVE_SNAPSHOT"), nullptr) << "test env already has a snapshot";
+    EXPECT_EQ(serve::serve_heartbeat_path(""), "");
+    EXPECT_EQ(serve::SupervisorConfig::from_env().heartbeat_path, "");
+    // A worker without a snapshot writes no heartbeat, not even a bare
+    // ".heartbeat" in its working directory.
+    ASSERT_FALSE(std::filesystem::exists(".heartbeat"));
+    ::setenv(serve::kServeRoleEnv, serve::kServeRoleWorker, 1);
+    serve_with_snapshot("");
+    ::unsetenv(serve::kServeRoleEnv);
+    EXPECT_FALSE(std::filesystem::exists(".heartbeat"));
 }
