@@ -234,7 +234,8 @@ int main()
         serve::BackendBundle backends =
             serve::make_backends(config.flowpic_dim, config.reduced_dim, config.num_classes,
                                  seed, train_flows, train_epochs);
-        if (const char* candidate = std::getenv("FPTC_SERVE_SELFTEST_CANDIDATE")) {
+        if (const std::string candidate = util::env_string("FPTC_SERVE_SELFTEST_CANDIDATE");
+            !candidate.empty()) {
             if (config.reload_path.empty()) {
                 throw util::EnvError(
                     "FPTC_SERVE_SELFTEST_CANDIDATE requires FPTC_SERVE_RELOAD to name "
