@@ -433,8 +433,8 @@ BENCHMARK(BM_ServeClassifyLatency)->Arg(16)->Arg(32);
 /// buffer — `range(0)` flows per class across 5 classes — through the
 /// full-tier CNN and score it.  This is the pause the classifier thread
 /// takes between batches when vetting a reload candidate, so it bounds how
-/// large FPTC_SERVE_RELOAD_CANARY can be before canarying itself violates
-/// the latency SLO.
+/// large ReloadConfig::canary_flows (12 in the service) can be before
+/// canarying itself violates the latency SLO.
 void BM_ServeCanaryReplay(benchmark::State& state)
 {
     const auto canary_flows = static_cast<std::size_t>(state.range(0));

@@ -10,25 +10,6 @@
 
 namespace fptc::serve {
 
-Assembler::Assembler(BoundedQueue<IngestBatch>& ingest, BoundedQueue<StampedFlow>& ready,
-                     LiveCounters& counters, ServeMetrics& instruments, Watchdog& watchdog,
-                     const ServeConfig& config, const ServeSnapshot* snap,
-                     const std::atomic<std::uint32_t>& model_generation, bool recording,
-                     ServeReport& report)
-    : ingest_(ingest),
-      ready_(ready),
-      counters_(counters),
-      instruments_(instruments),
-      watchdog_(watchdog),
-      slot_(watchdog.add_thread("assembler")),
-      config_(config),
-      snap_(snap),
-      model_generation_(model_generation),
-      recording_(recording),
-      report_(report)
-{
-}
-
 void Assembler::write_snapshot(const SnapshotMarker& cut, const FlowTable& table,
                                double stream_now)
 {

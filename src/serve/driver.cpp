@@ -4,20 +4,6 @@
 
 namespace fptc::serve {
 
-Driver::Driver(InterleavedStream& stream, BoundedQueue<IngestBatch>& ingest,
-               LiveCounters& counters, Watchdog& watchdog, const ServeConfig& config,
-               std::uint64_t watermark, bool recording)
-    : stream_(stream),
-      ingest_(ingest),
-      counters_(counters),
-      watchdog_(watchdog),
-      slot_(watchdog.add_thread("driver")),
-      config_(config),
-      watermark_(watermark),
-      recording_(recording)
-{
-}
-
 void Driver::run()
 {
     using C = ServeCounter;

@@ -58,9 +58,6 @@ public:
     /// the service must report exactly this many quarantined events.
     [[nodiscard]] std::uint64_t mangled() const noexcept { return mangled_; }
 
-    /// Burst clones injected by the burst fault class.
-    [[nodiscard]] std::uint64_t burst_events() const noexcept { return burst_events_; }
-
     /// Flows materialized into the stream.
     [[nodiscard]] std::size_t flow_count() const noexcept { return flow_count_; }
 
@@ -77,7 +74,6 @@ private:
     int pending_burst_ = 0;            ///< clones of events_[cursor_-1] still owed
     std::uint64_t emitted_ = 0;
     std::uint64_t mangled_ = 0;
-    std::uint64_t burst_events_ = 0;
     std::size_t flow_count_ = 0;
     std::size_t unknown_flows_ = 0;
     std::uint64_t mangle_rng_state_ = 0;  ///< cheap per-event corruption selector

@@ -1,14 +1,7 @@
-// The serve pipeline's private parts: the per-run counters and instruments
-// the stages share, the payloads of the two queues, and the three stage
-// classes that StreamingClassifier::run (service.cpp) wires together:
-//
-//   Driver     (driver.cpp, caller thread)  stream -> [ingest queue]
-//   Assembler  (assembler.cpp, own thread)  [ingest queue] -> FlowTable -> [ready queue]
-//   Classifier (classifier.cpp, own thread) [ready queue] -> breaker-picked backend
-//
-// Each stage's constructor takes its queues, counters, instruments and the
-// ServeConfig it reads, and registers the stage with the watchdog; run() is
-// the stage's loop.  Nothing here is installed: callers use service.hpp.
+// The serve pipeline's private parts (not installed): the counters,
+// instruments and queue payloads the stages share, and the three stage
+// classes that StreamingClassifier::run (service.cpp) wires together.  The
+// layout is described in service.hpp.
 #pragma once
 
 #include "fptc/serve/admission.hpp"
@@ -189,35 +182,31 @@ struct StampedFlow {
 /// One postmortem per process: watchdog stall and breaker hard-trip race
 /// only in pathological runs, and the first dump is the interesting one.
 /// Inert without a recorder or a postmortem path (service.cpp).
-class PostmortemHook {
-public:
-    PostmortemHook(FlightRecorder* recorder, const std::string& path, LiveCounters& counters,
-                   ServeMetrics& instruments)
-        : recorder_(recorder), path_(path), counters_(counters), instruments_(instruments)
-    {
-    }
+struct PostmortemHook {
+    FlightRecorder* recorder;
+    const std::string& path;
+    LiveCounters& counters;
+    ServeMetrics& instruments;
+    std::atomic<bool> taken{false};
 
-    [[nodiscard]] bool armed() const noexcept { return recorder_ != nullptr && !path_.empty(); }
+    [[nodiscard]] bool armed() const noexcept { return recorder != nullptr && !path.empty(); }
     void take(PostmortemReason reason, const std::string& detail);
-
-private:
-    FlightRecorder* recorder_;
-    const std::string& path_;
-    LiveCounters& counters_;
-    ServeMetrics& instruments_;
-    std::atomic<bool> taken_{false};
 };
 
 /// The driver stage, on the caller's thread: skips a restored run's
-/// watermark, then pumps the stream into the ingest queue in batches of up
-/// to kIngestBatch events, with the snapshot markers between them, and
-/// closes the queue at the end of the stream or on a shutdown request.
-/// Reads queue_depth and the snapshot_* cadence of the config.
+/// watermark, pumps the stream into the ingest queue in batches with the
+/// snapshot markers between them, and closes the queue at the end of the
+/// stream or on a shutdown request.  Reads queue_depth and the snapshot_*
+/// cadence of the config.
 class Driver {
 public:
     Driver(InterleavedStream& stream, BoundedQueue<IngestBatch>& ingest, LiveCounters& counters,
-           Watchdog& watchdog, const ServeConfig& config, std::uint64_t watermark,
-           bool recording);
+           Watchdog& watchdog, const ServeConfig& config, std::uint64_t watermark, bool recording)
+        : stream_(stream), ingest_(ingest), counters_(counters), watchdog_(watchdog),
+          slot_(watchdog.add_thread("driver")), config_(config), watermark_(watermark),
+          recording_(recording)
+    {
+    }
 
     void run();
 
@@ -232,11 +221,11 @@ private:
     bool recording_;
 };
 
-/// The assembler stage: validates events, applies CoDel admission at the
-/// ingest queue, folds events into the FlowTable, writes a snapshot at each
-/// marker, offers window-closed flows to the ready queue, and at the end
-/// flushes the table and closes the ready queue.  Restores `snap`'s flows
-/// first when given.  Reads mem_mb, window_seconds, slo_ms, snapshot_path,
+/// The assembler stage: restores `snap`'s flows when given, then validates
+/// events, applies CoDel admission at the ingest queue, folds events into
+/// the FlowTable, writes a snapshot at each marker, offers window-closed
+/// flows to the ready queue, and at the end flushes the table and closes
+/// the ready queue.  Reads mem_mb, window_seconds, slo_ms, snapshot_path,
 /// generation and fingerprint() of the config; fills the report's restore
 /// fields.
 class Assembler {
@@ -245,7 +234,13 @@ public:
               LiveCounters& counters, ServeMetrics& instruments, Watchdog& watchdog,
               const ServeConfig& config, const ServeSnapshot* snap,
               const std::atomic<std::uint32_t>& model_generation, bool recording,
-              ServeReport& report);
+              ServeReport& report)
+        : ingest_(ingest), ready_(ready), counters_(counters), instruments_(instruments),
+          watchdog_(watchdog), slot_(watchdog.add_thread("assembler")), config_(config),
+          snap_(snap), model_generation_(model_generation), recording_(recording),
+          report_(report)
+    {
+    }
 
     void run();
 
@@ -318,7 +313,7 @@ private:
                                         const ServeMetrics& instruments,
                                         const FlightRecorder* recorder, std::uint32_t generation,
                                         std::uint32_t model_generation,
-                          std::chrono::steady_clock::time_point started);
+                                        std::chrono::steady_clock::time_point started);
 
 /// Publish `body` at `path` with the temp + rename idiom, so a concurrent
 /// reader sees the previous complete document or this one, never a prefix.

@@ -100,13 +100,13 @@ std::string ServeReport::summary() const
 
 void PostmortemHook::take(PostmortemReason reason, const std::string& detail)
 {
-    if (!armed() || taken_.exchange(true)) {
+    if (!armed() || taken.exchange(true)) {
         return;
     }
-    counters_.add<ServeCounter::postmortems_written>();
-    instruments_.frec_events.set(static_cast<std::int64_t>(recorder_->recorded_total()));
-    instruments_.frec_dropped.set(static_cast<std::int64_t>(recorder_->dropped_total()));
-    recorder_->dump(path_, reason, detail);
+    counters.add<ServeCounter::postmortems_written>();
+    instruments.frec_events.set(static_cast<std::int64_t>(recorder->recorded_total()));
+    instruments.frec_dropped.set(static_cast<std::int64_t>(recorder->dropped_total()));
+    recorder->dump(path, reason, detail);
 }
 
 namespace {
@@ -174,7 +174,7 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                                     .generation = config_.generation});
     }
     FlightRecorder* const rec = recorder.has_value() ? &*recorder : nullptr;
-    PostmortemHook postmortem(rec, config_.postmortem_path, counters, instruments);
+    PostmortemHook postmortem{rec, config_.postmortem_path, counters, instruments};
 
     // Live status: the watchdog's poll exports it once per period, and
     // run() once more after the joins.

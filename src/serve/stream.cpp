@@ -133,7 +133,6 @@ std::optional<PacketEvent> InterleavedStream::next()
         PacketEvent clone = events_[cursor_ - 1];
         clone.flow_end = false;
         --pending_burst_;
-        ++burst_events_;
         ++emitted_;
         return clone;
     }

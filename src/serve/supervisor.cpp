@@ -126,12 +126,9 @@ struct EnvVar {
 SupervisorConfig SupervisorConfig::from_env()
 {
     SupervisorConfig config;
-    if (const auto v = util::env_int("FPTC_SERVE_MAX_RESTARTS")) {
-        config.max_restarts = static_cast<int>(*v);
-    }
-    if (const auto v = util::env_double("FPTC_SERVE_BACKOFF_MS")) {
-        config.backoff_ms = *v;
-    }
+    config.max_restarts = static_cast<int>(
+        util::env_size("FPTC_SERVE_MAX_RESTARTS", static_cast<std::size_t>(config.max_restarts), 0));
+    config.backoff_ms = util::env_positive("FPTC_SERVE_BACKOFF_MS", config.backoff_ms, true);
     config.snapshot_path = util::env_string("FPTC_SERVE_SNAPSHOT");
     config.heartbeat_path = serve_heartbeat_path(config.snapshot_path);
     config.postmortem_path = util::env_string("FPTC_SERVE_POSTMORTEM");

@@ -33,16 +33,6 @@ enum class CancelKind : int {
     timeout = 2,    ///< the per-unit watchdog deadline expired
 };
 
-[[nodiscard]] constexpr const char* cancel_kind_name(CancelKind kind) noexcept
-{
-    switch (kind) {
-    case CancelKind::cancelled: return "cancelled";
-    case CancelKind::timeout: return "timeout";
-    case CancelKind::none: break;
-    }
-    return "none";
-}
-
 /// Thrown by CancelToken::poll() once the token trips.
 class CancelledError : public std::runtime_error {
 public:

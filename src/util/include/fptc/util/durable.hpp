@@ -78,7 +78,6 @@ public:
     void commit();
 
     [[nodiscard]] const std::string& path() const noexcept { return target_; }
-    [[nodiscard]] const std::string& temp_path() const noexcept { return temp_; }
 
     /// Convenience: write `content` to `path` in one durable transaction.
     static void write_file(const std::string& path, std::string_view content);

@@ -216,11 +216,6 @@ const TelemetryConfig& telemetry_init();
 /// True when span events are recorded to the trace ring (FPTC_TRACE set).
 [[nodiscard]] bool trace_enabled() noexcept;
 
-/// Record a begin/end event on the calling thread's ring.  `name` must be a
-/// string literal; `args_body` is a JSON object body copied into the slot.
-void trace_begin(const char* name, const char* args_body = "");
-void trace_end(const char* name);
-
 /// Chronological snapshot of every thread's ring (post-join export; see the
 /// thread-safety note above).
 [[nodiscard]] std::vector<TraceEvent> trace_snapshot();

@@ -494,22 +494,6 @@ bool trace_enabled() noexcept
     return g_trace.load(std::memory_order_relaxed);
 }
 
-void trace_begin(const char* name, const char* args_body)
-{
-    if (!trace_enabled()) {
-        return;
-    }
-    push_trace(name, 'B', args_body != nullptr ? args_body : "");
-}
-
-void trace_end(const char* name)
-{
-    if (!trace_enabled()) {
-        return;
-    }
-    push_trace(name, 'E', "");
-}
-
 std::vector<TraceEvent> trace_snapshot()
 {
     TraceState& state = trace_state();

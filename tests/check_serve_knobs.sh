@@ -7,7 +7,8 @@
 # Every FPTC_SERVE_* name passed to an env_*("FPTC_SERVE_...") call in
 # src/serve or bench/serve_throughput.cpp needs a row in README.md's
 # environment tables, and every FPTC_SERVE_* name in those tables must be
-# read that way.  FPTC_SERVE_ROLE and FPTC_SERVE_GENERATION are read
+# read that way.  The name must sit on the line of its env_*( call.
+# FPTC_SERVE_ROLE and FPTC_SERVE_GENERATION are read
 # through kServeRoleEnv and kServeGenerationEnv: they are the supervisor's
 # plumbing to its worker, not knobs, and the pattern does not see them.
 set -u
