@@ -15,9 +15,7 @@ Classifier::Classifier(BoundedQueue<StampedFlow>& ready, Backend& full, Backend&
                        std::atomic<std::uint32_t>& model_generation, PostmortemHook& postmortem,
                        ServeReport& report)
     : ready_(ready),
-      full_(full),
-      reduced_(reduced),
-      fallback_(fallback),
+      tiers_{&full, &reduced, &fallback},
       counters_(counters),
       instruments_(instruments),
       watchdog_(watchdog),
@@ -153,9 +151,7 @@ void Classifier::classify(std::vector<ReadyFlow>& batch)
         postmortem_.take(PostmortemReason::breaker_hard_trip, "breaker ladder at shed tier");
         return;
     }
-    Backend& backend = tier == Tier::full      ? full_
-                       : tier == Tier::reduced ? reduced_
-                                               : fallback_;
+    Backend& backend = *tiers_[static_cast<std::size_t>(tier)];
     util::CancelToken token;
     if (config_.deadline_ms > 0.0) {
         token.set_timeout(config_.deadline_ms / 1000.0);
@@ -209,7 +205,55 @@ void Classifier::classify(std::vector<ReadyFlow>& batch)
         breaker_.record_failure(deadline_hit);
     } else {
         breaker_.record_success(latency);
-        score(batch, predictions);
+        std::uint64_t correct = 0;
+        std::uint64_t unknown = 0;
+        std::uint64_t unknown_truth = 0;
+        std::uint64_t unknown_rejected = 0;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const ReadyFlow& flow = batch[i];
+            const ScoredPrediction prediction =
+                i < predictions.size() ? predictions[i] : ScoredPrediction{};
+            // Open-set rejection: a score below the threshold means "none of the
+            // trained classes" — the typed `unknown` outcome, never a forced
+            // label.
+            const bool rejected =
+                config_.unknown_thresh > 0.0 && prediction.confidence < config_.unknown_thresh;
+            const bool truth_unknown = flow.label >= config_.num_classes;
+            if (truth_unknown) {
+                ++unknown_truth;
+                if (rejected) {
+                    ++unknown_rejected;
+                }
+            }
+            if (rejected) {
+                ++unknown;
+                frec_note(FrecRing::classifier, FrecKind::unknown_route, flow.flow_id);
+            } else if (prediction.label == flow.label) {
+                ++correct;
+            }
+            double mean_size = 0.0;
+            for (const flow::Packet& packet : flow.flow.packets) {
+                mean_size += static_cast<double>(packet.size);
+            }
+            if (!flow.flow.packets.empty()) {
+                mean_size /= static_cast<double>(flow.flow.packets.size());
+            }
+            (void)drift_.observe(DriftObservation{
+                .confidence = prediction.confidence,
+                .predicted = rejected ? config_.num_classes : prediction.label,
+                .mean_packet_size = mean_size,
+                .packet_count = flow.flow.packets.size(),
+            });
+        }
+        counters_.add<C::flows_classified>(batch.size() - unknown);
+        counters_.add<C::flows_correct>(correct);
+        if (unknown > 0) {
+            counters_.add<C::flows_unknown>(unknown);
+        }
+        if (unknown_truth > 0) {
+            counters_.add<C::unknown_truth_total>(unknown_truth);
+            counters_.add<C::unknown_truth_rejected>(unknown_rejected);
+        }
     }
     instruments_.breaker_state.set(static_cast<std::int64_t>(breaker_.tier()));
     // Drift response ladder: count the alarm, step the breaker one tier down
@@ -231,61 +275,6 @@ void Classifier::classify(std::vector<ReadyFlow>& batch)
     }
     counters_.raise_to<C::breaker_trips>(breaker_.trips());
     counters_.raise_to<C::breaker_recoveries>(breaker_.recoveries());
-}
-
-void Classifier::score(const std::vector<ReadyFlow>& batch,
-                       const std::vector<ScoredPrediction>& predictions)
-{
-    using C = ServeCounter;
-    std::uint64_t correct = 0;
-    std::uint64_t unknown = 0;
-    std::uint64_t unknown_truth = 0;
-    std::uint64_t unknown_rejected = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const ReadyFlow& flow = batch[i];
-        const ScoredPrediction prediction =
-            i < predictions.size() ? predictions[i] : ScoredPrediction{};
-        // Open-set rejection: a score below the threshold means "none of the
-        // trained classes" — the typed `unknown` outcome, never a forced
-        // label.
-        const bool rejected =
-            config_.unknown_thresh > 0.0 && prediction.confidence < config_.unknown_thresh;
-        const bool truth_unknown = flow.label >= config_.num_classes;
-        if (truth_unknown) {
-            ++unknown_truth;
-            if (rejected) {
-                ++unknown_rejected;
-            }
-        }
-        if (rejected) {
-            ++unknown;
-            frec_note(FrecRing::classifier, FrecKind::unknown_route, flow.flow_id);
-        } else if (prediction.label == flow.label) {
-            ++correct;
-        }
-        double mean_size = 0.0;
-        for (const flow::Packet& packet : flow.flow.packets) {
-            mean_size += static_cast<double>(packet.size);
-        }
-        if (!flow.flow.packets.empty()) {
-            mean_size /= static_cast<double>(flow.flow.packets.size());
-        }
-        (void)drift_.observe(DriftObservation{
-            .confidence = prediction.confidence,
-            .predicted = rejected ? config_.num_classes : prediction.label,
-            .mean_packet_size = mean_size,
-            .packet_count = flow.flow.packets.size(),
-        });
-    }
-    counters_.add<C::flows_classified>(batch.size() - unknown);
-    counters_.add<C::flows_correct>(correct);
-    if (unknown > 0) {
-        counters_.add<C::flows_unknown>(unknown);
-    }
-    if (unknown_truth > 0) {
-        counters_.add<C::unknown_truth_total>(unknown_truth);
-        counters_.add<C::unknown_truth_rejected>(unknown_rejected);
-    }
 }
 
 void Classifier::apply_reload(ModelReloader::Outcome outcome)

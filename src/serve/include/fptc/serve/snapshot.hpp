@@ -75,12 +75,9 @@ struct ServeSnapshot {
 /// (the caller cold-starts); this function never throws on bad input.
 [[nodiscard]] std::optional<ServeSnapshot> decode_snapshot(std::string_view data);
 
-/// The loss window of a restored snapshot: flows the cut says were
-/// ingested but are neither classified, unknown, shed, nor in the persisted
-/// table — they sat in the ready queue or a half-classified batch when the
-/// process died.  Classifier-side counters in the cut are relaxed samples
-/// that can only *lag*, so the deficit can only over-estimate — a
-/// conservative bound on what the crash cost, counted as restart_loss.
+/// The loss window of a restored snapshot: flows the cut says were ingested
+/// but are neither classified, unknown, shed, nor in the persisted table.
+/// Classifier-side counters in the cut can only lag, so this over-estimates.
 [[nodiscard]] std::uint64_t restart_loss(const ServeSnapshot& snapshot);
 
 /// Durably replace `path` with the encoded snapshot (DurableFile:

@@ -80,10 +80,8 @@ struct SupervisorConfig {
 /// True when this process is a supervisor-spawned worker.
 [[nodiscard]] bool is_serve_worker();
 
-/// The liveness file of a supervised run with snapshots at
-/// `snapshot_path`: "<snapshot_path>.heartbeat", or "" (no heartbeat)
-/// without a snapshot.  The worker's watchdog refreshes it and the
-/// supervisor watches it, both through this one function.
+/// "<snapshot_path>.heartbeat", or "" without a snapshot: the liveness file
+/// a supervised worker refreshes and its supervisor watches.
 [[nodiscard]] std::string serve_heartbeat_path(const std::string& snapshot_path);
 
 /// This worker's generation (0 when unsupervised or first launch).

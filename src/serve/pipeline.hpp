@@ -5,18 +5,12 @@
 #pragma once
 
 #include "fptc/serve/admission.hpp"
-#include "fptc/serve/backend.hpp"
-#include "fptc/serve/breaker.hpp"
-#include "fptc/serve/counters.hpp"
-#include "fptc/serve/drift.hpp"
-#include "fptc/serve/event.hpp"
 #include "fptc/serve/flightrec.hpp"
 #include "fptc/serve/flow_table.hpp"
 #include "fptc/serve/queue.hpp"
 #include "fptc/serve/reload.hpp"
-#include "fptc/serve/service.hpp"
+#include "fptc/serve/service.hpp"  // backend, breaker, counters, drift, stream
 #include "fptc/serve/snapshot.hpp"
-#include "fptc/serve/stream.hpp"
 #include "fptc/serve/watchdog.hpp"
 #include "fptc/util/telemetry.hpp"
 
@@ -155,9 +149,8 @@ struct SnapshotMarker {
 /// replays run at half the events/sec of those where it lags.
 inline constexpr std::size_t kIngestBatch = 256;
 
-/// Events per ingest batch: kIngestBatch, or queue_depth when that is
-/// smaller.  The ingest capacity stays counted in events, rounded up to
-/// whole batches, so queue_depth 1 still holds one event.
+/// Events per ingest batch.  The ingest capacity stays counted in events,
+/// rounded up to whole batches: queue_depth 1 still holds one event.
 inline std::size_t ingest_batch_events(const ServeConfig& config)
 {
     return std::clamp(config.queue_depth, std::size_t{1}, kIngestBatch);
@@ -221,13 +214,11 @@ private:
     bool recording_;
 };
 
-/// The assembler stage: restores `snap`'s flows when given, then validates
-/// events, applies CoDel admission at the ingest queue, folds events into
-/// the FlowTable, writes a snapshot at each marker, offers window-closed
-/// flows to the ready queue, and at the end flushes the table and closes
-/// the ready queue.  Reads mem_mb, window_seconds, slo_ms, snapshot_path,
-/// generation and fingerprint() of the config; fills the report's restore
-/// fields.
+/// The assembler stage: restores `snap`'s flows, validates events behind
+/// CoDel admission, folds them into the FlowTable, writes a snapshot at each
+/// marker, offers window-closed flows to the ready queue, and at the end
+/// flushes the table and closes the ready queue.  Reads mem_mb,
+/// window_seconds, slo_ms, snapshot_path, generation and fingerprint().
 class Assembler {
 public:
     Assembler(BoundedQueue<IngestBatch>& ingest, BoundedQueue<StampedFlow>& ready,
@@ -261,13 +252,13 @@ private:
     ServeReport& report_;
 };
 
-/// The classifier stage: micro-batches ready flows, applies CoDel admission
-/// at the ready queue, classifies each batch on the breaker-picked backend
-/// under the batch deadline, scores it (open-set rejection, drift), and
-/// polls the reload candidate.  Reads batch_size, slo_ms, deadline_ms,
-/// hang_stall_s, breaker_cooldown, unknown_thresh, num_classes, gbt_only,
-/// fingerprint_extra and the drift_* and reload_* fields of the config;
-/// fills the report's tier, drift, reload and latency fields.
+/// The classifier stage: micro-batches ready flows behind CoDel admission,
+/// classifies each batch on the breaker-picked backend under the deadline,
+/// scores it (open-set rejection, drift) and polls the reload candidate.
+/// Reads batch_size, slo_ms, deadline_ms, hang_stall_s, breaker_cooldown,
+/// unknown_thresh, num_classes, gbt_only, fingerprint_extra and the drift_*
+/// and reload_* config fields; fills the report's tier, drift, reload and
+/// latency fields.
 class Classifier {
 public:
     Classifier(BoundedQueue<StampedFlow>& ready, Backend& full, Backend& reduced,
@@ -280,14 +271,10 @@ public:
 
 private:
     void classify(std::vector<ReadyFlow>& batch);
-    void score(const std::vector<ReadyFlow>& batch,
-               const std::vector<ScoredPrediction>& predictions);
     void apply_reload(ModelReloader::Outcome outcome);
 
     BoundedQueue<StampedFlow>& ready_;
-    Backend& full_;
-    Backend& reduced_;
-    Backend& fallback_;
+    std::array<Backend*, 3> tiers_;  ///< indexed by Tier: full, reduced, fallback
     LiveCounters& counters_;
     ServeMetrics& instruments_;
     Watchdog& watchdog_;
@@ -304,10 +291,8 @@ private:
     std::vector<double> latencies_;
 };
 
-/// The live status document (JSON) that tools/fptc_servestat renders: pid,
-/// generations, breaker tier, every counters.hpp row, the flight recorder's
-/// totals and each stage's latency quantiles with the p99 exemplar flow.
-/// Reads only lock-free instruments and relaxed atomics, so it is safe
+/// The live status document (JSON) that tools/fptc_servestat renders.  It
+/// reads only lock-free instruments and relaxed atomics, so it is safe
 /// against the running pipeline (status.cpp).
 [[nodiscard]] std::string render_status(const LiveCounters& counters,
                                         const ServeMetrics& instruments,

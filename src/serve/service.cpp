@@ -15,7 +15,6 @@
 #include <optional>
 #include <sstream>
 #include <thread>
-#include <utility>
 
 #include <unistd.h>
 

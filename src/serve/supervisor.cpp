@@ -159,10 +159,7 @@ bool is_serve_worker()
 
 std::uint32_t serve_generation()
 {
-    if (const auto v = util::env_int(kServeGenerationEnv)) {
-        return static_cast<std::uint32_t>(*v);
-    }
-    return 0;
+    return static_cast<std::uint32_t>(util::env_int(kServeGenerationEnv).value_or(0));
 }
 
 int run_supervisor(const SupervisorConfig& config)

@@ -6,6 +6,26 @@
 
 namespace fptc::util {
 
+namespace {
+
+/// A "first n" fault class: fires while `fired` < `n`, counting each firing.
+bool first_n(int n, std::uint64_t& fired)
+{
+    if (n <= 0 || fired >= static_cast<std::uint64_t>(n)) {
+        return false;
+    }
+    ++fired;
+    return true;
+}
+
+/// A "k-th" fault class: counts every call in `calls` and fires on the k-th.
+bool kth_call(int k, std::uint64_t& calls)
+{
+    return k > 0 && ++calls == static_cast<std::uint64_t>(k);
+}
+
+} // namespace
+
 FaultInjector::FaultInjector(const FaultPlan& plan)
 {
     configure(plan);
@@ -17,11 +37,8 @@ void FaultInjector::configure(const FaultPlan& plan)
     plan_ = plan;
     rng_ = Rng(mix_seed(plan.seed, 0xFA17));
     counters_ = FaultCounters{};
-    unit_executions_stall_ = 0;
-    unit_executions_transient_ = 0;
     durable_bytes_ = 0;
     durable_writes_ = 0;
-    serve_backend_calls_ = 0;
     serve_stream_events_ = 0;
     serve_batches_ = 0;
     serve_snapshot_commits_ = 0;
@@ -64,12 +81,7 @@ bool FaultInjector::inject_nan_loss(std::uint64_t step)
 bool FaultInjector::inject_truncated_write()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.truncate_writes <= 0 ||
-        counters_.truncated_writes >= static_cast<std::uint64_t>(plan_.truncate_writes)) {
-        return false;
-    }
-    ++counters_.truncated_writes;
-    return true;
+    return first_n(plan_.truncate_writes, counters_.truncated_writes);
 }
 
 bool FaultInjector::inject_csv_corruption()
@@ -88,25 +100,13 @@ bool FaultInjector::inject_csv_corruption()
 bool FaultInjector::inject_unit_stall()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.stall_units <= 0 ||
-        unit_executions_stall_ >= static_cast<std::uint64_t>(plan_.stall_units)) {
-        return false;
-    }
-    ++unit_executions_stall_;
-    ++counters_.stalled_units;
-    return true;
+    return first_n(plan_.stall_units, counters_.stalled_units);
 }
 
 bool FaultInjector::inject_unit_transient()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.transient_units <= 0 ||
-        unit_executions_transient_ >= static_cast<std::uint64_t>(plan_.transient_units)) {
-        return false;
-    }
-    ++unit_executions_transient_;
-    ++counters_.transient_units;
-    return true;
+    return first_n(plan_.transient_units, counters_.transient_units);
 }
 
 bool FaultInjector::inject_enospc(std::size_t bytes)
@@ -126,33 +126,22 @@ bool FaultInjector::inject_enospc(std::size_t bytes)
 std::size_t FaultInjector::clamp_write(std::size_t length)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.short_writes <= 0 || length < 2 ||
-        counters_.short_write_clamps >= static_cast<std::uint64_t>(plan_.short_writes)) {
+    if (length < 2 || !first_n(plan_.short_writes, counters_.short_write_clamps)) {
         return length;
     }
-    ++counters_.short_write_clamps;
     return length / 2;
 }
 
 bool FaultInjector::inject_fsync_failure()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.fsync_failures <= 0 ||
-        counters_.fsync_failures >= static_cast<std::uint64_t>(plan_.fsync_failures)) {
-        return false;
-    }
-    ++counters_.fsync_failures;
-    return true;
+    return first_n(plan_.fsync_failures, counters_.fsync_failures);
 }
 
 bool FaultInjector::inject_crash_at_write()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.crash_at_write <= 0) {
-        return false;
-    }
-    ++durable_writes_;
-    return durable_writes_ == static_cast<std::uint64_t>(plan_.crash_at_write);
+    return kth_call(plan_.crash_at_write, durable_writes_);
 }
 
 namespace {
@@ -208,13 +197,7 @@ bool FaultInjector::inject_unit_alloc_fail(std::size_t unit_index)
 bool FaultInjector::inject_serve_backend_stall()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.serve_stall_backend <= 0 ||
-        serve_backend_calls_ >= static_cast<std::uint64_t>(plan_.serve_stall_backend)) {
-        return false;
-    }
-    ++serve_backend_calls_;
-    ++counters_.serve_backend_stalls;
-    return true;
+    return first_n(plan_.serve_stall_backend, counters_.serve_backend_stalls);
 }
 
 bool FaultInjector::inject_serve_mangle()
@@ -253,11 +236,7 @@ int FaultInjector::inject_serve_burst()
 bool FaultInjector::inject_serve_hang()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.serve_hang_at_batch <= 0) {
-        return false;
-    }
-    ++serve_batches_;
-    if (serve_batches_ != static_cast<std::uint64_t>(plan_.serve_hang_at_batch)) {
+    if (!kth_call(plan_.serve_hang_at_batch, serve_batches_)) {
         return false;
     }
     ++counters_.serve_hangs;
@@ -267,11 +246,7 @@ bool FaultInjector::inject_serve_hang()
 bool FaultInjector::inject_serve_kill()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (plan_.kill_serve_at_snapshot <= 0) {
-        return false;
-    }
-    ++serve_snapshot_commits_;
-    if (serve_snapshot_commits_ != static_cast<std::uint64_t>(plan_.kill_serve_at_snapshot)) {
+    if (!kth_call(plan_.kill_serve_at_snapshot, serve_snapshot_commits_)) {
         return false;
     }
     ++counters_.serve_kills;

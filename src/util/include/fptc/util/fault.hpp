@@ -255,11 +255,8 @@ private:
     FaultPlan plan_{};
     Rng rng_{0};
     FaultCounters counters_{};
-    std::uint64_t unit_executions_stall_ = 0;
-    std::uint64_t unit_executions_transient_ = 0;
     std::uint64_t durable_bytes_ = 0;   ///< cumulative bytes through the shim
     std::uint64_t durable_writes_ = 0;  ///< shim write calls (crash kill-point index)
-    std::uint64_t serve_backend_calls_ = 0;     ///< serve stall first-n index
     std::uint64_t serve_stream_events_ = 0;     ///< burst cadence counter (every 64th)
     std::uint64_t serve_batches_ = 0;           ///< serve-hang trigger index
     std::uint64_t serve_snapshot_commits_ = 0;  ///< serve-kill trigger index

@@ -4,6 +4,7 @@
 #include "fptc/util/env.hpp"
 #include "fptc/util/event_ring.hpp"
 #include "fptc/util/fault.hpp"
+#include "fptc/util/journal.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/membudget.hpp"
 
@@ -40,31 +41,6 @@ std::uint64_t now_ns() noexcept
     return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                           std::chrono::steady_clock::now() - epoch)
                                           .count());
-}
-
-// ---------------------------------------------------------------------------
-// JSON helpers (local: the journal's escaper lives in journal.cpp)
-// ---------------------------------------------------------------------------
-
-void append_json_escaped(std::string& out, std::string_view text)
-{
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
 }
 
 std::string format_double(double value)
@@ -388,13 +364,8 @@ TelemetryConfig read_config_from_env()
     };
     config.trace_path = validate_sink("FPTC_TRACE");
     config.metrics_path = validate_sink("FPTC_METRICS");
-    if (const auto events = env_int("FPTC_TRACE_EVENTS")) {
-        if (*events < 64) {
-            throw EnvError("FPTC_TRACE_EVENTS=" + std::to_string(*events) +
-                           " is too small: the per-thread ring needs at least 64 slots");
-        }
-        config.ring_capacity = static_cast<std::size_t>(*events);
-    }
+    // The per-thread ring needs at least 64 slots.
+    config.ring_capacity = env_size("FPTC_TRACE_EVENTS", config.ring_capacity, 64);
     config.profile = log_level() >= LogLevel::debug;
     return config;
 }
@@ -526,7 +497,7 @@ std::string chrome_trace_json()
         out += first ? "\n" : ",\n";
         first = false;
         out += "{\"name\": \"";
-        append_json_escaped(out, event.name != nullptr ? event.name : "?");
+        out += json_escape(event.name != nullptr ? event.name : "?");
         out += "\", \"cat\": \"fptc\", \"ph\": \"";
         out += event.phase;
         out += "\", \"ts\": " + format_double(static_cast<double>(event.ts_ns) / 1000.0) +
@@ -600,8 +571,7 @@ void TraceSpan::open_with_args(const char* name,
     std::size_t used = 0;
     for (const auto& [key, value] : args) {
         char pair[sizeof(body)];
-        std::string escaped_value;
-        append_json_escaped(escaped_value, value != nullptr ? value : "");
+        const std::string escaped_value = json_escape(value != nullptr ? value : "");
         const int wrote = std::snprintf(pair, sizeof(pair), "%s\"%s\": \"%s\"",
                                         used == 0 ? "" : ", ", key, escaped_value.c_str());
         if (wrote <= 0 || used + static_cast<std::size_t>(wrote) >= sizeof(body)) {
