@@ -1,7 +1,6 @@
-// The serve pipeline's private parts (not installed): the counters,
-// instruments and queue payloads the stages share, and the three stage
-// classes that StreamingClassifier::run (service.cpp) wires together.  The
-// layout is described in service.hpp.
+// The serve pipeline's private parts: the counters, instruments and queue
+// payloads the stages share, and the three stage classes that
+// StreamingClassifier::run wires together (layout: service.hpp).
 #pragma once
 
 #include "fptc/serve/admission.hpp"
@@ -200,6 +199,7 @@ public:
           recording_(recording)
     {
     }
+    Driver(const Driver&) = delete;  // the run() loop's thread holds its address
 
     void run();
 
@@ -232,6 +232,7 @@ public:
           report_(report)
     {
     }
+    Assembler(const Assembler&) = delete;
 
     void run();
 
@@ -266,6 +267,7 @@ public:
                Watchdog& watchdog, const ServeConfig& config,
                std::atomic<std::uint32_t>& model_generation, PostmortemHook& postmortem,
                ServeReport& report);
+    Classifier(const Classifier&) = delete;
 
     void run();
 

@@ -10,8 +10,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -110,16 +110,15 @@ void PostmortemHook::take(PostmortemReason reason, const std::string& detail)
 
 namespace {
 
-/// Stall detection, which seals a postmortem before the hang-exit when one
-/// is armed, and a supervised worker's heartbeat.  The watchdog polls at
-/// least as often as the status file is due.
+/// Stall detection (sealing a postmortem first when one is armed) and a
+/// supervised worker's heartbeat.
 WatchdogConfig watchdog_config(const ServeConfig& config, PostmortemHook& postmortem)
 {
+    // Poll every 0.25 s, or a whole fraction of the status period.
+    const double status_s = std::max(config.status_period_s, 0.05);
     WatchdogConfig watchdog{
         .stall_seconds = config.hang_stall_s,
-        .poll_seconds = config.status_path.empty()
-                            ? 0.25
-                            : std::clamp(config.status_period_s, 0.05, 0.25),
+        .poll_seconds = config.status_path.empty() ? 0.25 : status_s / std::ceil(status_s / 0.25),
         .heartbeat_path = is_serve_worker() ? serve_heartbeat_path(config.snapshot_path) : "",
         .on_stall = {},
     };

@@ -25,8 +25,7 @@ namespace fptc::serve {
 
 namespace {
 
-/// A heartbeat file older than this draws a SIGKILL for the worker.  The
-/// worker's watchdog refreshes it every 0.25 s or sooner.
+/// A heartbeat file older than this (refreshed every 0.25 s) draws a SIGKILL.
 constexpr double kHeartbeatStaleSeconds = 20.0;
 
 /// Wall-clock seconds (heartbeat staleness compares against file mtime,
