@@ -110,8 +110,7 @@ void PostmortemHook::take(PostmortemReason reason, const std::string& detail)
 
 namespace {
 
-/// Stall detection (sealing a postmortem first when one is armed) and a
-/// supervised worker's heartbeat.
+/// Stall detection (sealing a postmortem first if armed) and the heartbeat.
 WatchdogConfig watchdog_config(const ServeConfig& config, PostmortemHook& postmortem)
 {
     // Poll every 0.25 s, or a whole fraction of the status period.

@@ -74,9 +74,10 @@ private:
 };
 
 /// Process-wide atomic memory accountant.  All methods are thread-safe and
-/// lock-free (a handful of relaxed/acq-rel atomics per call), so charging on
-/// the tensor hot path is cheap.
-class MemBudget {
+/// lock-free, so charging on the tensor hot path is cheap.  Every charge
+/// writes the atomics, so they fill cache lines of their own: a flag beside
+/// them (the serve driver's per-event shutdown check) would miss each time.
+class alignas(64) MemBudget {
 public:
     MemBudget() = default;
 
