@@ -24,9 +24,9 @@
 //     tier) — if the CNN path is what keeps crashing, the cheap tier still
 //     serves; only when that too dies does the supervisor give up and
 //     propagate the worker's status;
-//   * one-shot fault injections (FPTC_FAULT_KILL_SERVE,
-//     FPTC_FAULT_SERVE_HANG) are unset for generations > 0, so an injected
-//     crash is recovered from rather than replayed forever;
+//   * the one-shot rows of the fault table (util/fault.hpp) are unset for
+//     generations > 0, so an injected crash is recovered from rather than
+//     replayed forever;
 //   * a worker that exits 1 (its self-check failed), 2 (malformed knob) or
 //     127 (exec failure) is not retried — restarting cannot fix a bad
 //     binary or configuration, and a cold-started retry would hide a

@@ -5,6 +5,7 @@
 #include "fptc/util/codec.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
+#include "fptc/util/fault.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/shutdown.hpp"
 
@@ -197,8 +198,11 @@ int run_supervisor(const SupervisorConfig& config)
             // Injected one-shot faults must not replay in the recovered
             // generation — the point is to recover from the crash, not to
             // loop it.
-            env.push_back({"FPTC_FAULT_KILL_SERVE", "", true});
-            env.push_back({"FPTC_FAULT_SERVE_HANG", "", true});
+            for (const util::FaultClassSpec& fault : util::kFaultClasses) {
+                if (fault.kind == util::FaultKind::one_shot) {
+                    env.push_back({fault.knob, "", true});
+                }
+            }
         }
         if (final_attempt) {
             degraded = true;

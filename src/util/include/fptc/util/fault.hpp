@@ -1,91 +1,23 @@
 // Deterministic fault injection for testing recovery paths.
 //
-// The fault-tolerance layer (divergence guards, checksummed checkpoints,
-// CSV quarantine, the supervised campaign executor) only earns its keep if
-// the failure paths themselves are exercised regularly.  This module
-// provides a seeded, deterministic injector that the guarded code paths
-// consult at well-defined points:
+// The fault-tolerance layer only earns its keep if its failure paths run
+// regularly, so the guarded code (training guards, checkpoints, CSV
+// quarantine, the campaign executor, durable I/O, the memory accountant, the
+// serve pipeline) consults a seeded, deterministic injector: one inject_*
+// method per fault class.  Each class is declared once, as a row of
+// FPTC_FAULT_CLASSES.  The plan and counter fields, enabled(), summary(),
+// fault_plan_from_env(), the fptc_fault_<counter> gauges and the knobs the
+// serve supervisor unsets after a restart are generated from the rows, and
+// README's table documents the same knobs (FaultKnobsDocumented test).  An
+// unset or 0 knob leaves its class off.  Adding a class is one row plus its
+// inject_* method and call site.
 //
-//   * training steps may have their loss forced to NaN,
-//   * checkpoint writes may be truncated mid-stream,
-//   * CSV rows may be mangled before parsing (lenient reads only),
-//   * campaign unit executions may stall (hang until the watchdog deadline
-//     kills them) or throw a transient UnitError (exercising the executor's
-//     retry/backoff path),
-//   * the durable I/O layer (util/durable.hpp) may fail at the syscall
-//     level: ENOSPC after a cumulative byte budget, short (partial) writes,
-//     fsync failures, and a hard _exit at the K-th durable write (the
-//     kill-point knob of the crash-consistency torture harness),
-//   * the memory accountant (util/membudget.hpp) may refuse reservations:
-//     after a per-unit-execution byte budget (simulated memory pressure
-//     inside a unit), or for the first n submitted units outright
-//     (exercising the executor's shrink-then-degrade OOM path).
-//
-// A process-wide injector is configured once from environment variables:
-//
-//   FPTC_FAULT_SEED=n             stream seed (default 0)
-//   FPTC_FAULT_NAN_EVERY=k        force the loss of every k-th step of each
-//                                 training loop to NaN (0 = off)
-//   FPTC_FAULT_TRUNCATE_WRITES=n  truncate the first n checkpoint writes
-//   FPTC_FAULT_CSV_PERCENT=p      mangle ~p% of CSV rows in lenient reads
-//   FPTC_FAULT_STALL_UNITS=n      stall the first n campaign unit executions
-//   FPTC_FAULT_TRANSIENT_UNITS=n  fail the first n campaign unit executions
-//                                 with a transient error
-//   FPTC_FAULT_ENOSPC_AFTER_BYTES=n  durable writes fail with ENOSPC once n
-//                                 cumulative bytes went through the shim
-//   FPTC_FAULT_SHORT_WRITES=n     the first n durable writes only take half
-//                                 their bytes (exercises the write loop)
-//   FPTC_FAULT_FSYNC_FAIL=n       the first n durable fsyncs fail with EIO
-//   FPTC_FAULT_CRASH_AT_WRITE=k   hard _exit mid-payload at the k-th durable
-//                                 write of the process (simulated power loss)
-//   FPTC_FAULT_ALLOC_FAIL_AFTER_MB=m  the memory accountant refuses further
-//                                 reservations once a unit execution has
-//                                 charged m MB (per-execution byte scope:
-//                                 the executor resets it at each attempt)
-//   FPTC_FAULT_ALLOC_FAIL_UNITS=n refuse the first reservation of the first
-//                                 n *submitted* units (by submission index,
-//                                 initial executions only — a shrink retry
-//                                 is spared, so targeted units shrink once
-//                                 and then succeed deterministically)
-//   FPTC_FAULT_SERVE_STALL_BACKEND=n  the first n streaming-serve backend
-//                                 classify calls stall until the batch
-//                                 deadline trips them (or a hard cap
-//                                 elapses) — exercises the circuit breaker's
-//                                 degradation ladder
-//   FPTC_FAULT_SERVE_MANGLE_PACKETS=p mangle ~p% of generated stream packet
-//                                 events (NaN/negative timestamps,
-//                                 out-of-range sizes); the serve ingest
-//                                 validation must quarantine every one
-//   FPTC_FAULT_SERVE_BURST=k      every 64th stream event erupts into k
-//                                 extra same-timestamp packets (a synthetic
-//                                 microburst driving queue_full shedding)
-//   FPTC_FAULT_SERVE_HANG=k       the serve classifier thread wedges (stops
-//                                 heartbeating) at its k-th batch; the
-//                                 in-worker watchdog must detect the stall
-//                                 and hang-exit so the supervisor restarts
-//   FPTC_FAULT_KILL_SERVE=k       SIGKILL the serve worker right after its
-//                                 k-th flow-state snapshot *commits* — the
-//                                 restarted worker must restore that
-//                                 snapshot and keep the accounting invariant
-//                                 across generations (commit-indexed so a
-//                                 snapshot provably exists at the kill)
-//
-// All injections are counted per class so campaign summaries can report
-// exactly how many faults were injected and survived.
-//
-// Thread safety: the injector is consulted from executor worker threads
-// (unit-level faults) and from the training loops they run (NaN losses), so
-// every method is internally synchronized.  NaN losses are deterministic in
-// *target* for any FPTC_JOBS: each training loop passes its own step index,
-// so the same steps of the same loops fault however workers interleave.
-// With FPTC_JOBS > 1 the CSV-row class interleaves across workers in
-// scheduling order, so which unit absorbs a given injection is no longer
-// deterministic; the unit-granular classes (stall, transient) stay
-// deterministic in *count* — exactly the first n executions are hit.  The
-// alloc classes are deterministic in *target* for any FPTC_JOBS: AFTER_MB
-// scopes its byte budget per unit execution (thread-local, reset by
-// begin_alloc_scope()), and ALLOC_FAIL_UNITS selects units by submission
-// index, so the same units are hit regardless of worker interleaving.
+// Thread safety: every method is internally synchronized.  For any
+// FPTC_JOBS, NaN losses hit the same steps of the same loops (each loop
+// passes its own step index), the unit classes hit the first n executions,
+// and the alloc classes hit the same units (ALLOC_FAIL_AFTER_MB keeps a
+// thread-local byte scope per unit execution, ALLOC_FAIL_UNITS picks units
+// by submission index); CSV-row injections follow scheduling order.
 #pragma once
 
 #include "fptc/util/rng.hpp"
@@ -98,156 +30,173 @@
 
 namespace fptc::util {
 
-/// What to inject.  Default-constructed plan injects nothing.
+/// What a row's knob is.
+enum class FaultKind : std::uint8_t {
+    seed,      ///< seeds the injector's own stream; arms no class
+    fault,     ///< a fault class
+    one_shot,  ///< a fault class the serve supervisor unsets for generations > 0
+};
+
+// X(FaultPlan field type, FaultPlan field, knob, (FaultCounters field,
+//   summary key) or () for a class that keeps no tally, kind, doc)
+#define FPTC_FAULT_CLASSES(X)                                                                               \
+    X(std::uint64_t, seed, "FPTC_FAULT_SEED", (), seed,                                                      \
+      "seed of the injector's own stream, which the percentage classes draw from")                          \
+    X(int, nan_loss_every, "FPTC_FAULT_NAN_EVERY", (nan_losses, "nan_loss"), fault,                          \
+      "force the loss of every k-th step of each training loop to NaN")                                     \
+    X(int, truncate_writes, "FPTC_FAULT_TRUNCATE_WRITES", (truncated_writes, "truncated_writes"), fault,     \
+      "truncate the first n checkpoint writes")                                                             \
+    X(double, csv_row_percent, "FPTC_FAULT_CSV_PERCENT", (corrupted_csv_rows, "csv_rows"), fault,            \
+      "mangle ~p% of CSV rows in lenient reads")                                                            \
+    X(int, stall_units, "FPTC_FAULT_STALL_UNITS", (stalled_units, "stalled_units"), fault,                   \
+      "stall the first n campaign unit executions until the watchdog kills them")                           \
+    X(int, transient_units, "FPTC_FAULT_TRANSIENT_UNITS", (transient_units, "transient_units"), fault,       \
+      "fail the first n campaign unit executions with a transient UnitError")                               \
+    X(std::int64_t, enospc_after_bytes, "FPTC_FAULT_ENOSPC_AFTER_BYTES", (enospc_failures, "enospc"), fault, \
+      "fail durable writes with ENOSPC once n bytes in all went through the shim")                          \
+    X(int, short_writes, "FPTC_FAULT_SHORT_WRITES", (short_write_clamps, "short_writes"), fault,             \
+      "cut the first n durable writes to half their bytes")                                                 \
+    X(int, fsync_failures, "FPTC_FAULT_FSYNC_FAIL", (fsync_failures, "fsync_fail"), fault,                   \
+      "fail the first n durable fsyncs with EIO")                                                           \
+    X(int, crash_at_write, "FPTC_FAULT_CRASH_AT_WRITE", (), fault,                                           \
+      "_exit halfway through the k-th durable write of the process (a power loss)")                         \
+    X(std::int64_t, alloc_fail_after_mb, "FPTC_FAULT_ALLOC_FAIL_AFTER_MB", (alloc_rejections,               \
+      "alloc_reject"), fault, "refuse a unit execution's reservations once it has charged m MB")            \
+    X(int, alloc_fail_units, "FPTC_FAULT_ALLOC_FAIL_UNITS", (alloc_unit_failures, "alloc_units"), fault,     \
+      "refuse the first reservation of the first n submitted units (a shrink retry is spared)")             \
+    X(int, serve_stall_backend, "FPTC_FAULT_SERVE_STALL_BACKEND", (serve_backend_stalls, "serve_stalls"),    \
+      fault, "stall the first n serve backend classify calls until the batch deadline trips them")          \
+    X(double, serve_mangle_percent, "FPTC_FAULT_SERVE_MANGLE_PACKETS", (serve_mangled_packets,              \
+      "serve_mangled"), fault, "mangle ~p% of stream packet events (NaN/negative time, bad size)")          \
+    X(int, serve_burst, "FPTC_FAULT_SERVE_BURST", (serve_bursts, "serve_bursts"), fault,                     \
+      "erupt every 64th stream event into k extra same-timestamp packets")                                  \
+    X(int, serve_hang_at_batch, "FPTC_FAULT_SERVE_HANG", (serve_hangs, "serve_hangs"), one_shot,             \
+      "wedge the serve classifier (no more heartbeats) at its k-th batch")                                  \
+    X(int, kill_serve_at_snapshot, "FPTC_FAULT_KILL_SERVE", (serve_kills, "serve_kills"), one_shot,          \
+      "SIGKILL the serve worker right after its k-th snapshot commit")
+
+// A row's counter column, (field, key) or (), expands through this into
+// FPTC_FAULT_COUNTED(field, key), which each user defines, or to nothing.
+#define FPTC_FAULT_IF_COUNTED(...) __VA_OPT__(FPTC_FAULT_COUNTED(__VA_ARGS__))
+
+/// What to inject, one field per row.  A default plan injects nothing.
 struct FaultPlan {
-    std::uint64_t seed = 0;        ///< seed of the injector's own stream
-    int nan_loss_every = 0;        ///< every k-th step of each training loop diverges (0 = off)
-    int truncate_writes = 0;       ///< first n checkpoint writes are truncated
-    double csv_row_percent = 0.0;  ///< % of CSV rows mangled in lenient reads
-    int stall_units = 0;           ///< first n unit executions stall
-    int transient_units = 0;       ///< first n unit executions throw transient
-    std::int64_t enospc_after_bytes = 0;  ///< durable-write byte budget before ENOSPC (0 = off)
-    int short_writes = 0;          ///< first n durable writes are cut to half
-    int fsync_failures = 0;        ///< first n durable fsyncs fail with EIO
-    int crash_at_write = 0;        ///< _exit at the k-th durable write (0 = off)
-    std::int64_t alloc_fail_after_mb = 0;  ///< per-unit-execution charge budget in MB (0 = off)
-    int alloc_fail_units = 0;      ///< refuse the first reservation of units 0..n-1 (0 = off)
-    int serve_stall_backend = 0;   ///< first n serve backend classify calls stall
-    double serve_mangle_percent = 0.0;  ///< % of stream packet events mangled
-    int serve_burst = 0;           ///< extra packets injected per burst point (0 = off)
-    int serve_hang_at_batch = 0;   ///< classifier wedges at its k-th batch (0 = off)
-    int kill_serve_at_snapshot = 0; ///< SIGKILL worker after its k-th snapshot commit (0 = off)
+#define FPTC_FAULT_PLAN_FIELD(type, field, knob, counter, kind, doc) type field = 0;
+    FPTC_FAULT_CLASSES(FPTC_FAULT_PLAN_FIELD)
+#undef FPTC_FAULT_PLAN_FIELD
 };
 
-/// Tallies of injected faults since the last configure().
+/// Tallies of injected faults since the last configure(), one per counted row.
 struct FaultCounters {
-    std::uint64_t nan_losses = 0;
-    std::uint64_t truncated_writes = 0;
-    std::uint64_t corrupted_csv_rows = 0;
-    std::uint64_t stalled_units = 0;
-    std::uint64_t transient_units = 0;
-    std::uint64_t enospc_failures = 0;   ///< durable writes refused with ENOSPC
-    std::uint64_t short_write_clamps = 0;///< durable writes cut short
-    std::uint64_t fsync_failures = 0;    ///< durable fsyncs failed with EIO
-    std::uint64_t alloc_rejections = 0;  ///< accountant reservations refused (AFTER_MB)
-    std::uint64_t alloc_unit_failures = 0; ///< units targeted by ALLOC_FAIL_UNITS
-    std::uint64_t serve_backend_stalls = 0;  ///< serve backend classify calls stalled
-    std::uint64_t serve_mangled_packets = 0; ///< stream packet events mangled
-    std::uint64_t serve_bursts = 0;          ///< burst points injected into the stream
-    std::uint64_t serve_hangs = 0;           ///< classifier wedge points reached
-    std::uint64_t serve_kills = 0;           ///< post-snapshot SIGKILL points reached
+#define FPTC_FAULT_COUNTED(field, key) std::uint64_t field = 0;
+#define FPTC_FAULT_COUNTER_FIELD(type, plan, knob, counter, kind, doc) FPTC_FAULT_IF_COUNTED counter
+    FPTC_FAULT_CLASSES(FPTC_FAULT_COUNTER_FIELD)
+#undef FPTC_FAULT_COUNTER_FIELD
+#undef FPTC_FAULT_COUNTED
 
-    [[nodiscard]] std::uint64_t total() const noexcept
-    {
-        return nan_losses + truncated_writes + corrupted_csv_rows + stalled_units +
-               transient_units + enospc_failures + short_write_clamps + fsync_failures +
-               alloc_rejections + alloc_unit_failures + serve_backend_stalls +
-               serve_mangled_packets + serve_bursts + serve_hangs + serve_kills;
-    }
+    [[nodiscard]] std::uint64_t total() const noexcept;
 };
+
+struct FaultClassSpec {
+    const char* knob;
+    FaultKind kind;
+};
+
+/// Every row, in order.
+inline constexpr FaultClassSpec kFaultClasses[] = {
+#define FPTC_FAULT_CLASS_SPEC(type, field, knob, counter, kind, doc) {knob, FaultKind::kind},
+    FPTC_FAULT_CLASSES(FPTC_FAULT_CLASS_SPEC)
+#undef FPTC_FAULT_CLASS_SPEC
+};
+
+/// A counted row; `name`, the field's name, also names its gauge.
+struct FaultCounterSpec {
+    const char* name;
+    const char* summary_key;
+    std::uint64_t FaultCounters::*field;
+};
+
+/// The counted rows, in row order.
+inline constexpr FaultCounterSpec kFaultCounters[] = {
+#define FPTC_FAULT_COUNTED(field, key) {#field, key, &FaultCounters::field},
+#define FPTC_FAULT_COUNTER_SPEC(type, plan, knob, counter, kind, doc) FPTC_FAULT_IF_COUNTED counter
+    FPTC_FAULT_CLASSES(FPTC_FAULT_COUNTER_SPEC)
+#undef FPTC_FAULT_COUNTER_SPEC
+#undef FPTC_FAULT_COUNTED
+};
+
+inline std::uint64_t FaultCounters::total() const noexcept
+{
+    std::uint64_t sum = 0;
+    for (const FaultCounterSpec& spec : kFaultCounters) {
+        sum += this->*spec.field;
+    }
+    return sum;
+}
 
 /// Seeded deterministic fault injector.  Thread-safe: see the module note.
 class FaultInjector {
 public:
     /// Inert injector (all inject_* return false).
     FaultInjector() = default;
-
-    explicit FaultInjector(const FaultPlan& plan);
+    explicit FaultInjector(const FaultPlan& plan) { configure(plan); }
 
     /// Replace the plan and reset counters and the injection stream.
     void configure(const FaultPlan& plan);
-
     /// True when any fault class is armed.
     [[nodiscard]] bool enabled() const noexcept;
 
-    /// Consulted once per guarded training step with the loop's own step
-    /// index (1 for its first step); true = treat this step's loss as NaN.
-    /// Fires when step % k == 0, whatever other loops run in the process.
+    // One consultation point per class, named by its row's knob; each counts
+    // what it injects.
+    /// NAN_EVERY: per guarded training step, with the loop's own step index.
     [[nodiscard]] bool inject_nan_loss(std::uint64_t step);
-
-    /// Consulted once per checkpoint write; true = truncate the write.
-    [[nodiscard]] bool inject_truncated_write();
-
-    /// Consulted once per CSV row in lenient reads; Bernoulli(p).
-    [[nodiscard]] bool inject_csv_corruption();
-
-    /// Consulted once per campaign unit execution (including retries); true =
-    /// this execution should stall until the watchdog kills it.
-    [[nodiscard]] bool inject_unit_stall();
-
-    /// Consulted once per campaign unit execution; true = this execution
-    /// should fail with a transient UnitError before doing any work.
-    [[nodiscard]] bool inject_unit_transient();
-
-    /// Consulted by the durable I/O shim before every write with the byte
-    /// count about to go to disk; true = the cumulative budget
-    /// (enospc_after_bytes) is exhausted and the write must fail with
-    /// ENOSPC.  Bytes are accumulated across the whole process.
+    [[nodiscard]] bool inject_truncated_write()  ///< TRUNCATE_WRITES: per checkpoint write
+    {
+        return first_n(&FaultPlan::truncate_writes, &FaultCounters::truncated_writes);
+    }
+    [[nodiscard]] bool inject_csv_corruption();  ///< CSV_PERCENT: per CSV row of a lenient read
+    [[nodiscard]] bool inject_unit_stall()  ///< STALL_UNITS: per unit execution
+    {
+        return first_n(&FaultPlan::stall_units, &FaultCounters::stalled_units);
+    }
+    [[nodiscard]] bool inject_unit_transient()  ///< TRANSIENT_UNITS: per unit execution
+    {
+        return first_n(&FaultPlan::transient_units, &FaultCounters::transient_units);
+    }
+    /// ENOSPC_AFTER_BYTES: by the durable I/O shim with every write's size.
     [[nodiscard]] bool inject_enospc(std::size_t bytes);
-
-    /// Clamp a durable write length: the first short_writes calls return
-    /// half the requested length (>= 1), exercising the caller's
-    /// partial-write loop.  Later calls return `length` unchanged.
-    [[nodiscard]] std::size_t clamp_write(std::size_t length);
-
-    /// Consulted once per durable fsync; true = fail it with EIO.
-    [[nodiscard]] bool inject_fsync_failure();
-
-    /// Consulted once per durable write; true exactly at the k-th
-    /// (crash_at_write) durable write of the process: the caller must write
-    /// a partial payload and _exit — the kill point of the torture harness.
-    [[nodiscard]] bool inject_crash_at_write();
-
-    /// Consulted by MemBudget::reserve with every charge's byte count; true =
-    /// the calling thread's current allocation scope has exhausted its
-    /// alloc_fail_after_mb budget and the reservation must be refused.
-    /// Lock-free fast path (one atomic load when the class is unarmed);
-    /// bytes accumulate in a thread-local scope reset by begin_alloc_scope(),
-    /// so the refusal point depends only on the unit's own charges — the
-    /// same unit fails for any FPTC_JOBS.
+    /// SHORT_WRITES: a durable write's length, halved (>= 1) while it fires.
+    [[nodiscard]] std::size_t clamp_write(std::size_t length)
+    {
+        return length >= 2 && first_n(&FaultPlan::short_writes, &FaultCounters::short_write_clamps)
+                   ? length / 2
+                   : length;
+    }
+    [[nodiscard]] bool inject_fsync_failure()  ///< FSYNC_FAIL: per durable fsync
+    {
+        return first_n(&FaultPlan::fsync_failures, &FaultCounters::fsync_failures);
+    }
+    [[nodiscard]] bool inject_crash_at_write();  ///< CRASH_AT_WRITE: per durable write
+    /// ALLOC_FAIL_AFTER_MB: by MemBudget::reserve with every charge's size.
+    /// Lock-free; the bytes add up in the thread's scope, which
+    /// begin_alloc_scope() resets at each unit attempt.
     [[nodiscard]] bool inject_alloc_fail(std::size_t bytes);
-
-    /// Reset the calling thread's allocation-fault byte scope.  The executor
-    /// calls this at the start of every unit execution (each attempt).
     void begin_alloc_scope();
-
-    /// Consulted once per initial (non-shrunk) unit execution with the
-    /// unit's submission index; true = this unit's first reservation must be
-    /// refused (alloc_fail_units class).  Index-targeted, so deterministic
-    /// for any FPTC_JOBS.
+    /// ALLOC_FAIL_UNITS: per initial (non-shrunk) unit execution, with the
+    /// unit's submission index.
     [[nodiscard]] bool inject_unit_alloc_fail(std::size_t unit_index);
-
-    /// Consulted once per streaming-serve backend classify call; true = this
-    /// call must stall (sleep polling its CancelToken) until the batch
-    /// deadline trips it or the caller's hard cap elapses.  First-n
-    /// semantics, like the unit stall class.
-    [[nodiscard]] bool inject_serve_backend_stall();
-
-    /// Consulted once per generated stream packet event; Bernoulli(p) from
-    /// the injector's own stream: true = the event must be mangled (NaN or
-    /// negative timestamp, out-of-range size) before it reaches ingest.
-    [[nodiscard]] bool inject_serve_mangle();
-
-    /// Consulted once per generated stream packet event; returns the number
-    /// of extra same-timestamp packets to inject at this point (0 almost
-    /// always; serve_burst at every 64th event when the class is armed).
+    [[nodiscard]] bool inject_serve_backend_stall()  ///< SERVE_STALL_BACKEND: per classify call
+    {
+        return first_n(&FaultPlan::serve_stall_backend, &FaultCounters::serve_backend_stalls);
+    }
+    [[nodiscard]] bool inject_serve_mangle();  ///< SERVE_MANGLE_PACKETS: per stream event
+    /// SERVE_BURST: per stream event, the number of extra packets to add.
     [[nodiscard]] int inject_serve_burst();
-
-    /// Consulted once per serve classifier batch; true exactly at the k-th
-    /// (serve_hang_at_batch) batch: the classifier must wedge — stop
-    /// heartbeating and spin — so the watchdog's stall detection fires.
-    [[nodiscard]] bool inject_serve_hang();
-
-    /// Consulted once per committed serve flow-state snapshot; true exactly
-    /// at the k-th (kill_serve_at_snapshot) commit: the worker must
-    /// raise(SIGKILL), leaving the just-committed snapshot as the restart
-    /// point with maximal in-flight loss.
-    [[nodiscard]] bool inject_serve_kill();
+    [[nodiscard]] bool inject_serve_hang();  ///< SERVE_HANG: per classifier batch
+    [[nodiscard]] bool inject_serve_kill();  ///< KILL_SERVE: per committed snapshot
 
     [[nodiscard]] FaultCounters counters() const;
-
-    /// One-line report, e.g. "nan_loss=3 truncated_writes=1 csv_rows=12
-    /// stalled_units=1 transient_units=2".
+    /// `key=count` per counted row, space-separated, in row order.
     [[nodiscard]] std::string summary() const;
 
 private:
@@ -255,31 +204,34 @@ private:
     FaultPlan plan_{};
     Rng rng_{0};
     FaultCounters counters_{};
-    std::uint64_t durable_bytes_ = 0;   ///< cumulative bytes through the shim
-    std::uint64_t durable_writes_ = 0;  ///< shim write calls (crash kill-point index)
-    std::uint64_t serve_stream_events_ = 0;     ///< burst cadence counter (every 64th)
-    std::uint64_t serve_batches_ = 0;           ///< serve-hang trigger index
-    std::uint64_t serve_snapshot_commits_ = 0;  ///< serve-kill trigger index
 
-    // Alloc-fault state lives outside the mutex: inject_alloc_fail sits on
-    // the tensor-allocation hot path, so the armed check is a single relaxed
-    // atomic load and the per-scope byte tally is thread-local (keyed by an
-    // epoch that configure() bumps, which lazily resets every thread's scope).
-    std::atomic<std::uint64_t> alloc_fail_threshold_bytes_{0};  ///< 0 = unarmed
+    /// The "first n" rule: fires while `fired` is below the plan's `n`.
+    bool first_n(int FaultPlan::*n, std::uint64_t FaultCounters::*fired);
+
+    /// Call indexes of the rows whose rule counts calls; reset by configure().
+    struct Calls {
+        std::uint64_t durable_bytes = 0;           ///< ENOSPC_AFTER_BYTES: bytes through the shim
+        std::uint64_t durable_writes = 0;          ///< CRASH_AT_WRITE: shim write calls
+        std::uint64_t serve_stream_events = 0;     ///< SERVE_BURST: cadence (every 64th)
+        std::uint64_t serve_batches = 0;           ///< SERVE_HANG: classifier batches
+        std::uint64_t serve_snapshot_commits = 0;  ///< KILL_SERVE: snapshot commits
+    } calls_{};
+
+    // Hot-path gates, read without the mutex and kept off its cache line:
+    // inject_alloc_fail runs per tensor charge (its byte tally is thread-local,
+    // keyed by an epoch that configure() bumps), and one load answers both
+    // stream classes per packet event while neither is armed.
+    alignas(64) std::atomic<std::uint64_t> alloc_fail_threshold_bytes_{0};  ///< 0 = unarmed
     std::atomic<std::uint64_t> alloc_scope_epoch_{1};
-    std::atomic<std::uint64_t> alloc_rejections_{0};
-
-    // The two stream classes are consulted for every generated packet event
-    // on the serve driver's hot path; while neither is armed, one relaxed
-    // load answers both instead of two lock round trips.
     std::atomic<bool> serve_stream_armed_{false};
+    std::atomic<std::uint64_t> alloc_rejections_{0};  ///< written only while armed
 };
 
-/// The process-wide injector.  First use configures it from the
-/// FPTC_FAULT_* environment variables; tests may reconfigure it directly.
+/// The process-wide injector, configured from the environment on first use.
 [[nodiscard]] FaultInjector& fault_injector();
 
-/// Parse the FPTC_FAULT_* environment variables into a plan.
+/// Parse the rows' knobs into a plan.  A value that does not fit its field
+/// throws EnvError naming the knob.
 [[nodiscard]] FaultPlan fault_plan_from_env();
 
 } // namespace fptc::util

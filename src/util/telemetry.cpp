@@ -627,23 +627,11 @@ void publish_membudget_metrics()
 void publish_fault_metrics()
 {
     const FaultCounters counters = fault_injector().counters();
-    MetricsRegistry& registry = metrics();
-    const auto set = [&registry](const char* name, std::uint64_t value) {
-        registry.gauge(name).set(static_cast<std::int64_t>(value));
-    };
-    set("fptc_fault_nan_losses", counters.nan_losses);
-    set("fptc_fault_truncated_writes", counters.truncated_writes);
-    set("fptc_fault_corrupted_csv_rows", counters.corrupted_csv_rows);
-    set("fptc_fault_stalled_units", counters.stalled_units);
-    set("fptc_fault_transient_units", counters.transient_units);
-    set("fptc_fault_enospc_failures", counters.enospc_failures);
-    set("fptc_fault_short_write_clamps", counters.short_write_clamps);
-    set("fptc_fault_fsync_failures", counters.fsync_failures);
-    set("fptc_fault_alloc_rejections", counters.alloc_rejections);
-    set("fptc_fault_alloc_unit_failures", counters.alloc_unit_failures);
-    set("fptc_fault_serve_backend_stalls", counters.serve_backend_stalls);
-    set("fptc_fault_serve_mangled_packets", counters.serve_mangled_packets);
-    set("fptc_fault_serve_bursts", counters.serve_bursts);
+    for (const FaultCounterSpec& spec : kFaultCounters) {
+        metrics()
+            .gauge(std::string("fptc_fault_") + spec.name)
+            .set(static_cast<std::int64_t>(counters.*spec.field));
+    }
 }
 
 std::string profiler_report()

@@ -13,6 +13,7 @@
 #include "fptc/util/rng.hpp"
 #include "fptc/util/shutdown.hpp"
 #include "fptc/util/table.hpp"
+#include "fptc/util/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -713,6 +715,152 @@ TEST(Env, IntKnobRejectsOverflow)
 {
     KnobGuard knob("FPTC_TEST_KNOB", "99999999999999999999");
     EXPECT_THROW((void)fptc::util::env_int("FPTC_TEST_KNOB"), fptc::util::EnvError);
+}
+
+// ---------------------------------------------------------------------------
+// fault-class table
+// ---------------------------------------------------------------------------
+
+/// Every fault knob with the plan field it sets, written out apart from the
+/// table so a row that pairs a knob with the wrong field fails.
+struct FaultKnobField {
+    const char* knob;
+    double (*field)(const util::FaultPlan&);
+};
+
+#define FPTC_TEST_KNOB(knob, member) \
+    {knob, [](const util::FaultPlan& plan) { return static_cast<double>(plan.member); }}
+const FaultKnobField kFaultKnobFields[] = {
+    FPTC_TEST_KNOB("FPTC_FAULT_SEED", seed),
+    FPTC_TEST_KNOB("FPTC_FAULT_NAN_EVERY", nan_loss_every),
+    FPTC_TEST_KNOB("FPTC_FAULT_TRUNCATE_WRITES", truncate_writes),
+    FPTC_TEST_KNOB("FPTC_FAULT_CSV_PERCENT", csv_row_percent),
+    FPTC_TEST_KNOB("FPTC_FAULT_STALL_UNITS", stall_units),
+    FPTC_TEST_KNOB("FPTC_FAULT_TRANSIENT_UNITS", transient_units),
+    FPTC_TEST_KNOB("FPTC_FAULT_ENOSPC_AFTER_BYTES", enospc_after_bytes),
+    FPTC_TEST_KNOB("FPTC_FAULT_SHORT_WRITES", short_writes),
+    FPTC_TEST_KNOB("FPTC_FAULT_FSYNC_FAIL", fsync_failures),
+    FPTC_TEST_KNOB("FPTC_FAULT_CRASH_AT_WRITE", crash_at_write),
+    FPTC_TEST_KNOB("FPTC_FAULT_ALLOC_FAIL_AFTER_MB", alloc_fail_after_mb),
+    FPTC_TEST_KNOB("FPTC_FAULT_ALLOC_FAIL_UNITS", alloc_fail_units),
+    FPTC_TEST_KNOB("FPTC_FAULT_SERVE_STALL_BACKEND", serve_stall_backend),
+    FPTC_TEST_KNOB("FPTC_FAULT_SERVE_MANGLE_PACKETS", serve_mangle_percent),
+    FPTC_TEST_KNOB("FPTC_FAULT_SERVE_BURST", serve_burst),
+    FPTC_TEST_KNOB("FPTC_FAULT_SERVE_HANG", serve_hang_at_batch),
+    FPTC_TEST_KNOB("FPTC_FAULT_KILL_SERVE", kill_serve_at_snapshot),
+};
+#undef FPTC_TEST_KNOB
+
+TEST(FaultTable, EveryKnobSetsExactlyItsField)
+{
+    ASSERT_EQ(std::size(kFaultKnobFields), std::size(util::kFaultClasses));
+    for (std::size_t row = 0; row < std::size(util::kFaultClasses); ++row) {
+        EXPECT_STREQ(util::kFaultClasses[row].knob, kFaultKnobFields[row].knob);
+    }
+    for (const FaultKnobField& row : kFaultKnobFields) {
+        const KnobGuard knob(row.knob, "7");
+        const util::FaultPlan plan = util::fault_plan_from_env();
+        for (const FaultKnobField& other : kFaultKnobFields) {
+            EXPECT_EQ(other.field(plan), &other == &row ? 7.0 : 0.0)
+                << row.knob << " set, " << other.knob << " read";
+        }
+    }
+}
+
+TEST(FaultTable, KnobThatOverflowsItsFieldIsRejected)
+{
+    {
+        // 2^32 + 1 would wrap to 1 in an int: a NaN at every step.
+        const KnobGuard knob("FPTC_FAULT_NAN_EVERY", "4294967297");
+        try {
+            (void)util::fault_plan_from_env();
+            FAIL() << "an int knob over INT_MAX must throw";
+        } catch (const util::EnvError& error) {
+            EXPECT_NE(std::string(error.what()).find("FPTC_FAULT_NAN_EVERY"), std::string::npos);
+        }
+    }
+    const KnobGuard knob("FPTC_FAULT_ENOSPC_AFTER_BYTES", "4294967297");  // a 64-bit field
+    EXPECT_EQ(util::fault_plan_from_env().enospc_after_bytes, 4294967297);
+}
+
+/// A plan with every class armed; drive_every_class() makes each one fire.
+util::FaultPlan every_class_plan()
+{
+    util::FaultPlan plan;
+    plan.seed = 3;
+    plan.nan_loss_every = 2;
+    plan.truncate_writes = 1;
+    plan.csv_row_percent = 50.0;
+    plan.stall_units = 2;
+    plan.transient_units = 3;
+    plan.enospc_after_bytes = 100;
+    plan.short_writes = 2;
+    plan.fsync_failures = 1;
+    plan.crash_at_write = 1000;  // armed, never reached
+    plan.alloc_fail_after_mb = 1;
+    plan.alloc_fail_units = 2;
+    plan.serve_stall_backend = 1;
+    plan.serve_mangle_percent = 25.0;
+    plan.serve_burst = 4;
+    plan.serve_hang_at_batch = 2;
+    plan.kill_serve_at_snapshot = 3;
+    return plan;
+}
+
+void drive_every_class(util::FaultInjector& faults)
+{
+    for (int i = 1; i <= 10; ++i) {
+        (void)faults.inject_nan_loss(static_cast<std::uint64_t>(i));
+        (void)faults.inject_truncated_write();
+        (void)faults.inject_csv_corruption();
+        (void)faults.inject_unit_stall();
+        (void)faults.inject_unit_transient();
+        (void)faults.inject_enospc(30);
+        (void)faults.clamp_write(10);
+        (void)faults.inject_fsync_failure();
+        (void)faults.inject_crash_at_write();
+        (void)faults.inject_alloc_fail(400 * 1024);
+        (void)faults.inject_unit_alloc_fail(static_cast<std::size_t>(i - 1));
+        (void)faults.inject_serve_backend_stall();
+        for (int event = 0; event < 20; ++event) {
+            (void)faults.inject_serve_mangle();
+            (void)faults.inject_serve_burst();
+        }
+        (void)faults.inject_serve_hang();
+        (void)faults.inject_serve_kill();
+    }
+}
+
+TEST(FaultTable, SummaryIsPinnedWithEveryClassArmed)
+{
+    util::FaultInjector faults(every_class_plan());
+    EXPECT_TRUE(faults.enabled());
+    drive_every_class(faults);
+    EXPECT_EQ(faults.summary(),
+              "nan_loss=5 truncated_writes=1 csv_rows=5 stalled_units=2 transient_units=3 "
+              "enospc=7 short_writes=2 fsync_fail=1 alloc_reject=8 alloc_units=2 "
+              "serve_stalls=1 serve_mangled=50 serve_bursts=3 serve_hangs=1 serve_kills=1");
+    EXPECT_EQ(faults.counters().total(), 92u);
+
+    util::FaultPlan seed_only;
+    seed_only.seed = 9;
+    EXPECT_FALSE(util::FaultInjector(seed_only).enabled());  // the seed arms nothing
+}
+
+TEST(FaultTable, EveryCounterHasItsGauge)
+{
+    util::fault_injector().configure(every_class_plan());
+    drive_every_class(util::fault_injector());
+    util::publish_fault_metrics();
+    const util::FaultCounters counts = util::fault_injector().counters();
+    util::fault_injector().configure(util::FaultPlan{});
+    for (const util::FaultCounterSpec& spec : util::kFaultCounters) {
+        EXPECT_GT(counts.*spec.field, 0u) << spec.name;
+        const std::string gauge = std::string("fptc_fault_") + spec.name;
+        EXPECT_EQ(util::metrics().gauge(gauge).value(),
+                  static_cast<std::int64_t>(counts.*spec.field))
+            << gauge;
+    }
 }
 
 TEST(Env, DoubleKnobParsesStrictly)
