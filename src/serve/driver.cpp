@@ -30,6 +30,7 @@ void Driver::run()
     std::uint64_t events_total = counters_.get<C::events_total>();
     IngestBatch staged;
     std::vector<std::uint64_t> noted_flows;
+    bool downstream_failed = false;
     const auto publish = [&] {
         if (staged.events.empty()) {
             return;
@@ -54,6 +55,7 @@ void Driver::run()
         const bool queued = ingest_.push_wait(std::move(staged), grace);
         if (!queued) {
             counters_.add<C::events_dropped_queue>(size);
+            downstream_failed = ingest_.closed();  // only a failed stage closes it early
         }
         std::uint64_t total = events_total - size;
         for (const std::uint64_t flow_id : noted_flows) {
@@ -95,7 +97,7 @@ void Driver::run()
         } else if (full) {
             publish();
         }
-        if (util::shutdown_requested()) {
+        if (downstream_failed || util::shutdown_requested()) {
             break;
         }
     }

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -208,10 +209,22 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
                         report);
     Classifier classifier(ready, full_, reduced_, fallback_, counters, instruments, watchdog,
                           config_, model_generation, postmortem, report);
+    // A stage that throws closes both hops so the other stages wind down;
+    // its exception is rethrown after every join.
+    std::exception_ptr failed[3];
+    const auto guarded = [&ingest, &ready](auto& stage, std::exception_ptr& failure) {
+        try {
+            stage.run();
+        } catch (...) {
+            failure = std::current_exception();
+            ingest.close();
+            ready.close();
+        }
+    };
     watchdog.start();
-    std::thread assembler_thread([&assembler] { assembler.run(); });
-    std::thread classifier_thread([&classifier] { classifier.run(); });
-    driver.run();
+    std::thread assembler_thread([&] { guarded(assembler, failed[1]); });
+    std::thread classifier_thread([&] { guarded(classifier, failed[2]); });
+    guarded(driver, failed[0]);
     assembler_thread.join();
     classifier_thread.join();
     watchdog.stop();
@@ -225,6 +238,11 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         export_status(false);  // the final export reflects the fully drained pipeline
     }
 
+    for (const std::exception_ptr& failure : failed) {
+        if (failure) {
+            std::rethrow_exception(failure);  // keeps the snapshot to resume from
+        }
+    }
     // Only a crash leaves a snapshot or a ring file behind: after a clean
     // finish either would make the next run, or a later seal, believe this
     // one crashed.

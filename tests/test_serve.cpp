@@ -410,6 +410,41 @@ TEST(ServeService, BurstUnderTightMemoryShedsTypedAndBalances)
     EXPECT_EQ(util::mem_budget().in_use(), before);
 }
 
+TEST(ServeService, StageFailureRethrowsAfterJoiningEveryStage)
+{
+    // Classifier::classify turns a std::exception into typed outcomes; any
+    // other throw leaves the classifier stage.  run() must wind down and
+    // join every stage, keep the snapshot a restart resumes from, and
+    // rethrow.
+    struct Poison {};
+    class PoisonedBackend final : public serve::Backend {
+    public:
+        [[nodiscard]] const char* name() const noexcept override { return "poisoned"; }
+        [[nodiscard]] std::vector<serve::ScoredPrediction>
+        classify_scored(std::span<const serve::ReadyFlow>, const util::CancelToken&) override
+        {
+            throw Poison{};
+        }
+    };
+    const std::string snapshot = ::testing::TempDir() + "fptc_stage_failure." +
+                                 std::to_string(::getpid()) + ".snap";
+    auto config = quick_config();
+    config.snapshot_path = snapshot;
+    // A marker on every full batch: the assembler commits the first
+    // snapshot before it offers any flow to the classifier.
+    config.snapshot_every = 256;
+    PoisonedBackend poisoned;
+    const std::size_t before = util::mem_budget().in_use();
+    {
+        serve::InterleavedStream stream({.flows = 40, .seed = 11});
+        serve::StreamingClassifier service(config, poisoned, poisoned, poisoned);
+        EXPECT_THROW((void)service.run(stream), Poison);
+    }
+    EXPECT_EQ(util::mem_budget().in_use(), before);
+    EXPECT_TRUE(std::filesystem::exists(snapshot));
+    std::filesystem::remove(snapshot);
+}
+
 TEST(ServeService, StatusExportRunsWithoutStallChecks)
 {
     // No stall budget and no heartbeat: the watchdog thread runs for the
