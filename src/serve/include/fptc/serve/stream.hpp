@@ -40,7 +40,7 @@ struct StreamConfig {
     double arrival_window = 30.0;    ///< flow start times ~ U[0, arrival_window)
     std::uint64_t seed = 1;          ///< generator seed (stream is deterministic)
     bool human_shift = false;        ///< use the human-partition profiles
-    trafficgen::DriftSchedule drift; ///< scripted non-stationarity (FPTC_DRIFT_*)
+    trafficgen::DriftSchedule drift{}; ///< scripted non-stationarity (FPTC_DRIFT_*)
 };
 
 class InterleavedStream {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -88,9 +89,7 @@ std::string render_confusion(const std::vector<std::vector<double>>& matrix,
     }
     out << std::string(label_width + 1, ' ');
     for (std::size_t c = 0; c < labels.size(); ++c) {
-        char buffer[16];
-        std::snprintf(buffer, sizeof buffer, "%6zu", c);
-        out << buffer;
+        out << std::setw(6) << c;
     }
     out << "   (columns: predicted class index)\n";
     for (std::size_t r = 0; r < matrix.size(); ++r) {

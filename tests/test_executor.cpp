@@ -601,6 +601,14 @@ TEST(Executor, FootprintEstimateIsMonotone)
     EXPECT_GT(estimate_unit_bytes(full_res), base);
 }
 
+/// "t<t>|i<i>", built by appends: GCC 12 at -O3 reports a false -Wrestrict
+/// on `"t" + std::to_string(t)`.
+std::string hammer_key(int t, int i)
+{
+    std::string key = "t";
+    return key.append(std::to_string(t)).append("|i").append(std::to_string(i));
+}
+
 TEST(JournalThreadSafety, ConcurrentRecordsNeverTearLines)
 {
     TempFile file("fptc_test_journal_hammer.jsonl");
@@ -612,8 +620,7 @@ TEST(JournalThreadSafety, ConcurrentRecordsNeverTearLines)
         for (int t = 0; t < kThreads; ++t) {
             pool.emplace_back([&journal, t] {
                 for (int i = 0; i < kRecordsPerThread; ++i) {
-                    const std::string key =
-                        "t" + std::to_string(t) + "|i" + std::to_string(i);
+                    const std::string key = hammer_key(t, i);
                     journal.record(key, {{"thread", std::to_string(t)},
                                          {"index", std::to_string(i)}});
                 }
@@ -630,8 +637,7 @@ TEST(JournalThreadSafety, ConcurrentRecordsNeverTearLines)
     EXPECT_EQ(reloaded.size(), static_cast<std::size_t>(kThreads * kRecordsPerThread));
     for (int t = 0; t < kThreads; ++t) {
         for (int i = 0; i < kRecordsPerThread; ++i) {
-            const auto fields =
-                reloaded.find_copy("t" + std::to_string(t) + "|i" + std::to_string(i));
+            const auto fields = reloaded.find_copy(hammer_key(t, i));
             ASSERT_TRUE(fields.has_value());
             EXPECT_EQ(fields->at("thread"), std::to_string(t));
             EXPECT_EQ(fields->at("index"), std::to_string(i));
@@ -652,7 +658,7 @@ TEST(JournalThreadSafety, CampaignJournalCountersAreConsistent)
     for (int t = 0; t < kThreads; ++t) {
         pool.emplace_back([&journal, t] {
             for (int i = 0; i < kUnitsPerThread; ++i) {
-                const std::string key = "t" + std::to_string(t) + "|i" + std::to_string(i);
+                const std::string key = hammer_key(t, i);
                 journal.commit(key, {{"v", std::to_string(i)}});
                 const auto replay = journal.try_replay(key);
                 EXPECT_TRUE(replay.has_value());
