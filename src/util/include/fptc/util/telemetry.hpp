@@ -253,8 +253,8 @@ void telemetry_reset_for_tests();
 /// accountant itself at refusal time.
 void publish_membudget_metrics();
 
-/// Snapshot the fault injector's per-class tallies into
-/// fptc_fault_<class> gauges.  Called by flush.
+/// Snapshot the fault injector's tallies into one fptc_fault_<counter>
+/// gauge per FaultCounters field.  Called by flush.
 void publish_fault_metrics();
 
 namespace detail {
