@@ -18,7 +18,6 @@
 //
 // Knobs (all strictly validated):
 //   FPTC_SERVE_FLOWS=n        stream flows (default 300)
-//   FPTC_SERVE_ARRIVAL_S=x    flow-start window in stream seconds (default 30)
 //   FPTC_SERVE_SEED=n         stream + backend seed (default 1)
 //   FPTC_SERVE_TRAIN_FLOWS=n  per-class training flows for the backends
 //                             (default 0 = untrained CNNs, tiny-fit GBT)
@@ -66,6 +65,9 @@
 #endif
 
 namespace {
+
+/// Flow start times ~ U[0, 30) stream seconds.
+constexpr double kArrivalWindowS = 30.0;
 
 double load_average()
 {
@@ -217,7 +219,6 @@ int main()
     try {
         const auto flows =
             static_cast<std::size_t>(util::env_int("FPTC_SERVE_FLOWS").value_or(300));
-        const double arrival = util::env_double("FPTC_SERVE_ARRIVAL_S").value_or(30.0);
         const auto seed =
             static_cast<std::uint64_t>(util::env_int("FPTC_SERVE_SEED").value_or(1));
         const auto train_flows =
@@ -227,9 +228,9 @@ int main()
         config = serve::ServeConfig::from_env();
         // A snapshot is only replayable against the identical deterministic
         // stream: fold the stream identity into the config fingerprint so a
-        // changed seed/flows/arrival forces a cold start.
+        // changed seed/flows/arrival window forces a cold start.
         config.fingerprint_extra = seed ^ (static_cast<std::uint64_t>(flows) << 32) ^
-                                   std::bit_cast<std::uint64_t>(arrival);
+                                   std::bit_cast<std::uint64_t>(kArrivalWindowS);
 
         serve::BackendBundle backends =
             serve::make_backends(config.flowpic_dim, config.reduced_dim, config.num_classes,
@@ -245,7 +246,7 @@ int main()
         }
         serve::InterleavedStream stream({.flows = flows,
                                          .num_classes = config.num_classes,
-                                         .arrival_window = arrival,
+                                         .arrival_window = kArrivalWindowS,
                                          .seed = seed,
                                          .drift = trafficgen::DriftSchedule::from_env()});
         stream_flows = stream.flow_count();
@@ -288,8 +289,8 @@ int main()
         ok = false;
     }
     // The quarantine oracle only holds for a single-generation run: after a
-    // restore, the fresh stream object re-draws (and re-counts) the mangles
-    // of the skipped prefix while the quarantine counter carries the crashed
+    // restore, the fresh stream object counts the mangles of the skipped
+    // prefix too, while the quarantine counter carries the crashed
     // generation's view of them.
     if (!report.restored && report.events_quarantined != mangled) {
         std::cerr << "serve_throughput: quarantine oracle mismatch: quarantined="

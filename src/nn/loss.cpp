@@ -132,90 +132,14 @@ LossResult nt_xent(const Tensor& projections, double temperature)
     if (!(temperature > 0.0)) {
         throw std::invalid_argument("nt_xent: temperature must be positive");
     }
-    const std::size_t rows = projections.dim(0);
-    const std::size_t dim = projections.dim(1);
-
-    Tensor z;
-    std::vector<double> norms;
-    normalize_rows(projections, z, norms);
-    const auto sim = similarity_matrix(z);
-
-    // dL/ds accumulation, where s_ij = cos(z_i, z_j) / temperature.
-    std::vector<double> grad_s(rows * rows, 0.0);
-    double total_loss = 0.0;
-    const double inv_anchors = 1.0 / static_cast<double>(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t positive = i ^ 1; // views are interleaved pairs
-        double max_s = -1e30;
-        for (std::size_t j = 0; j < rows; ++j) {
-            if (j != i) {
-                max_s = std::max(max_s, sim[i * rows + j] / temperature);
-            }
-        }
-        double denom = 0.0;
-        for (std::size_t j = 0; j < rows; ++j) {
-            if (j != i) {
-                denom += std::exp(sim[i * rows + j] / temperature - max_s);
-            }
-        }
-        const double s_pos = sim[i * rows + positive] / temperature;
-        total_loss += -(s_pos - max_s - std::log(denom));
-        for (std::size_t j = 0; j < rows; ++j) {
-            if (j == i) {
-                continue;
-            }
-            const double p = std::exp(sim[i * rows + j] / temperature - max_s) / denom;
-            grad_s[i * rows + j] += (p - (j == positive ? 1.0 : 0.0)) * inv_anchors;
-        }
+    // NT-Xent is SupCon with one positive per anchor: views are interleaved
+    // pairs, so rows 2i and 2i+1 share label i.  With one positive, SupCon's
+    // "-1 + p" and its "x 1.0" give NT-Xent's bits exactly.
+    std::vector<std::size_t> pair_labels(projections.dim(0));
+    for (std::size_t row = 0; row < pair_labels.size(); ++row) {
+        pair_labels[row] = row / 2;
     }
-
-    // dL/dz_i = sum_j (G_ij + G_ji) z_j / temperature.
-    Tensor grad_z({rows, dim});
-    {
-        const auto z_data = z.data();
-        auto gz = grad_z.data();
-        for (std::size_t i = 0; i < rows; ++i) {
-            float* gz_row = gz.data() + i * dim;
-            for (std::size_t j = 0; j < rows; ++j) {
-                if (j == i) {
-                    continue;
-                }
-                const double coeff = (grad_s[i * rows + j] + grad_s[j * rows + i]) / temperature;
-                if (coeff == 0.0) {
-                    continue;
-                }
-                const float* z_row = z_data.data() + j * dim;
-                for (std::size_t d = 0; d < dim; ++d) {
-                    gz_row[d] += static_cast<float>(coeff * static_cast<double>(z_row[d]));
-                }
-            }
-        }
-    }
-
-    // Backprop through row normalization: de = (dz - (z . dz) z) / ||e||.
-    LossResult result;
-    result.loss = total_loss * inv_anchors;
-    result.grad = Tensor(projections.shape());
-    {
-        const auto z_data = z.data();
-        const auto gz = grad_z.data();
-        auto ge = result.grad.data();
-        for (std::size_t i = 0; i < rows; ++i) {
-            const float* z_row = z_data.data() + i * dim;
-            const float* gz_row = gz.data() + i * dim;
-            float* ge_row = ge.data() + i * dim;
-            double dot = 0.0;
-            for (std::size_t d = 0; d < dim; ++d) {
-                dot += static_cast<double>(z_row[d]) * static_cast<double>(gz_row[d]);
-            }
-            const double inv_norm = 1.0 / norms[i];
-            for (std::size_t d = 0; d < dim; ++d) {
-                ge_row[d] = static_cast<float>(
-                    (static_cast<double>(gz_row[d]) - dot * static_cast<double>(z_row[d])) * inv_norm);
-            }
-        }
-    }
-    return result;
+    return sup_con(projections, pair_labels, temperature);
 }
 
 LossResult sup_con(const Tensor& projections, std::span<const std::size_t> labels,
@@ -238,12 +162,14 @@ LossResult sup_con(const Tensor& projections, std::span<const std::size_t> label
     normalize_rows(projections, z, norms);
     const auto sim = similarity_matrix(z);
 
-    // dL/ds accumulation over the multi-positive objective.
+    // dL/ds accumulation, where s_ij = cos(z_i, z_j) / temperature, over the
+    // multi-positive objective.
     std::vector<double> grad_s(rows * rows, 0.0);
     double total_loss = 0.0;
     std::size_t active_anchors = 0;
+    std::vector<std::size_t> positives;
     for (std::size_t i = 0; i < rows; ++i) {
-        std::vector<std::size_t> positives;
+        positives.clear();
         for (std::size_t j = 0; j < rows; ++j) {
             if (j != i && labels[j] == labels[i]) {
                 positives.push_back(j);
@@ -291,8 +217,7 @@ LossResult sup_con(const Tensor& projections, std::span<const std::size_t> label
         g *= inv_anchors;
     }
 
-    // dL/dz_i = sum_j (G_ij + G_ji) z_j / temperature, then backprop through
-    // the row normalization — identical machinery to nt_xent.
+    // dL/dz_i = sum_j (G_ij + G_ji) z_j / temperature.
     Tensor grad_z({rows, dim});
     {
         const auto z_data = z.data();
@@ -315,6 +240,7 @@ LossResult sup_con(const Tensor& projections, std::span<const std::size_t> label
         }
     }
 
+    // Backprop through row normalization: de = (dz - (z . dz) z) / ||e||.
     LossResult result;
     result.loss = total_loss * inv_anchors;
     result.grad = Tensor(projections.shape());

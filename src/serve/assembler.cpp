@@ -113,8 +113,7 @@ void Assembler::run()
                     frec_note(FrecRing::assembler, FrecKind::codel_drop, event.flow_id, wait_ns);
                     continue;
                 }
-                if (const char* reason = validate(event); reason != nullptr) {
-                    (void)reason;
+                if (validate(event) != nullptr) {
                     counters_.add<C::events_quarantined>();
                     frec_note(FrecRing::assembler, FrecKind::quarantine, event.flow_id);
                     continue;

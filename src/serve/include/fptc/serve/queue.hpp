@@ -1,6 +1,6 @@
 // Bounded producer/consumer queue for the serve pipeline stages.
 //
-// Both hand-offs in the streaming classifier — batches of raw packet events
+// Both hand-offs in the streaming classifier — batches of stream events
 // into the assembler and window-closed flows into the classifier — run
 // through this queue.  It is deliberately *bounded* and *non-blocking on the
 // producer side*: a full queue makes try_push return false immediately, so
@@ -9,14 +9,12 @@
 // side blocks with a timeout so threads wind down promptly after close().
 //
 // Plain mutex + condition_variable, so the hops stay simple to check under
-// tsan; what a hop costs is how often it locks and wakes.  The ingest hop
-// carries batches of up to 256 events: with one event per push, an
-// assembler that kept pace was woken by nearly every push, and such replays
-// took twice as long as those where it ran behind.  Batching ended that
-// mode with no lock-free ring: perfbench serve_cnn went from a median of
-// 1.2 to 7.8 M events/s on a 4-vCPU host.  The ready hop moves window-closed
-// flows, each worth a flowpic rasterization downstream, so one flow per push
-// costs nothing measurable.
+// tsan; what a hop costs is how often it locks and wakes.  An ingest batch
+// is a view of up to 256 events of the immutable stream, not a copy.  One
+// event per push woke a caught-up assembler for nearly every event (batches
+// took perfbench serve_cnn from 1.2 to 7.8 M events/s on a 4-vCPU host), and
+// copied events let a stream-sized queue hold ~92 MB.  The ready hop moves
+// one window-closed flow per push, each worth a flowpic rasterization.
 #pragma once
 
 #include <chrono>

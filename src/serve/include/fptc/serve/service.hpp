@@ -39,11 +39,11 @@
 //     pre-run level; 0 in a dedicated process).
 //
 // Crash recovery (snapshot.hpp, watchdog.hpp, supervisor.hpp): the driver
-// injects consistent-cut markers into the ingest queue; the assembler
-// serializes the flow table + counter cut through DurableFile when a marker
-// arrives; a restarted worker restores the snapshot, skips the
-// deterministic stream past the watermark, and accounts the bounded loss
-// window as restart_loss sheds.  A watchdog thread detects wedged pipeline
+// injects a consistent-cut marker into the ingest queue every snapshot_every
+// events; the assembler serializes the flow table + counter cut through
+// DurableFile when a marker arrives; a restarted worker restores the
+// snapshot, skips the deterministic stream past the watermark, and accounts
+// the bounded loss window as restart_loss sheds.  A watchdog thread detects wedged pipeline
 // threads (FPTC_FAULT_SERVE_HANG) and hang-exits so the supervisor can
 // recover; its poll also refreshes a supervised worker's heartbeat file and
 // exports the live status file, so a worker runs at most four threads.
@@ -85,8 +85,7 @@ struct ServeConfig {
 
     // Durable flow-state snapshots (snapshot.hpp).
     std::string snapshot_path;        ///< FPTC_SERVE_SNAPSHOT: snapshot file (empty = off)
-    double snapshot_period_s = 1.0;   ///< FPTC_SERVE_SNAPSHOT_S: wall-clock cadence (0 = off)
-    std::uint64_t snapshot_every = 0; ///< FPTC_SERVE_SNAPSHOT_EVERY: event cadence (0 = off)
+    std::uint64_t snapshot_every = 1U << 22;  ///< FPTC_SERVE_SNAPSHOT_EVERY: events (0 = off)
 
     // Open-set rejection (backend.hpp): a flow whose calibrated max-class
     // score is below the threshold is routed to the typed `unknown` outcome
@@ -180,7 +179,8 @@ public:
     /// report.  When config.snapshot_path names a loadable snapshot, the run
     /// first restores it and skips `stream` past the persisted watermark;
     /// `stream` must be the same deterministic stream the crashed
-    /// generation was consuming (enforced via the config fingerprint).
+    /// generation was consuming (enforced via the config fingerprint).  The
+    /// ingest queue carries views of its events: it must outlive run().
     [[nodiscard]] ServeReport run(InterleavedStream& stream);
 
 private:

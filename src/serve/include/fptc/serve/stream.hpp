@@ -4,31 +4,34 @@
 // flows: each flow is sampled from a ucdavis19 class profile, offset by a
 // uniform start time within the arrival window, and all packets are merged
 // into one globally time-sorted event sequence — the input shape a capture
-// tap would deliver.  The stream is also where two serve fault classes act
-// (they corrupt the *input*, not the service):
+// tap would deliver.  The constructor also applies the two serve fault
+// classes that corrupt the *input*, drawing them from the process-wide
+// injector once per base event:
 //
-//   * FPTC_FAULT_SERVE_MANGLE_PACKETS=p  — ~p% of events leave here mangled
+//   * FPTC_FAULT_SERVE_MANGLE_PACKETS=p  — ~p% of events are mangled
 //     (NaN/negative timestamps, out-of-range sizes); the service's ingest
 //     validation must quarantine every one (mangled() is the test oracle).
 //   * FPTC_FAULT_SERVE_BURST=k — every 64th event erupts into k extra
 //     same-timestamp clones, a synthetic microburst that drives the bounded
 //     ingest queue into its queue_full shed path.
-// A DriftSchedule (trafficgen/drift.hpp) makes the stream non-stationary on
-// a scripted, seed-deterministic schedule: class profiles blend toward
-// their human-partition variants, unknown-class flows (ground-truth label
-// = num_classes) are injected, and the class mix can skew — the inputs the
-// serve drift monitor and open-set threshold are tortured against.  An
-// inactive schedule leaves the stream bit-identical to one built without
-// it.
+// After construction the stream is immutable data: next() and take() move a
+// cursor, take() hands out views that the serve driver queues without
+// copying, and a copy of a stream replays the same faulted sequence.
+// A DriftSchedule (trafficgen/drift.hpp) blends class profiles toward their
+// human-partition variants and injects unknown-class flows (label =
+// num_classes) on a seed-deterministic schedule; an inactive schedule
+// leaves the stream bit-identical to one built without it.
 #pragma once
 
 #include "fptc/serve/event.hpp"
 
 #include "fptc/trafficgen/drift.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace fptc::serve {
@@ -47,12 +50,24 @@ class InterleavedStream {
 public:
     explicit InterleavedStream(const StreamConfig& config);
 
-    /// Next event in global time order (plus any injected burst clones),
-    /// or nullopt at end of stream.
-    [[nodiscard]] std::optional<PacketEvent> next();
+    /// Next event in global time order (burst clones included), or nullopt
+    /// at end of stream.
+    [[nodiscard]] std::optional<PacketEvent> next()
+    {
+        return cursor_ < events_.size() ? std::optional(events_[cursor_++]) : std::nullopt;
+    }
+
+    /// The next min(n, remaining) events, as a view valid while the stream
+    /// lives; empty at end of stream.
+    [[nodiscard]] std::span<const PacketEvent> take(std::size_t n)
+    {
+        const std::size_t begin = cursor_;
+        cursor_ += std::min(n, events_.size() - begin);
+        return {events_.data() + begin, cursor_ - begin};
+    }
 
     /// Events handed out so far (burst clones included).
-    [[nodiscard]] std::uint64_t events_emitted() const noexcept { return emitted_; }
+    [[nodiscard]] std::uint64_t events_emitted() const noexcept { return cursor_; }
 
     /// Events corrupted by the mangle fault class — the quarantine oracle:
     /// the service must report exactly this many quarantined events.
@@ -66,17 +81,15 @@ public:
     [[nodiscard]] std::size_t unknown_flows() const noexcept { return unknown_flows_; }
 
     /// Total events in the base stream (before faults).
-    [[nodiscard]] std::size_t base_events() const noexcept { return events_.size(); }
+    [[nodiscard]] std::size_t base_events() const noexcept { return base_events_; }
 
 private:
-    std::vector<PacketEvent> events_;  ///< time-sorted base stream
+    std::vector<PacketEvent> events_;  ///< time-sorted, faults applied
     std::size_t cursor_ = 0;
-    int pending_burst_ = 0;            ///< clones of events_[cursor_-1] still owed
-    std::uint64_t emitted_ = 0;
+    std::size_t base_events_ = 0;
     std::uint64_t mangled_ = 0;
     std::size_t flow_count_ = 0;
     std::size_t unknown_flows_ = 0;
-    std::uint64_t mangle_rng_state_ = 0;  ///< cheap per-event corruption selector
 };
 
 } // namespace fptc::serve

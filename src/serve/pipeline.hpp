@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,9 @@ namespace fptc::serve {
 /// The per-run counters: a slot per counters.hpp row plus its registry
 /// counter.  Each counter has one writing thread, so counting is a relaxed
 /// load + store; the snapshot cut and the status export take relaxed samples.
-/// Each slot has its own cache line, so the driver's per-event counts share
-/// none with the other stages.  A restored run seeds the slots from the
-/// snapshot cut, so the report spans process generations.
+/// Each slot has its own cache line, so the stages' counts share none.  A
+/// restored run seeds the slots from the snapshot cut, so the report spans
+/// process generations.
 class LiveCounters {
 public:
     explicit LiveCounters(const ServeCounters& seed)
@@ -143,9 +144,7 @@ struct SnapshotMarker {
     std::uint64_t events_dropped_queue = 0;
 };
 
-/// Events per ingest push, and so per assembler loop.  A push per event
-/// wakes an assembler that keeps pace for nearly every event, and such
-/// replays run at half the events/sec of those where it lags.
+/// Events per ingest push, and so per assembler loop (queue.hpp).
 inline constexpr std::size_t kIngestBatch = 256;
 
 /// Events per ingest batch.  The ingest capacity stays counted in events,
@@ -155,11 +154,11 @@ inline std::size_t ingest_batch_events(const ServeConfig& config)
     return std::clamp(config.queue_depth, std::size_t{1}, kIngestBatch);
 }
 
-/// Ingest-queue payload: up to kIngestBatch events, stamped once when the
-/// first of them was staged, and an optional snapshot marker that follows
-/// the last of them.
+/// Ingest-queue payload: a view of up to kIngestBatch events of the stream
+/// (which outlives the run), stamped once when it was taken, and an optional
+/// snapshot marker that follows the last of them.
 struct IngestBatch {
-    std::vector<PacketEvent> events;
+    std::span<const PacketEvent> events;
     std::chrono::steady_clock::time_point enqueued{};
     bool has_marker = false;
     SnapshotMarker cut{};
@@ -186,10 +185,10 @@ struct PostmortemHook {
 };
 
 /// The driver stage, on the caller's thread: skips a restored run's
-/// watermark, pumps the stream into the ingest queue in batches with the
+/// watermark, slices the stream into batches for the ingest queue with the
 /// snapshot markers between them, and closes the queue at the end of the
-/// stream or on a shutdown request.  Reads queue_depth and the snapshot_*
-/// cadence of the config.
+/// stream or on a shutdown request.  Reads queue_depth, snapshot_path and
+/// snapshot_every of the config.
 class Driver {
 public:
     Driver(InterleavedStream& stream, BoundedQueue<IngestBatch>& ingest, LiveCounters& counters,

@@ -54,10 +54,7 @@ ServeConfig ServeConfig::from_env()
         env_size("FPTC_SERVE_BREAKER_COOLDOWN", static_cast<std::size_t>(config.breaker_cooldown), 1));
     config.slo_ms = env_positive("FPTC_SERVE_SLO_MS", config.slo_ms, true);
     config.snapshot_path = util::env_string("FPTC_SERVE_SNAPSHOT");
-    config.snapshot_period_s =
-        env_positive("FPTC_SERVE_SNAPSHOT_S", config.snapshot_period_s, true);
-    config.snapshot_every = static_cast<std::uint64_t>(
-        util::env_int("FPTC_SERVE_SNAPSHOT_EVERY").value_or(0));
+    config.snapshot_every = env_size("FPTC_SERVE_SNAPSHOT_EVERY", config.snapshot_every, 0);
     config.unknown_thresh = env_positive("FPTC_SERVE_UNKNOWN_THRESH", config.unknown_thresh, true);
     if (config.unknown_thresh > 1.0) {
         throw util::EnvError("FPTC_SERVE_UNKNOWN_THRESH must be in [0, 1], got " +
@@ -222,11 +219,21 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         }
     };
     watchdog.start();
-    std::thread assembler_thread([&] { guarded(assembler, failed[1]); });
-    std::thread classifier_thread([&] { guarded(classifier, failed[2]); });
-    guarded(driver, failed[0]);
-    assembler_thread.join();
-    classifier_thread.join();
+    std::thread stage_threads[2];
+    try {
+        stage_threads[0] = std::thread([&] { guarded(assembler, failed[1]); });
+        stage_threads[1] = std::thread([&] { guarded(classifier, failed[2]); });
+        guarded(driver, failed[0]);
+    } catch (...) {  // a stage thread did not start: fail the run like a stage
+        failed[0] = std::current_exception();
+        ingest.close();
+        ready.close();
+    }
+    for (std::thread& thread : stage_threads) {
+        if (thread.joinable()) {
+            thread.join();
+        }
+    }
     watchdog.stop();
     if (rec != nullptr) {
         instruments.frec_events.set(static_cast<std::int64_t>(rec->recorded_total()));

@@ -9,6 +9,51 @@
 
 namespace fptc::serve {
 
+namespace {
+
+/// Corrupt an event so that serve::validate is guaranteed to reject it.
+/// `selector` cycles through the corruption modes deterministically.
+void mangle_event(PacketEvent& event, std::uint64_t selector)
+{
+    switch (selector % 4) {
+    case 0: event.timestamp = std::numeric_limits<double>::quiet_NaN(); break;
+    case 1: event.timestamp = -1.0 - event.timestamp; break;
+    case 2: event.size = -static_cast<double>(42 + selector % 1000); break;
+    default: event.size = 1e9; break;
+    }
+}
+
+/// Apply the armed stream fault classes; returns the events mangled.  Per
+/// base event: the burst draw, then the mangle draw.  Burst clones replay
+/// their event unmangled, same timestamp and flow, but never its flow_end.
+std::uint64_t apply_stream_faults(std::vector<PacketEvent>& events, std::uint64_t seed)
+{
+    util::FaultInjector& faults = util::fault_injector();
+    if (const util::FaultPlan plan = faults.plan();
+        plan.serve_mangle_percent <= 0.0 && plan.serve_burst <= 0) {
+        return 0;
+    }
+    std::vector<PacketEvent> faulted;
+    faulted.reserve(events.size());
+    std::uint64_t selector = util::mix_seed(seed, 0x3A46);
+    std::uint64_t mangled = 0;
+    for (const PacketEvent& base : events) {
+        const int burst = faults.inject_serve_burst();
+        faulted.push_back(base);
+        if (faults.inject_serve_mangle()) {
+            mangle_event(faulted.back(), ++selector);
+            ++mangled;
+        }
+        PacketEvent clone = base;
+        clone.flow_end = false;
+        faulted.insert(faulted.end(), static_cast<std::size_t>(burst), clone);
+    }
+    events = std::move(faulted);
+    return mangled;
+}
+
+} // namespace
+
 InterleavedStream::InterleavedStream(const StreamConfig& config)
 {
     util::Rng rng(util::mix_seed(config.seed, 0x5E47E));
@@ -25,7 +70,6 @@ InterleavedStream::InterleavedStream(const StreamConfig& config)
     const trafficgen::DriftSchedule& drift = config.drift;
     std::vector<trafficgen::ClassProfile> shifted;
     trafficgen::ClassProfile unknown_profile;
-    std::vector<double> class_cdf;
     if (drift.active()) {
         shifted.reserve(num_classes);
         for (std::size_t c = 0; c < num_classes; ++c) {
@@ -34,19 +78,6 @@ InterleavedStream::InterleavedStream(const StreamConfig& config)
             shifted.push_back(trafficgen::ucdavis19_profile(c % 5, !config.human_shift));
         }
         unknown_profile = trafficgen::unknown_app_profile(config.seed);
-        if (drift.imbalance > 0.0) {
-            // Geometric class weights s^c, normalized into a CDF.
-            double total = 0.0;
-            double weight = 1.0;
-            for (std::size_t c = 0; c < num_classes; ++c) {
-                total += weight;
-                class_cdf.push_back(total);
-                weight *= drift.imbalance;
-            }
-            for (double& edge : class_cdf) {
-                edge /= total;
-            }
-        }
     }
 
     for (std::size_t i = 0; i < config.flows; ++i) {
@@ -61,13 +92,6 @@ InterleavedStream::InterleavedStream(const StreamConfig& config)
             start = rng.uniform(0.0, std::max(config.arrival_window, 0.0));
             const double progress =
                 config.arrival_window > 0.0 ? start / config.arrival_window : 0.0;
-            if (!class_cdf.empty()) {
-                const double u = rng.uniform(0.0, 1.0);
-                label = 0;
-                while (label + 1 < num_classes && u > class_cdf[label]) {
-                    ++label;
-                }
-            }
             const bool inject_unknown = drift.unknown_rate > 0.0 && progress >= drift.at &&
                                         rng.uniform(0.0, 1.0) < drift.unknown_rate;
             if (inject_unknown) {
@@ -106,48 +130,8 @@ InterleavedStream::InterleavedStream(const StreamConfig& config)
                      [](const PacketEvent& a, const PacketEvent& b) {
                          return a.timestamp < b.timestamp;
                      });
-    mangle_rng_state_ = util::mix_seed(config.seed, 0x3A46);
-}
-
-namespace {
-
-/// Corrupt an event so that serve::validate is guaranteed to reject it.
-/// `selector` cycles through the corruption modes deterministically.
-void mangle_event(PacketEvent& event, std::uint64_t selector)
-{
-    switch (selector % 4) {
-    case 0: event.timestamp = std::numeric_limits<double>::quiet_NaN(); break;
-    case 1: event.timestamp = -1.0 - event.timestamp; break;
-    case 2: event.size = -static_cast<double>(42 + selector % 1000); break;
-    default: event.size = 1e9; break;
-    }
-}
-
-} // namespace
-
-std::optional<PacketEvent> InterleavedStream::next()
-{
-    if (pending_burst_ > 0 && cursor_ > 0) {
-        // Burst clones replay the previous event verbatim (same timestamp,
-        // same flow) — but never its flow_end marker.
-        PacketEvent clone = events_[cursor_ - 1];
-        clone.flow_end = false;
-        --pending_burst_;
-        ++emitted_;
-        return clone;
-    }
-    if (cursor_ >= events_.size()) {
-        return std::nullopt;
-    }
-    PacketEvent event = events_[cursor_++];
-    util::FaultInjector& faults = util::fault_injector();
-    pending_burst_ = faults.inject_serve_burst();
-    if (faults.inject_serve_mangle()) {
-        mangle_event(event, ++mangle_rng_state_);
-        ++mangled_;
-    }
-    ++emitted_;
-    return event;
+    base_events_ = events_.size();
+    mangled_ = apply_stream_faults(events_, config.seed);
 }
 
 } // namespace fptc::serve

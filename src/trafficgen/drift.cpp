@@ -3,7 +3,6 @@
 #include "fptc/util/env.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 namespace fptc::trafficgen {
@@ -47,8 +46,7 @@ double DriftSchedule::shift_weight(double progress) const noexcept
 DriftSchedule DriftSchedule::from_env()
 {
     DriftSchedule schedule;
-    if (const char* mode = std::getenv("FPTC_DRIFT_MODE"); mode != nullptr && *mode != '\0') {
-        const std::string value(mode);
+    if (const std::string value = util::env_string("FPTC_DRIFT_MODE"); !value.empty()) {
         if (value == "step") {
             schedule.mode = Mode::step;
         } else if (value == "linear") {
@@ -62,11 +60,6 @@ DriftSchedule DriftSchedule::from_env()
     schedule.at = env_fraction("FPTC_DRIFT_AT", schedule.at, 1.0);
     schedule.magnitude = env_fraction("FPTC_DRIFT_MAGNITUDE", schedule.magnitude, 1.0);
     schedule.unknown_rate = env_fraction("FPTC_DRIFT_UNKNOWN", schedule.unknown_rate, 1.0);
-    schedule.imbalance = env_fraction("FPTC_DRIFT_IMBALANCE", schedule.imbalance, 1.0);
-    if (schedule.imbalance >= 1.0) {
-        throw util::EnvError("FPTC_DRIFT_IMBALANCE must be in [0, 1), got " +
-                             std::to_string(schedule.imbalance));
-    }
     return schedule;
 }
 

@@ -12,10 +12,7 @@
 //     script-vs-human drift), stepping at `at` or ramping linearly,
 //   * unknown-class injection — a fraction of post-shift flows is drawn
 //     from a profile outside the trained classes and labeled
-//     `num_classes` (the open-set oracle),
-//   * imbalance skew — class draw probabilities tilt geometrically
-//     (weight s^c), bending the prediction-rate mix without touching any
-//     single class's shape.
+//     `num_classes` (the open-set oracle).
 //
 // All knobs come from FPTC_DRIFT_* environment variables (from_env), and
 // everything downstream of the schedule stays seed-deterministic.
@@ -34,13 +31,12 @@ struct DriftSchedule {
     double at = 0.5;           ///< FPTC_DRIFT_AT: progress where the shift begins
     double magnitude = 1.0;    ///< FPTC_DRIFT_MAGNITUDE: full-drift blend weight [0, 1]
     double unknown_rate = 0.0; ///< FPTC_DRIFT_UNKNOWN: unknown-class rate after `at`
-    double imbalance = 0.0;    ///< FPTC_DRIFT_IMBALANCE: geometric skew s in [0, 1); 0 = off
 
     /// Anything scheduled at all?  An inactive schedule must leave the
     /// consuming stream bit-identical to one built without it.
     [[nodiscard]] bool active() const noexcept
     {
-        return mode != Mode::none || unknown_rate > 0.0 || imbalance > 0.0;
+        return mode != Mode::none || unknown_rate > 0.0;
     }
 
     /// Blend weight toward the shifted profile at `progress` in [0, 1]:

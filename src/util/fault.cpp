@@ -63,6 +63,7 @@ struct AllocScope {
 };
 
 thread_local AllocScope t_alloc_scope;
+std::atomic<std::uint64_t> g_alloc_epochs{1};  ///< one sequence for every injector
 
 } // namespace
 
@@ -73,13 +74,18 @@ void FaultInjector::configure(const FaultPlan& plan)
     rng_ = Rng(mix_seed(plan.seed, 0xFA17));
     counters_ = FaultCounters{};
     calls_ = Calls{};
-    alloc_fail_threshold_bytes_.store(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(plan.alloc_fail_after_mb, 0)) << 20,
-        std::memory_order_relaxed);
-    alloc_scope_epoch_.fetch_add(1, std::memory_order_relaxed);
+    // Saturated, not shifted past 64 bits: an armed class never wraps to 0.
+    const auto mb = static_cast<std::uint64_t>(std::max<std::int64_t>(plan.alloc_fail_after_mb, 0));
+    alloc_fail_threshold_bytes_.store(std::min<std::uint64_t>(mb, ~0ULL >> 20) << 20,
+                                      std::memory_order_relaxed);
+    alloc_scope_epoch_.store(++g_alloc_epochs, std::memory_order_relaxed);
     alloc_rejections_.store(0, std::memory_order_relaxed);
-    serve_stream_armed_.store(plan.serve_mangle_percent > 0.0 || plan.serve_burst > 0,
-                              std::memory_order_relaxed);
+}
+
+FaultPlan FaultInjector::plan() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return plan_;
 }
 
 bool FaultInjector::enabled() const noexcept
@@ -157,18 +163,12 @@ bool FaultInjector::inject_unit_alloc_fail(std::size_t unit_index)
 
 bool FaultInjector::inject_serve_mangle()
 {
-    if (!serve_stream_armed_.load(std::memory_order_relaxed)) {
-        return false;
-    }
     const std::lock_guard<std::mutex> lock(mutex_);
     return counted(bernoulli(plan_.serve_mangle_percent, rng_), counters_.serve_mangled_packets);
 }
 
 int FaultInjector::inject_serve_burst()
 {
-    if (!serve_stream_armed_.load(std::memory_order_relaxed)) {
-        return 0;
-    }
     const std::lock_guard<std::mutex> lock(mutex_);
     const bool burst = plan_.serve_burst > 0 && ++calls_.serve_stream_events % 64 == 0;
     return counted(burst, counters_.serve_bursts) ? plan_.serve_burst : 0;

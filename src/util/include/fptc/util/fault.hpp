@@ -144,6 +144,7 @@ public:
     void configure(const FaultPlan& plan);
     /// True when any fault class is armed.
     [[nodiscard]] bool enabled() const noexcept;
+    [[nodiscard]] FaultPlan plan() const;  ///< the configured plan
 
     // One consultation point per class, named by its row's knob; each counts
     // what it injects.
@@ -188,8 +189,9 @@ public:
     {
         return first_n(&FaultPlan::serve_stall_backend, &FaultCounters::serve_backend_stalls);
     }
-    [[nodiscard]] bool inject_serve_mangle();  ///< SERVE_MANGLE_PACKETS: per stream event
-    /// SERVE_BURST: per stream event, the number of extra packets to add.
+    /// SERVE_MANGLE_PACKETS / SERVE_BURST: per base event of a serve stream,
+    /// when it is built; the burst draw is the number of extra packets.
+    [[nodiscard]] bool inject_serve_mangle();
     [[nodiscard]] int inject_serve_burst();
     [[nodiscard]] bool inject_serve_hang();  ///< SERVE_HANG: per classifier batch
     [[nodiscard]] bool inject_serve_kill();  ///< KILL_SERVE: per committed snapshot
@@ -218,13 +220,11 @@ private:
 
     // Hot-path gates, read without the mutex and kept last, lines away from
     // it: inject_alloc_fail runs per tensor charge (its byte tally is
-    // thread-local, keyed by an epoch that configure() bumps), and one load
-    // answers both stream classes per packet event while neither is armed.
-    // Aligning them to a line of their own cost serve_gbt ~17% events/s.
+    // thread-local, keyed by the epoch each configure() takes).  Aligning
+    // them to a line of their own cost serve_gbt ~17% events/s.
     std::atomic<std::uint64_t> alloc_fail_threshold_bytes_{0};  ///< 0 = unarmed
     std::atomic<std::uint64_t> alloc_scope_epoch_{1};
     std::atomic<std::uint64_t> alloc_rejections_{0};  ///< written only while armed
-    std::atomic<bool> serve_stream_armed_{false};
 };
 
 /// The process-wide injector, configured from the environment on first use.

@@ -1,6 +1,7 @@
 #!/bin/sh
 # The knobs of one family that are read equal the knobs that are documented
-# (the ServeKnobsDocumented and FaultKnobsDocumented tests).
+# (the ServeKnobsDocumented, FaultKnobsDocumented and DriftKnobsDocumented
+# tests).
 #
 #   check_knobs.sh <prefix> <repo root> <source>...
 #

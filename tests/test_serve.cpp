@@ -18,12 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -293,6 +295,111 @@ TEST(ServeStream, EventsAreTimeSortedAndValid)
         last = event->timestamp;
     }
     EXPECT_EQ(stream.flow_count(), 30u);
+}
+
+namespace {
+
+/// The fault plan of the faulted-stream tests: every class that acts on the
+/// stream is armed.
+util::FaultPlan stream_fault_plan()
+{
+    util::FaultPlan plan;
+    plan.seed = 5;
+    plan.serve_mangle_percent = 10.0;
+    plan.serve_burst = 8;
+    return plan;
+}
+
+/// Field by field, doubles by their bits (a mangled timestamp is NaN).
+bool same_event(const serve::PacketEvent& a, const serve::PacketEvent& b)
+{
+    return a.flow_id == b.flow_id && a.label == b.label &&
+           std::bit_cast<std::uint64_t>(a.timestamp) == std::bit_cast<std::uint64_t>(b.timestamp) &&
+           std::bit_cast<std::uint64_t>(a.size) == std::bit_cast<std::uint64_t>(b.size) &&
+           a.direction == b.direction && a.flow_end == b.flow_end;
+}
+
+} // namespace
+
+TEST(ServeStream, CopyReplaysTheSameFaultedEvents)
+{
+    const FaultGuard guard(stream_fault_plan());
+    serve::InterleavedStream original({.flows = 40, .seed = 11});
+    serve::InterleavedStream copy = original;
+    std::uint64_t events = 0;
+    while (auto event = original.next()) {
+        const auto replayed = copy.next();
+        ASSERT_TRUE(replayed.has_value()) << "event " << events;
+        ASSERT_TRUE(same_event(*event, *replayed)) << "event " << events;
+        ++events;
+    }
+    EXPECT_FALSE(copy.next().has_value());
+    EXPECT_GT(original.mangled(), 0u);
+    EXPECT_EQ(copy.mangled(), original.mangled());
+    EXPECT_GT(events, original.base_events());  // burst clones
+}
+
+TEST(ServeStream, FaultedSequenceIsPinned)
+{
+    // FNV-1a over every field of every event as next() emits them, with
+    // mangle 10% and burst 8 armed.  The values pin the faulted sequence:
+    // per base event the burst draw, then the mangle draw, from the
+    // injector's seeded stream (CHANGES.md says where they were computed).
+    const FaultGuard guard(stream_fault_plan());
+    serve::InterleavedStream stream({.flows = 40, .seed = 11});
+    std::uint64_t hash = 14695981039346656037ULL;
+    const auto mix = [&hash](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xFF;
+            hash *= 1099511628211ULL;
+        }
+    };
+    std::uint64_t events = 0;
+    while (auto event = stream.next()) {
+        mix(event->flow_id);
+        mix(event->label);
+        mix(std::bit_cast<std::uint64_t>(event->timestamp));
+        mix(std::bit_cast<std::uint64_t>(event->size));
+        mix(static_cast<std::uint64_t>(event->direction));
+        mix(event->flow_end ? 1 : 0);
+        ++events;
+    }
+    EXPECT_EQ(hash, 0x563e7d63ea94b6eaULL);
+    EXPECT_EQ(events, 23299u);
+    EXPECT_EQ(stream.base_events(), 20715u);
+    EXPECT_EQ(stream.mangled(), 2076u);
+    EXPECT_EQ(stream.events_emitted(), events);
+}
+
+TEST(ServeStream, TakeContinuesWhereNextWould)
+{
+    const FaultGuard guard(stream_fault_plan());
+    const serve::InterleavedStream built({.flows = 20, .seed = 3});
+    std::size_t total = 0;
+    for (serve::InterleavedStream drained = built; drained.next().has_value();) {
+        ++total;
+    }
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{255},
+                                std::size_t{1000}, total, std::size_t{1} << 40}) {
+        serve::InterleavedStream taking = built;
+        serve::InterleavedStream stepping = built;
+        const std::span<const serve::PacketEvent> slice = taking.take(k);
+        EXPECT_EQ(slice.size(), std::min(k, total));
+        for (const serve::PacketEvent& event : slice) {
+            const auto stepped = stepping.next();
+            ASSERT_TRUE(stepped.has_value());
+            ASSERT_TRUE(same_event(event, *stepped)) << "k=" << k;
+        }
+        EXPECT_EQ(taking.events_emitted(), stepping.events_emitted());
+        const auto after_take = taking.next();
+        const auto after_next = stepping.next();
+        ASSERT_EQ(after_take.has_value(), after_next.has_value()) << "k=" << k;
+        if (after_take.has_value()) {
+            EXPECT_TRUE(same_event(*after_take, *after_next)) << "k=" << k;
+        } else {
+            EXPECT_TRUE(taking.take(1).empty());
+        }
+    }
 }
 
 namespace {

@@ -596,7 +596,7 @@ TEST(ServeDriftE2E, InvariantAndModelGenerationSurviveRestore)
     config.deadline_ms = 2000.0;
     config.unknown_thresh = 0.9;
     config.snapshot_path = path;
-    config.snapshot_period_s = 0.0;
+    config.snapshot_every = 0;
     config.generation = 1;
 
     // The crashed generation had rejected 4 flows as unknown and survived

@@ -473,7 +473,7 @@ serve::ServeConfig recovery_config(const std::string& snapshot_path)
     config.reduced_dim = 16;
     config.deadline_ms = 2000.0;
     config.snapshot_path = snapshot_path;
-    config.snapshot_period_s = 0.0;  // no new snapshots: this run only restores
+    config.snapshot_every = 0;  // no new snapshots: this run only restores
     config.generation = 1;
     return config;
 }
@@ -574,8 +574,7 @@ TEST(ServeRecoveryE2E, SnapshotEveryWritesAndRetiresSnapshots)
     const std::string path = dir.file("snapshot.bin");
     serve::ServeConfig config = recovery_config(path);
     config.generation = 0;
-    config.snapshot_period_s = 0.0;
-    config.snapshot_every = 100;  // event-cadence markers: deterministic count
+    config.snapshot_every = 100;
 
     auto backends = serve::make_backends(config.flowpic_dim, config.reduced_dim,
                                          config.num_classes, 42);

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -781,6 +782,24 @@ TEST(FaultTable, KnobThatOverflowsItsFieldIsRejected)
     }
     const KnobGuard knob("FPTC_FAULT_ENOSPC_AFTER_BYTES", "4294967297");  // a 64-bit field
     EXPECT_EQ(util::fault_plan_from_env().enospc_after_bytes, 4294967297);
+}
+
+TEST(FaultTable, AllocFailAfterMbDoesNotWrapToUnarmed)
+{
+    // 2^44 MB fits the knob's int64 field, but 2^44 << 20 bytes wraps a
+    // 64-bit threshold to 0, the unarmed value: the class then never fired
+    // while enabled() reported it armed.  The threshold saturates instead.
+    const KnobGuard knob("FPTC_FAULT_ALLOC_FAIL_AFTER_MB", "17592186044416");
+    const util::FaultPlan plan = util::fault_plan_from_env();
+    ASSERT_EQ(plan.alloc_fail_after_mb, std::int64_t{1} << 44);
+    util::FaultInjector faults(plan);
+    EXPECT_TRUE(faults.enabled());
+    faults.begin_alloc_scope();
+    const std::size_t gib = std::size_t{1} << 30;
+    EXPECT_FALSE(faults.inject_alloc_fail(gib));
+    // The scope's bytes reach 2^64 - 1, past the saturated 2^64 - 2^20.
+    EXPECT_TRUE(faults.inject_alloc_fail(std::numeric_limits<std::size_t>::max() - gib));
+    EXPECT_EQ(faults.counters().alloc_rejections, 1u);
 }
 
 /// A plan with every class armed; drive_every_class() makes each one fire.
